@@ -345,13 +345,20 @@ def tbf_embed(d, theta, phi, tables: BasisTables) -> np.ndarray:
 
 
 def _radial_table(d: np.ndarray, tables: BasisTables) -> np.ndarray:
-    """norm(l, n) * j_l(z_ln * d / c) for all (l, n); shape (len(d), l, n)."""
-    out = np.empty((d.size, tables.n_shbf, tables.n_srbf), dtype=np.float64)
+    """norm(l, n) * j_l(z_ln * d / c) for all (l, n); shape (len(d), l, n).
+
+    Pair distances repeat their neighbor edge's distance, so the table is
+    evaluated once per distinct value and expanded. The distinct values keep
+    the largest argument, which fixes the Bessel recurrence's start order, so
+    the rows are bitwise those of evaluating every entry.
+    """
+    distinct, inverse = np.unique(d, return_inverse=True)
+    out = np.empty((distinct.size, tables.n_shbf, tables.n_srbf), dtype=np.float64)
     for ell in range(tables.n_shbf):
-        x = np.outer(d, tables.roots[ell] / tables.cutoff)
-        values = _bessel_table(ell, x.ravel())[ell].reshape(d.size, tables.n_srbf)
+        x = np.outer(distinct, tables.roots[ell] / tables.cutoff)
+        values = _bessel_table(ell, x.ravel())[ell].reshape(distinct.size, tables.n_srbf)
         out[:, ell, :] = tables.norms[ell] * values
-    return out
+    return out[inverse]
 
 
 def _check_polar(theta: np.ndarray):

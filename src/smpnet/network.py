@@ -7,6 +7,11 @@ geometry (distance, distance-angle, and distance-angle-torsion embeddings,
 depending on the ablation mode); an output block pools messages into node
 features and sums a per-node readout into the graph scalar.
 
+Two-hop pairs outnumber edges many times over, so everything that depends
+only on the neighbor edge is computed once per edge and then gathered to
+pairs: the message projections and the distance gate. Only the angle and
+torsion gates are evaluated per pair.
+
 Geometry and basis values enter as constants: gradients flow to parameters
 only. Gate encodings use bottleneck blocks (down-projection without bias,
 then up-projection), and the gated geometry terms are additive per geometry
@@ -15,8 +20,8 @@ network exactly.
 """
 from __future__ import annotations
 
-import io
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -189,7 +194,6 @@ class GraphFeatures:
     edge_rbf: np.ndarray
     pair_edge: np.ndarray
     pair_neighbor: np.ndarray
-    pair_rbf: np.ndarray
     pair_sbf: Optional[np.ndarray]
     pair_tbf: Optional[np.ndarray]
 
@@ -219,7 +223,6 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
     edge_rbf = (rbf_embed(edges.distances, tables)
                 if edges.n_edges else np.zeros((0, cfg.n_srbf)))
     pair_d = edges.distances[hops.pair_neighbor]
-    pair_rbf = edge_rbf[hops.pair_neighbor] if hops.n_pairs else np.zeros((0, cfg.n_srbf))
     pair_sbf = None
     pair_tbf = None
     if cfg.ablation_mode in (FULL, NO_TORSION):
@@ -243,7 +246,6 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
         edge_rbf=edge_rbf,
         pair_edge=hops.pair_edge,
         pair_neighbor=hops.pair_neighbor,
-        pair_rbf=pair_rbf,
         pair_sbf=pair_sbf,
         pair_tbf=pair_tbf,
     )
@@ -266,7 +268,7 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
     graph_offset = 0
     chunks = {name: [] for name in (
         "atomic_numbers", "graph_ids", "edge_sender", "edge_receiver", "edge_dist",
-        "edge_rbf", "pair_edge", "pair_neighbor", "pair_rbf", "pair_sbf", "pair_tbf",
+        "edge_rbf", "pair_edge", "pair_neighbor", "pair_sbf", "pair_tbf",
     )}
     has_sbf = parts[0].pair_sbf is not None
     has_tbf = parts[0].pair_tbf is not None
@@ -279,7 +281,6 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
         chunks["edge_rbf"].append(part.edge_rbf)
         chunks["pair_edge"].append(part.pair_edge + edge_offset)
         chunks["pair_neighbor"].append(part.pair_neighbor + edge_offset)
-        chunks["pair_rbf"].append(part.pair_rbf)
         if has_sbf:
             chunks["pair_sbf"].append(part.pair_sbf)
         if has_tbf:
@@ -298,7 +299,6 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
         edge_rbf=np.concatenate(chunks["edge_rbf"]),
         pair_edge=np.concatenate(chunks["pair_edge"]),
         pair_neighbor=np.concatenate(chunks["pair_neighbor"]),
-        pair_rbf=np.concatenate(chunks["pair_rbf"]),
         pair_sbf=np.concatenate(chunks["pair_sbf"]) if has_sbf else None,
         pair_tbf=np.concatenate(chunks["pair_tbf"]) if has_tbf else None,
     )
@@ -328,7 +328,6 @@ class ForwardCache:
 
     context: ForwardContext
     prediction: Node
-    node_features: Node
     params: ModelParams
 
     @property
@@ -376,6 +375,10 @@ def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> M
     ``encode(geometry) * project(neighbor message)`` per two-hop pair; the
     per-edge sums are mapped back to message width and added to the
     transformed old message, followed by residual refinement.
+
+    Projections act row-wise, so ``project`` runs on the edge messages and
+    its narrow result is gathered to pairs. The distance gate depends only on
+    the neighbor edge and is applied per edge before the gather as well.
     """
     tape, feats, cfg = ctx.tape, ctx.features, ctx.cfg
     if state.messages.value.shape[0] != feats.n_edges:
@@ -384,26 +387,27 @@ def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> M
             f"two-hop index describes {feats.n_edges} edges"
         )
     prefix = f"inter{block}."
-    neighbor = tape.gather(state.messages, feats.pair_neighbor)
+    messages = state.messages
 
-    term = tape.mul(
-        _bottleneck(ctx, prefix + "rbf", tape.constant(feats.pair_rbf)),
-        _dense(ctx, prefix + "proj_rbf", neighbor),
+    distance_term = tape.mul(
+        _bottleneck(ctx, prefix + "rbf", tape.constant(feats.edge_rbf)),
+        _dense(ctx, prefix + "proj_rbf", messages),
     )
+    term = tape.gather(distance_term, feats.pair_neighbor)
     if cfg.ablation_mode in (FULL, NO_TORSION):
+        projected = tape.gather(_dense(ctx, prefix + "proj_sbf", messages), feats.pair_neighbor)
         term = tape.add(term, tape.mul(
-            _bottleneck(ctx, prefix + "sbf", tape.constant(feats.pair_sbf)),
-            _dense(ctx, prefix + "proj_sbf", neighbor),
+            _bottleneck(ctx, prefix + "sbf", tape.constant(feats.pair_sbf)), projected,
         ))
     if cfg.ablation_mode == FULL:
+        projected = tape.gather(_dense(ctx, prefix + "proj_tbf", messages), feats.pair_neighbor)
         term = tape.add(term, tape.mul(
-            _bottleneck(ctx, prefix + "tbf", tape.constant(feats.pair_tbf)),
-            _dense(ctx, prefix + "proj_tbf", neighbor),
+            _bottleneck(ctx, prefix + "tbf", tape.constant(feats.pair_tbf)), projected,
         ))
     aggregated = tape.segment_sum(term, feats.pair_edge, feats.n_edges)
     aggregated = _dense(ctx, prefix + "up", aggregated)
 
-    branch = state.messages
+    branch = messages
     for j in range(cfg.num_message_layers):
         branch = _dense(ctx, prefix + f"msg{j}", branch, activation=True)
     updated = tape.add(branch, aggregated)
@@ -437,9 +441,8 @@ def forward_features(features: GraphFeatures, params: ModelParams,
     state = embedding_block(ctx)
     for block in range(cfg.num_interaction_blocks):
         state = interaction_block(ctx, state, block)
-    nodes, prediction = output_block(ctx, state)
-    return ForwardCache(context=ctx, prediction=prediction,
-                        node_features=nodes, params=params)
+    _, prediction = output_block(ctx, state)
+    return ForwardCache(context=ctx, prediction=prediction, params=params)
 
 
 def forward(graph: Graph3D, params: ModelParams, cfg: RunConfig,
@@ -541,42 +544,73 @@ def load_model(path: str, expected_cfg: Optional[RunConfig] = None
     """Read a model file; reject it if the embedded config disagrees.
 
     When ``expected_cfg`` is given, every config field must match the stored
-    echo exactly.
+    echo exactly. Every malformed file raises ModelIOError.
     """
     with open(path, "rb") as handle:
         data = handle.read()
-    stream = io.BytesIO(data)
-    magic = stream.read(len(FORMAT_MAGIC))
+    magic = data[:len(FORMAT_MAGIC)]
     if magic != FORMAT_MAGIC:
         raise ModelIOError(f"{path}: not a model file (bad magic {magic!r})")
-    (header_len,) = struct.unpack("<Q", stream.read(8))
+    offset = len(FORMAT_MAGIC) + 8
+    if len(data) < offset:
+        raise ModelIOError(f"{path}: truncated header length")
+    (header_len,) = struct.unpack("<Q", data[len(FORMAT_MAGIC):offset])
+    if header_len > len(data) - offset:
+        raise ModelIOError(f"{path}: truncated header")
     try:
-        header = json.loads(stream.read(header_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = json.loads(data[offset:offset + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise ModelIOError(f"{path}: corrupt header: {exc}") from exc
+    offset += header_len
+    if not isinstance(header, dict):
+        raise ModelIOError(f"{path}: corrupt header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ModelIOError(
             f"{path}: unsupported format version {header.get('format_version')!r}"
         )
-    cfg = RunConfig(**header["config"])
+    stored = header.get("config")
+    if not isinstance(stored, dict):
+        raise ModelIOError(f"{path}: header has no config object")
+    try:
+        cfg = RunConfig(**stored)
+    except (TypeError, ValueError) as exc:
+        raise ModelIOError(f"{path}: invalid stored config: {exc}") from exc
     if expected_cfg is not None:
         mismatched = [
             key for key, value in expected_cfg.to_dict().items()
-            if header["config"].get(key) != value
+            if stored.get(key) != value
         ]
         if mismatched:
             raise ModelIOError(
                 f"{path}: stored config disagrees with session config on "
                 f"{', '.join(sorted(mismatched))}"
             )
+    directory = _tensor_directory(path, header.get("tensors"))
+    if directory != param_shapes(cfg):
+        raise ModelIOError(f"{path}: tensor directory does not match the stored config")
     values: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        raw = stream.read(count * 8)
-        if len(raw) != count * 8:
-            raise ModelIOError(f"{path}: truncated tensor data for {entry['name']!r}")
-        values[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    if stream.read(1):
+    for name, shape in directory.items():
+        count = math.prod(shape)
+        if 8 * count > len(data) - offset:
+            raise ModelIOError(f"{path}: truncated tensor data for {name!r}")
+        values[name] = np.frombuffer(data, dtype="<f8", count=count,
+                                     offset=offset).reshape(shape).copy()
+        offset += 8 * count
+    if offset != len(data):
         raise ModelIOError(f"{path}: trailing bytes after tensor data")
     return ModelParams(cfg, values), cfg
+
+
+def _tensor_directory(path: str, entries) -> dict[str, tuple[int, ...]]:
+    """Validated ``{name: shape}`` in file order from the header's tensor list."""
+    if not isinstance(entries, list):
+        raise ModelIOError(f"{path}: header has no tensor list")
+    directory: dict[str, tuple[int, ...]] = {}
+    for entry in entries:
+        name = entry.get("name") if isinstance(entry, dict) else None
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if (not isinstance(name, str) or name in directory or not isinstance(shape, list)
+                or not all(type(size) is int and size >= 0 for size in shape)):
+            raise ModelIOError(f"{path}: malformed tensor entry {entry!r}")
+        directory[name] = tuple(shape)
+    return directory

@@ -110,15 +110,13 @@ class TrainResult:
     best_score: float
 
 
-def lr_at(cfg: RunConfig, epoch: int, step: int = 0) -> float:
+def lr_at(cfg: RunConfig, epoch: int) -> float:
     """Learning rate for an epoch: linear warmup, then step or cosine decay.
 
-    The schedule is resolved at epoch granularity; ``step`` is accepted so
-    call sites can pass their optimizer step without bookkeeping, but it does
-    not alter the value. During warmup the rate ramps linearly from
-    warmup_factor * init_lr to init_lr. Step decay multiplies by decay_ratio
-    every step_size epochs (counted from epoch 0); cosine decays to zero at
-    t_max (default max_epochs).
+    The schedule is resolved at epoch granularity. During warmup the rate
+    ramps linearly from warmup_factor * init_lr to init_lr. Step decay
+    multiplies by decay_ratio every step_size epochs (counted from epoch 0);
+    cosine decays to zero at t_max (default max_epochs).
     """
     if epoch < 0:
         raise TrainError(f"epoch must be >= 0, got {epoch}")
@@ -265,7 +263,7 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
     best_params = params.clone()
     step = 0
     for epoch in range(cfg.max_epochs):
-        lr = lr_at(cfg, epoch, step)
+        lr = lr_at(cfg, epoch)
         rng = philox_generator(seed, _SHUFFLE_TAG, epoch)
         order = train_idx[rng.permutation(train_idx.size)]
         abs_error_sum = 0.0

@@ -268,6 +268,22 @@ def test_tbf_periodicity_and_size():
     assert np.max(np.abs(tbf_embed(5.0, 1.0, 2.0, tables))) < 1e-10
 
 
+def test_repeated_distances_give_rows_of_distinct_call():
+    # Pair distances repeat edge distances; evaluating each distinct value
+    # once must give bitwise the rows of the call on the distinct values.
+    tables = build_tables(5.0, 4, 4)
+    rng = np.random.default_rng(5)
+    d = np.concatenate([[0.02, 0.3], rng.uniform(0.5, 5.0, size=20)])
+    theta = rng.uniform(0.0, math.pi, size=d.size)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=d.size)
+    index = rng.permutation(np.concatenate([np.arange(d.size),
+                                            rng.integers(0, d.size, size=3 * d.size)]))
+    assert np.array_equal(sbf_embed(d[index], theta[index], tables),
+                          sbf_embed(d, theta, tables)[index])
+    assert np.array_equal(tbf_embed(d[index], theta[index], phi[index], tables),
+                          tbf_embed(d, theta, phi, tables)[index])
+
+
 def test_tbf_full_orthonormality_small_tables():
     tables = build_tables(5.0, 3, 3)
     d, wd = gauss_legendre(128, 0.0, 5.0)

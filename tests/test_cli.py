@@ -237,6 +237,16 @@ def test_export_filters_cli(tmp_path):
     assert subset.read_text().splitlines()[0] == "d,theta,phi,c1,c3"
 
 
+def test_malformed_checkpoint_is_data_error(tmp_path, capsys):
+    from smpnet.network import FORMAT_MAGIC
+    model = tmp_path / "model.bin"
+    model.write_bytes(FORMAT_MAGIC + b"\x05")
+    code = main(["export-filters", "--model", str(model), "--phi", "0",
+                 "--out", str(tmp_path / "filters.csv")])
+    assert code == 2
+    assert "header length" in capsys.readouterr().err
+
+
 def test_ablate_smoke(tmp_path):
     # Tiny budget: checks the table format, not the ordering (that is the
     # acceptance suite's job at the full protocol scale).

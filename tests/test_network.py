@@ -1,9 +1,14 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smpnet.geometry import random_rotation, rigid_transform
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D
-from smpnet.network import (ModelIOError, NetworkError, backward,
+from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
                             begin_forward, embedding_block, export_filters,
                             featurize_graph, forward, forward_features,
                             init_params, interaction_block, load_model,
@@ -118,6 +123,57 @@ def test_no_pairs_aggregate_is_transform_branch_only(tiny_cfg):
     assert np.allclose(updated.messages.value, expected, atol=1e-12)
 
 
+def _silu(x):
+    return x / (1.0 + np.exp(-x))
+
+
+def reference_interaction(feats, values, messages, block, cfg):
+    """The pair-level formula in plain numpy: gather messages to pairs,
+    project them there, gate with the pair encodings, sum per edge."""
+    prefix = f"inter{block}."
+
+    def dense(name, x):
+        return x @ values[prefix + name + ".w"] + values[prefix + name + ".b"]
+
+    def bottleneck(name, x):
+        return ((x @ values[prefix + name + ".down"]) @ values[prefix + name + ".up"]
+                + values[prefix + name + ".b"])
+
+    neighbor = messages[feats.pair_neighbor]
+    term = bottleneck("rbf", feats.edge_rbf[feats.pair_neighbor]) * dense("proj_rbf", neighbor)
+    if cfg.ablation_mode in (FULL, NO_TORSION):
+        term = term + bottleneck("sbf", feats.pair_sbf) * dense("proj_sbf", neighbor)
+    if cfg.ablation_mode == FULL:
+        term = term + bottleneck("tbf", feats.pair_tbf) * dense("proj_tbf", neighbor)
+    aggregated = np.zeros((feats.n_edges, term.shape[1]))
+    np.add.at(aggregated, feats.pair_edge, term)
+    branch = messages
+    for j in range(cfg.num_message_layers):
+        branch = _silu(dense(f"msg{j}", branch))
+    updated = branch + dense("up", aggregated)
+    for r in range(cfg.num_residual_blocks):
+        inner = _silu(dense(f"res{r}.b", _silu(dense(f"res{r}.a", updated))))
+        updated = updated + inner
+    return updated
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_interaction_block_matches_pair_level_reference(tiny_cfg, mode):
+    cfg = tiny_cfg.replace(ablation_mode=mode)
+    params = init_params(cfg, seed=7)
+    rng = np.random.default_rng(11)
+    # Non-zero biases, so a bias applied on the wrong side of the gather shows.
+    for value in params.values.values():
+        value[...] = rng.normal(scale=0.5, size=value.shape)
+    feats = featurize_graph(random_graph(rng, n_atoms=6), cfg)
+    assert feats.n_pairs > 2 * feats.n_edges
+    ctx = begin_forward(feats, params, cfg)
+    state = embedding_block(ctx)
+    updated = interaction_block(ctx, state, 1)
+    expected = reference_interaction(feats, params.values, state.messages.value, 1, cfg)
+    np.testing.assert_allclose(updated.messages.value, expected, rtol=1e-12, atol=1e-12)
+
+
 def test_default_config_smoke():
     from smpnet.ingest import RunConfig
     cfg = RunConfig()  # full-size architecture, defaults throughout
@@ -223,6 +279,17 @@ def test_disjoint_duplicate_doubles_prediction(tiny_cfg):
     cache = forward_features(merged, params, tiny_cfg)
     assert np.allclose(cache.predictions, [single, single], atol=1e-12)
     assert abs(float(cache.predictions.sum()) - 2.0 * single) < 1e-12
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_prediction_independent_of_batch_mates(tiny_cfg, mode):
+    cfg = tiny_cfg.replace(ablation_mode=mode)
+    params = init_params(cfg, seed=33)
+    rng = np.random.default_rng(39)
+    parts = [featurize_graph(random_graph(rng, n_atoms=n), cfg) for n in (3, 6, 1, 5)]
+    alone = [forward_features(part, params, cfg).predictions[0] for part in parts]
+    batched = forward_features(merge_features(parts), params, cfg).predictions
+    np.testing.assert_allclose(batched, alone, rtol=1e-12, atol=0)
 
 
 def test_determinism_across_runs(tiny_cfg):
@@ -416,3 +483,58 @@ def test_load_rejects_corrupt_files(tiny_cfg, tmp_path):
     (tmp_path / "trunc.bin").write_bytes(data[:-16])
     with pytest.raises(ModelIOError, match="truncated"):
         load_model(str(tmp_path / "trunc.bin"))
+
+
+def _model_file(path, header: bytes, body: bytes = b"") -> str:
+    path.write_bytes(FORMAT_MAGIC + struct.pack("<Q", len(header)) + header + body)
+    return str(path)
+
+
+def test_load_rejects_short_header_length(tmp_path):
+    path = tmp_path / "short.bin"
+    path.write_bytes(FORMAT_MAGIC + b"\x01\x02\x03")
+    with pytest.raises(ModelIOError, match="header length"):
+        load_model(str(path))
+
+
+def test_load_rejects_header_without_config(tmp_path):
+    header = json.dumps({"format_version": 1, "tensors": []}).encode()
+    with pytest.raises(ModelIOError, match="config"):
+        load_model(_model_file(tmp_path / "noconfig.bin", header))
+
+
+def test_load_rejects_unknown_config_key(tiny_cfg, tmp_path):
+    params = init_params(tiny_cfg, seed=137)
+    good = tmp_path / "good.bin"
+    save_model(params, str(good))
+    data = good.read_bytes()
+    start = len(FORMAT_MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[len(FORMAT_MAGIC):start])
+    header = json.loads(data[start:start + length])
+    header["config"]["frobnicate"] = 1
+    encoded = json.dumps(header).encode()
+    path = _model_file(tmp_path / "unknown.bin", encoded, data[start + length:])
+    with pytest.raises(ModelIOError, match="frobnicate"):
+        load_model(path)
+
+
+# Arbitrary bytes rarely parse as JSON, so half of the examples frame a
+# random JSON header built from the keys the loader looks up.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["format_version", "config", "tensors", "name", "shape", "cutoff_c"]),
+        inner, max_size=3),
+    max_leaves=8)
+_framed_headers = st.builds(
+    lambda header, tail: struct.pack("<Q", len(header)) + header + tail,
+    _json_values.map(lambda value: json.dumps(value).encode()), st.binary(max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | _framed_headers)
+def test_load_model_fuzz_raises_only_model_io_error(tmp_path_factory, tail):
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    path.write_bytes(FORMAT_MAGIC + tail)
+    with pytest.raises(ModelIOError):
+        load_model(str(path))
