@@ -348,17 +348,19 @@ def _radial_table(d: np.ndarray, tables: BasisTables) -> np.ndarray:
     """norm(l, n) * j_l(z_ln * d / c) for all (l, n); shape (len(d), l, n).
 
     Pair distances repeat their neighbor edge's distance, so the table is
-    evaluated once per distinct value and expanded. The distinct values keep
-    the largest argument, which fixes the Bessel recurrence's start order, so
-    the rows are bitwise those of evaluating every entry.
+    evaluated once per distinct value and expanded. One Bessel recurrence up
+    to order n_shbf - 1 runs over every (distinct, l, n) argument, and block
+    l keeps row l. The recurrence's start order follows the largest argument
+    of the call, so rows can differ in the last bits from evaluating each
+    order on its own.
     """
     distinct, inverse = np.unique(d, return_inverse=True)
-    out = np.empty((distinct.size, tables.n_shbf, tables.n_srbf), dtype=np.float64)
-    for ell in range(tables.n_shbf):
-        x = np.outer(distinct, tables.roots[ell] / tables.cutoff)
-        values = _bessel_table(ell, x.ravel())[ell].reshape(distinct.size, tables.n_srbf)
-        out[:, ell, :] = tables.norms[ell] * values
-    return out[inverse]
+    orders = np.arange(tables.n_shbf)
+    x = distinct[:, None, None] * (tables.roots / tables.cutoff)
+    values = _bessel_table(tables.n_shbf - 1, x.ravel()).reshape(
+        tables.n_shbf, distinct.size, tables.n_shbf, tables.n_srbf)
+    out = values[orders, :, orders, :] * tables.norms[:, None, :]
+    return out.transpose(1, 0, 2)[inverse]
 
 
 def _check_polar(theta: np.ndarray):

@@ -7,6 +7,7 @@ identical (argv, input files, seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import Optional, Sequence
@@ -150,13 +151,7 @@ def _load_dataset(args) -> list:
                     f"{path}: manifest entries must reference single-frame files, "
                     f"found {len(frames)} frames"
                 )
-            graphs.append(frames[0].__class__(
-                atomic_numbers=frames[0].atomic_numbers,
-                positions=frames[0].positions,
-                graph_target=target,
-                node_targets=frames[0].node_targets,
-                id=frames[0].id,
-            ))
+            graphs.append(dataclasses.replace(frames[0], graph_target=target))
     if not graphs:
         raise IngestError("no structures found in input")
     return graphs

@@ -9,7 +9,11 @@ perpendicular to the edge, taken in ascending azimuth about the s_k -> r_k
 axis; the gaps around one edge sum to 2*pi whenever there are at least two
 neighbors.
 
-All functions are pure and operate on immutable inputs.
+Nothing loops over edges in Python: the two-hop index is CSR arithmetic over
+``receiver_offsets``, and torsions treat each edge's pairs as one segment of
+flat arrays (one frame per edge, one sort for all segments, gaps and the
+wrap-around closure per segment). All functions are pure and operate on
+immutable inputs.
 """
 from __future__ import annotations
 
@@ -47,10 +51,6 @@ class DirectedEdgeList:
     @property
     def n_edges(self) -> int:
         return self.senders.size
-
-    def incoming(self, node: int) -> np.ndarray:
-        """Indices of edges whose receiver is ``node``."""
-        return np.arange(self.receiver_offsets[node], self.receiver_offsets[node + 1])
 
 
 @dataclass(frozen=True)
@@ -107,22 +107,18 @@ def build_two_hop_index(edges: DirectedEdgeList) -> tuple[np.ndarray, np.ndarray
     """Pairs (k, j) with j pointing into the sender of k and s_j != r_k.
 
     The reverse edge of k is excluded: it would yield a degenerate angle and
-    an undefined torsion. Pairs are ordered by (k, j).
+    an undefined torsion. Pairs are ordered by (k, j). The candidates of edge
+    k are the CSR block of its sender in ``receiver_offsets``; the blocks are
+    laid out one after another by ``repeat`` and ``cumsum``.
     """
-    pair_k: list[int] = []
-    pair_j: list[int] = []
     offsets = edges.receiver_offsets
-    for k in range(edges.n_edges):
-        sender = edges.senders[k]
-        receiver = edges.receivers[k]
-        for j in range(offsets[sender], offsets[sender + 1]):
-            if edges.senders[j] != receiver:
-                pair_k.append(k)
-                pair_j.append(j)
-    return (
-        _frozen(np.asarray(pair_k, dtype=np.int64)),
-        _frozen(np.asarray(pair_j, dtype=np.int64)),
-    )
+    first = offsets[edges.senders]
+    sizes = offsets[edges.senders + 1] - first
+    block_starts = np.cumsum(sizes) - sizes
+    pair_k = np.repeat(np.arange(edges.n_edges, dtype=np.int64), sizes)
+    pair_j = np.arange(pair_k.size, dtype=np.int64) + np.repeat(first - block_starts, sizes)
+    keep = edges.senders[pair_j] != edges.receivers[pair_k]
+    return _frozen(pair_k[keep]), _frozen(pair_j[keep])
 
 
 def compute_angles(graph: Graph3D, edges: DirectedEdgeList,
@@ -159,51 +155,42 @@ def compute_torsions(
     one edge sum to 2*pi when it has two or more neighbors. A single neighbor
     gets torsion 0. Neighbors collinear with the axis (projection norm below
     ``COLLINEAR_PROJECTION_EPS``) get azimuth 0 and are reported in the
-    returned diagnostics tuple.
+    returned diagnostics tuple, whatever the edge's neighbor count.
+
+    All pairs are handled at once: ``pair_k`` is sorted, so each edge's pairs
+    form one contiguous segment, and a single sort keyed on the edge first
+    orders every segment.
 
     Returns (phi per pair, neighbor count per edge, collinear pair indices).
     """
     pos = graph.positions
-    phi = np.zeros(pair_k.size, dtype=np.float64)
     counts = np.bincount(pair_k, minlength=edges.n_edges).astype(np.int64)
-    collinear: list[int] = []
+    if pair_k.size == 0:
+        return _frozen(np.zeros(0, dtype=np.float64)), _frozen(counts), ()
 
-    # Pairs are ordered by (k, j), so each edge's pairs are contiguous.
-    boundaries = np.flatnonzero(np.diff(pair_k)) + 1
-    group_starts = np.concatenate(([0], boundaries)) if pair_k.size else np.empty(0, np.int64)
-    group_ends = np.concatenate((boundaries, [pair_k.size])) if pair_k.size else group_starts
+    origin = pos[edges.senders]
+    axis = pos[edges.receivers] - origin
+    axis = axis / np.linalg.norm(axis, axis=-1, keepdims=True)
+    b1, b2 = _plane_basis(axis)
+    axis, b1, b2 = axis[pair_k], b1[pair_k], b2[pair_k]
+    rel = pos[edges.senders[pair_j]] - origin[pair_k]
+    proj = rel - np.sum(rel * axis, axis=-1, keepdims=True) * axis
+    collinear = np.linalg.norm(proj, axis=-1) < COLLINEAR_PROJECTION_EPS
+    azimuth = np.arctan2(np.sum(proj * b2, axis=-1), np.sum(proj * b1, axis=-1))
+    azimuth[azimuth < 0.0] += 2.0 * np.pi
+    azimuth[collinear] = 0.0
 
-    for start, end in zip(group_starts, group_ends):
-        k = pair_k[start]
-        t = end - start
-        if t == 1:
-            phi[start] = 0.0
-            continue
-        origin = pos[edges.senders[k]]
-        axis = pos[edges.receivers[k]] - origin
-        axis = axis / np.linalg.norm(axis)
-        b1, b2 = _plane_basis(axis)
-        azimuths = np.empty(t, dtype=np.float64)
-        for offset in range(t):
-            j = pair_j[start + offset]
-            rel = pos[edges.senders[j]] - origin
-            proj = rel - np.dot(rel, axis) * axis
-            norm = np.linalg.norm(proj)
-            if norm < COLLINEAR_PROJECTION_EPS:
-                azimuths[offset] = 0.0
-                collinear.append(start + offset)
-                continue
-            az = np.arctan2(np.dot(proj, b2), np.dot(proj, b1))
-            azimuths[offset] = az if az >= 0.0 else az + 2.0 * np.pi
-        neighbor_dist = edges.distances[pair_j[start:end]]
-        neighbor_node = edges.senders[pair_j[start:end]]
-        order = np.lexsort((neighbor_node, neighbor_dist, azimuths))
-        gaps = np.mod(azimuths[order] - azimuths[order[np.arange(t) - 1]], 2.0 * np.pi)
-        # The first neighbor's predecessor is the last; its gap carries the
-        # wrap-around so the gaps always sum to a full turn.
-        gaps[0] = 2.0 * np.pi - np.sum(gaps[1:])
-        phi[start + order] = gaps
-    return _frozen(phi), _frozen(counts), tuple(collinear)
+    order = np.lexsort((edges.senders[pair_j], edges.distances[pair_j], azimuth, pair_k))
+    starts = np.flatnonzero(np.diff(pair_k, prepend=-1))
+    gaps = np.mod(np.diff(azimuth[order], prepend=0.0), 2.0 * np.pi)
+    # The first neighbor's gap carries the wrap-around so the gaps always
+    # sum to a full turn; a single neighbor's gap is 0.
+    gaps[starts] = 0.0
+    closure = 2.0 * np.pi - np.add.reduceat(gaps, starts)
+    gaps[starts] = np.where(counts[pair_k[starts]] > 1, closure, 0.0)
+    phi = np.empty_like(gaps)
+    phi[order] = gaps
+    return _frozen(phi), _frozen(counts), tuple(np.flatnonzero(collinear).tolist())
 
 
 def two_hop_geometry(graph: Graph3D, edges: DirectedEdgeList) -> TwoHopGeometry:
@@ -257,14 +244,18 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _plane_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal in-plane basis (b1, b2) with b1 x b2 = axis."""
-    pick = np.argmin(np.abs(axis))
-    seed = np.zeros(3)
-    seed[pick] = 1.0
-    b1 = seed - np.dot(seed, axis) * axis
-    b1 = b1 / np.linalg.norm(b1)
-    b2 = np.cross(axis, b1)
+def _plane_basis(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal in-plane bases (b1, b2) with b1 x b2 = axis, one per row.
+
+    b1 is the coordinate axis along the smallest |component| (the first on a
+    tie) with its part along the axis removed.
+    """
+    rows = np.arange(axes.shape[0])
+    pick = np.argmin(np.abs(axes), axis=-1)
+    b1 = -axes[rows, pick][:, None] * axes
+    b1[rows, pick] += 1.0
+    b1 = b1 / np.linalg.norm(b1, axis=-1, keepdims=True)
+    b2 = np.cross(axes, b1)
     return b1, b2
 
 

@@ -141,8 +141,11 @@ def _parse_frame(lines: list[str], start: int, frame: int, source: str) -> Graph
         raise XYZParseError(f"atom count must be positive, got {n}", frame, lineno)
     comment = lines[start + 1] if start + 1 < len(lines) else ""
     target = _parse_comment_target(comment, frame, start + 2)
-    numbers = np.empty(n, dtype=np.int64)
-    coords = np.empty((n, 3), dtype=np.float64)
+    # A count beyond the remaining lines fails at the first missing line;
+    # allocate only for the lines that exist.
+    rows = min(n, max(len(lines) - start - 2, 0))
+    numbers = np.empty(rows, dtype=np.int64)
+    coords = np.empty((rows, 3), dtype=np.float64)
     for i in range(n):
         lineno = start + 3 + i
         if start + 2 + i >= len(lines):
@@ -201,10 +204,18 @@ def format_xyz(graphs: list[Graph3D]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _read_text(path: str | os.PathLike) -> str:
+    """A UTF-8 text file's contents, with universal newlines."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{os.fspath(path)}: not UTF-8 text: {exc}") from exc
+
+
 def load_xyz(path: str | os.PathLike) -> list[Graph3D]:
     """Read an XYZ file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_xyz(handle.read(), source=os.fspath(path))
+    return parse_xyz(_read_text(path), source=os.fspath(path))
 
 
 def load_manifest(path: str | os.PathLike) -> list[tuple[str, float]]:
@@ -216,26 +227,31 @@ def load_manifest(path: str | os.PathLike) -> list[tuple[str, float]]:
     base = os.path.dirname(os.path.abspath(os.fspath(path)))
     entries: list[tuple[str, float]] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}:{lineno}: invalid record: {exc}") from exc
-            if not isinstance(record, dict) or "file" not in record or "target" not in record:
-                raise IngestError(f"{path}:{lineno}: record needs 'file' and 'target' keys")
-            target = record["target"]
-            if not isinstance(target, (int, float)) or not math.isfinite(target):
-                raise IngestError(f"{path}:{lineno}: non-finite target {target!r}")
-            resolved = os.path.normpath(os.path.join(base, record["file"]))
-            if resolved in seen:
-                raise IngestError(f"{path}:{lineno}: duplicate entry for {record['file']!r}")
-            seen.add(resolved)
-            if not os.path.exists(resolved):
-                raise IngestError(f"{path}:{lineno}: structure file {resolved!r} missing")
-            entries.append((resolved, float(target)))
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # ValueError: also over-long integers
+            raise IngestError(f"{path}:{lineno}: invalid record: {exc}") from exc
+        if not isinstance(record, dict) or "file" not in record or "target" not in record:
+            raise IngestError(f"{path}:{lineno}: record needs 'file' and 'target' keys")
+        if not isinstance(record["file"], str):
+            raise IngestError(f"{path}:{lineno}: 'file' must be a string")
+        raw = record["target"]
+        try:
+            target = float(raw) if isinstance(raw, (int, float)) else math.nan
+        except OverflowError:  # an integer beyond the float range
+            target = math.inf
+        if not math.isfinite(target):
+            raise IngestError(f"{path}:{lineno}: non-finite target {raw!r}")
+        resolved = os.path.normpath(os.path.join(base, record["file"]))
+        if resolved in seen:
+            raise IngestError(f"{path}:{lineno}: duplicate entry for {record['file']!r}")
+        seen.add(resolved)
+        if not os.path.exists(resolved):
+            raise IngestError(f"{path}:{lineno}: structure file {resolved!r} missing")
+        entries.append((resolved, target))
     return entries
 
 
@@ -375,5 +391,4 @@ def _convert_config_value(key: str, raw: str):
 
 def load_config(path: str | os.PathLike) -> RunConfig:
     """Read a RunConfig document from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read(), source=os.fspath(path))
+    return parse_config(_read_text(path), source=os.fspath(path))

@@ -306,10 +306,9 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
 
 @dataclass
 class MessageState:
-    """Per-edge messages after ``layer`` completed blocks."""
+    """Per-edge messages between blocks."""
 
     messages: Node
-    layer: int
 
 
 @dataclass
@@ -365,7 +364,7 @@ def embedding_block(ctx: ForwardContext) -> MessageState:
     merged = tape.concat([senders, receivers, encoded])
     messages = _dense(ctx, "input.merge", merged, activation=True)
     _check_finite(messages, "embedding block")
-    return MessageState(messages=messages, layer=0)
+    return MessageState(messages=messages)
 
 
 def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> MessageState:
@@ -416,7 +415,7 @@ def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> M
         inner = _dense(ctx, prefix + f"res{r}.b", inner, activation=True)
         updated = tape.add(updated, inner)
     _check_finite(updated, f"interaction block {block}")
-    return MessageState(messages=updated, layer=state.layer + 1)
+    return MessageState(messages=updated)
 
 
 def output_block(ctx: ForwardContext, state: MessageState) -> tuple[Node, Node]:

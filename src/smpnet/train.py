@@ -302,17 +302,6 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
                        best_epoch=best_epoch, best_score=best_score)
 
 
-def run_config_list(dataset: Sequence[Graph3D], configs: Sequence[RunConfig],
-                    seed: Optional[int] = None, threads: int = 1,
-                    valid_fraction: float = 0.1) -> list[tuple[RunConfig, TrainResult]]:
-    """Train one model per config (a grid realized as an explicit list)."""
-    return [
-        (cfg, train(dataset, cfg, seed=seed, threads=threads,
-                    valid_fraction=valid_fraction))
-        for cfg in configs
-    ]
-
-
 def format_epoch_log(log: Sequence[EpochLog]) -> str:
     lines = ["epoch,lr,train_mae,valid_mae"]
     for entry in log:

@@ -63,11 +63,12 @@ def test_incoming_index():
     rng = np.random.default_rng(1)
     g = random_graph(rng, n_atoms=5)
     edges = build_radius_graph(g, cutoff=3.0)
+    offsets = edges.receiver_offsets
+    assert offsets.dtype == np.int64 and offsets.shape == (g.n_atoms + 1,)
+    assert offsets[0] == 0 and offsets[-1] == edges.n_edges
+    assert np.all(np.diff(offsets) >= 0)
     for node in range(g.n_atoms):
-        incoming = edges.incoming(node)
-        assert all(edges.receivers[e] == node for e in incoming)
-    total = sum(edges.incoming(n).size for n in range(g.n_atoms))
-    assert total == edges.n_edges
+        assert np.all(edges.receivers[offsets[node]:offsets[node + 1]] == node)
 
 
 # --- two-hop index --------------------------------------------------------------

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smpnet.ingest import (FULL, Graph3D, IngestError, RunConfig, XYZParseError,
-                           format_xyz, load_manifest, parse_config, parse_xyz)
+from smpnet.ingest import (_CONFIG_FIELDS, FULL, Graph3D, IngestError, RunConfig,
+                           XYZParseError, format_xyz, load_config, load_manifest,
+                           load_xyz, parse_config, parse_xyz)
 
 
 def test_parse_water_frame_with_target():
@@ -194,3 +195,88 @@ def test_config_replace_revalidates():
     cfg = RunConfig()
     with pytest.raises(IngestError):
         cfg.replace(cutoff_c=-1.0)
+
+
+# --- loader fuzzing -------------------------------------------------------------
+# Any input either parses or raises the loader's typed IngestError; nothing
+# else (UnicodeDecodeError, MemoryError, TypeError, OverflowError, ...) escapes.
+
+_numbers = st.integers().map(str) | st.floats().map(repr)
+_xyz_lines = st.lists(
+    _numbers | st.text(max_size=12)
+    | st.tuples(st.sampled_from(["H", "C", "O", "Xx"]), _numbers, _numbers, _numbers)
+    .map(" ".join)
+    | st.builds("target={}".format, _numbers | st.text(max_size=6)),
+    max_size=8).map("\n".join)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["file", "target", "x"]), inner, max_size=3),
+    max_leaves=6)
+_manifest_lines = st.lists(
+    _json_values.map(json.dumps)
+    | st.fixed_dictionaries({"file": _json_values, "target": _json_values}).map(json.dumps)
+    | st.text(max_size=12),
+    max_size=4).map("\n".join)
+_config_lines = st.lists(
+    st.tuples(st.sampled_from(sorted(_CONFIG_FIELDS)) | st.text(max_size=6),
+              _numbers | st.text(max_size=8)).map(": ".join)
+    | st.text(max_size=12),
+    max_size=6).map("\n".join)
+
+
+def _parses_or_ingest_error(load, argument):
+    try:
+        load(argument)
+    except IngestError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | _xyz_lines)
+def test_parse_xyz_fuzz_raises_only_ingest_error(text):
+    _parses_or_ingest_error(parse_xyz, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | _config_lines)
+def test_parse_config_fuzz_raises_only_ingest_error(text):
+    _parses_or_ingest_error(parse_config, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([load_xyz, load_manifest, load_config]),
+       st.binary(max_size=64) | (_xyz_lines | _manifest_lines | _config_lines)
+       .map(lambda text: text.encode("utf-8", "surrogatepass")))
+def test_file_loaders_fuzz_raise_only_ingest_error(tmp_path_factory, load, data):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(data)
+    _parses_or_ingest_error(load, path)
+
+
+@pytest.mark.parametrize("load", [load_xyz, load_manifest, load_config])
+def test_loaders_reject_invalid_utf8(tmp_path, load):
+    path = tmp_path / "input"
+    path.write_bytes(b"1\n\xff\xfe\nH 0 0 0\n")
+    with pytest.raises(IngestError, match="UTF-8"):
+        load(path)
+
+
+@pytest.mark.parametrize("count", ["100000000000", str(10 ** 30)])
+def test_parse_xyz_huge_atom_count_is_stream_ended(count):
+    with pytest.raises(XYZParseError, match="stream ended"):
+        parse_xyz(f"{count}\n\nH 0 0 0\n")
+
+
+@pytest.mark.parametrize("line,fragment", [
+    ('{"file": 5, "target": 1.0}', "'file' must be a string"),
+    ('{"file": "a.xyz", "target": 1%s}' % ("0" * 400), "non-finite target"),
+    ("[" * 100000, "invalid record"),
+    ('{"file": "a.xyz", "target": 1%s}' % ("0" * 5000), "invalid record"),
+])
+def test_manifest_malformed_fields_name_line(tmp_path, line, fragment):
+    (tmp_path / "a.xyz").write_text("1\n\nH 0 0 0\n")
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(line + "\n")
+    with pytest.raises(IngestError, match=fragment):
+        load_manifest(manifest)

@@ -237,13 +237,6 @@ def test_explicit_split_overfits_small_set(tiny_cfg):
     assert result.best_epoch >= 0
 
 
-def test_run_config_list(tiny_cfg):
-    data = T.synthetic_torsion_task(64, seed=23)
-    configs = [quick_cfg(tiny_cfg, max_epochs=1), quick_cfg(tiny_cfg, max_epochs=2)]
-    results = T.run_config_list(data, configs, seed=5)
-    assert [len(r.log) for _, r in results] == [1, 2]
-
-
 # --- finite-difference forces ---------------------------------------------------------
 
 def test_fd_forces_step_range(tiny_cfg):
