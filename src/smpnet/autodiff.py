@@ -11,7 +11,22 @@ never spends work on them.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+
+def scatter_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """Sum row i of ``values`` into row ``index[i]`` of a zero (rows, ...) array.
+
+    One ``np.bincount`` over flat (row, column) keys. It adds its weights in
+    input order, as ``np.add.at`` does, so each output entry is the same
+    left-to-right sum. Indices must lie in [0, rows).
+    """
+    width = math.prod(values.shape[1:])
+    keys = (index[:, None] * width + np.arange(width)).ravel()
+    flat = np.bincount(keys, weights=values.reshape(-1), minlength=rows * width)
+    return flat.reshape((rows,) + values.shape[1:])
 
 
 class Node:
@@ -119,18 +134,15 @@ class Tape:
         """Select rows; repeated indices accumulate gradient additively."""
         index = np.asarray(index, dtype=np.int64)
 
-        def vjp(g, shape=x.value.shape, idx=index):
-            out = np.zeros(shape, dtype=np.float64)
-            np.add.at(out, idx, g)
-            return out
+        def vjp(g, rows=x.value.shape[0], idx=index):
+            return scatter_rows(idx, g, rows)
 
         return self._record(x.value[index], ((x, vjp, True),))
 
     def segment_sum(self, x: Node, segment_ids: np.ndarray, num_segments: int) -> Node:
         """Sum rows of x into num_segments buckets (empty buckets stay zero)."""
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
-        value = np.zeros((num_segments,) + x.value.shape[1:], dtype=np.float64)
-        np.add.at(value, segment_ids, x.value)
+        value = scatter_rows(segment_ids, x.value, num_segments)
         return self._record(value, ((x, lambda g, idx=segment_ids: g[idx], True),))
 
     def silu(self, x: Node) -> Node:

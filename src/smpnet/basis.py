@@ -11,6 +11,12 @@ condition k = z_ln / c, combined with real spherical harmonics.
 with norm(l,n) = sqrt(2 / (c^3 * j_{l+1}(z_ln)^2)). Harmonics are real-form
 (cos/sin in m*phi) without the Condon-Shortley phase and unit-normalized
 over the sphere. All evaluations accept scalars or 1-D arrays and are pure.
+
+Each ingredient is computed once per call: the roots z_ln of every order in
+one vectorized solve (cached per table size), the radial factors in one
+Bessel recurrence over every distinct distance and order, and the harmonics
+in one sweep that yields every Y_l^m column. A point's Bessel values depend
+only on that point, never on the other points evaluated with it.
 """
 from __future__ import annotations
 
@@ -83,16 +89,22 @@ def _bessel_table(l_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def _bessel_series(l_max: int, x: np.ndarray) -> np.ndarray:
-    """Ascending series x^l/(2l+1)!! * sum_k t_k for small arguments."""
+    """Ascending series x^l/(2l+1)!! * sum_k t_k for small arguments.
+
+    Each point stops adding terms once its own term is negligible, so its
+    value does not depend on the other points of the call.
+    """
     out = np.empty((l_max + 1, x.size), dtype=np.float64)
     half_sq = -0.5 * x * x
     for ell in range(l_max + 1):
         term = x ** ell / _double_factorial(2 * ell + 1)
         total = term.copy()
+        adding = np.ones(x.size, dtype=bool)
         for k in range(1, 40):
             term = term * half_sq / (k * (2 * ell + 2 * k + 1))
-            total += term
-            if np.all(np.abs(term) <= 1e-18 * np.abs(total)):
+            np.add(total, term, out=total, where=adding)
+            adding &= np.abs(term) > 1e-18 * np.abs(total)
+            if not np.any(adding):
                 break
         out[ell] = total
     return out
@@ -109,23 +121,36 @@ def _double_factorial(n: int) -> float:
 def _bessel_miller(l_max: int, xs: np.ndarray) -> np.ndarray:
     """Downward recurrence j_{m-1} = (2m+1)/x * j_m - j_{m+1}.
 
-    Starts high enough above both l_max and x that the minimal solution
-    dominates, then normalizes through the closure sum_l (2l+1) j_l(x)^2 = 1.
-    The overall sign is right because the start order lies below its own
-    first root, where the true j is positive. Running values are rescaled
-    whenever they grow large; the recorded rows and the closure sum are
-    rescaled along with them.
+    Each point starts at its own order ceil(x) + l_max + 24 + int(2 sqrt(x)),
+    high enough above both l_max and x that the minimal solution dominates,
+    and is then normalized through the closure sum_l (2l+1) j_l(x)^2 = 1. The
+    overall sign is right because the start order lies below its own first
+    root, where the true j is positive. Above its start a point carries exact
+    zeros, so its arithmetic is the same whatever else is in the call. The
+    seed at the start order is 1: a seed near the underflow range would run
+    the first steps of every point on slow subnormal numbers.
+    Running values are rescaled whenever they grow large; the recorded rows
+    and the closure sum are rescaled along with them.
     """
-    x_top = float(np.max(xs))
-    start = int(math.ceil(x_top)) + l_max + 24 + int(2.0 * math.sqrt(x_top))
-    upper = np.zeros_like(xs)          # j at order m+1 (unnormalized)
-    lower = np.full_like(xs, 1e-160)   # j at order m
+    starts = (np.ceil(xs).astype(np.int64) + l_max + 24
+              + (2.0 * np.sqrt(xs)).astype(np.int64))
+    by_start = np.argsort(starts, kind="stable")
+    distinct, first, count = np.unique(starts[by_start], return_index=True,
+                                       return_counts=True)
+    starting = {start: by_start[i:i + n] for start, i, n
+                in zip(distinct.tolist(), first.tolist(), count.tolist())}
+    upper = np.zeros_like(xs)     # j at order m+1 (unnormalized)
+    lower = np.zeros_like(xs)     # j at order m
+    norm_sq = np.zeros_like(xs)
     recorded = np.zeros((l_max + 1, xs.size), dtype=np.float64)
-    norm_sq = (2 * start + 1) * lower * lower
-    for m in range(start, 0, -1):
+    for m in range(int(distinct[-1]), 0, -1):
+        fresh = starting.get(m)
+        if fresh is not None:
+            lower[fresh] = 1.0
+            norm_sq[fresh] = 2 * m + 1
         previous = (2 * m + 1) / xs * lower - upper
         big = np.abs(previous) > _RESCALE_LIMIT
-        if np.any(big):
+        if big.any():
             scale = np.where(big, 1.0 / _RESCALE_LIMIT, 1.0)
             previous = previous * scale
             lower = lower * scale
@@ -141,38 +166,49 @@ def _bessel_miller(l_max: int, xs: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _cached_roots(l_max: int, n_max: int) -> np.ndarray:
-    roots = np.zeros((l_max + 1, n_max + l_max), dtype=np.float64)
-    # j_0 = sin(x)/x: its roots are exactly n*pi; they seed the interlacing.
-    roots[0] = np.arange(1, n_max + l_max + 1) * np.pi
-    for order in range(1, l_max + 1):
-        count = n_max + l_max - order
-        lo = roots[order - 1, :count].copy()
-        hi = roots[order - 1, 1:count + 1].copy()
-        f_lo = _bessel_table(order, lo)[order]
-        for _ in range(64):
+    roots = np.empty((l_max + 1, n_max), dtype=np.float64)
+    # j_0 = sin(x)/x: its roots are exactly n*pi.
+    roots[0] = np.arange(1, n_max + 1) * np.pi
+    if l_max > 0:
+        # Roots of consecutive orders interlace, so the n-th root of j_l lies
+        # below (n + l)*pi, and zeros of J_{l+1/2} are more than pi apart:
+        # sign changes on a grid of step <= 1 up to (n_max + l_max)*pi bracket
+        # each of the first n_max roots of every order in its own cell.
+        top = (n_max + l_max) * np.pi
+        grid = np.linspace(0.0, top, int(math.ceil(top)) + 1)[1:]
+        on_grid = _bessel_table(l_max, grid)[1:]
+        change = (on_grid[:, 1:] > 0.0) != (on_grid[:, :-1] > 0.0)
+        change &= np.cumsum(change, axis=1) <= n_max
+        rows, cells = np.nonzero(change)
+        orders = rows + 1
+        points = np.arange(rows.size)
+        lo, hi = grid[cells], grid[cells + 1]
+        f_lo = on_grid[rows, cells]
+        for _ in range(30):
             mid = 0.5 * (lo + hi)
-            f_mid = _bessel_table(order, mid)[order]
+            f_mid = _bessel_table(l_max, mid)[orders, points]
             take_hi = (f_lo * f_mid) <= 0.0
             hi = np.where(take_hi, mid, hi)
             lo = np.where(take_hi, lo, mid)
             f_lo = np.where(take_hi, f_lo, f_mid)
         mid = 0.5 * (lo + hi)
         for _ in range(2):
-            value = _bessel_table(order, mid)[order]
-            slope = spherical_bessel_derivative(order, mid)
+            table = _bessel_table(l_max, mid)
+            value = table[orders, points]
+            slope = table[orders - 1, points] - (orders + 1) / mid * value
             mid = mid - value / slope
-        roots[order, :count] = mid
-    result = roots[:, :n_max]
-    result.setflags(write=False)
-    return result
+        roots[1:] = mid.reshape(l_max, n_max)
+    roots.setflags(write=False)
+    return roots
 
 
 def bessel_roots(l_max: int, n_max: int) -> np.ndarray:
     """First n_max positive roots of j_l for every order l in 0..l_max.
 
-    Roots of order l are bracketed between consecutive roots of order l-1
-    (they interlace) and polished by bisection plus Newton steps, giving
-    |j_l(z)| below 1e-12.
+    Order 0 is exactly n*pi. The other orders are solved together: sign
+    changes of one Bessel table on a grid of step at most 1 bracket every
+    root, then all brackets are bisected at once and polished by two Newton
+    steps, which leaves |j_l(z)| of order 1e-16.
     """
     if not 0 <= l_max <= MAX_ORDER:
         raise BasisError(f"l_max {l_max} outside supported range [0, {MAX_ORDER}]")
@@ -187,7 +223,7 @@ def real_sph_harm(order: int, m: int, theta, phi=0.0) -> np.ndarray | float:
     Unit-normalized (the square integrates to 1 over the sphere); positive m
     carries cos(m*phi), negative m carries sin(|m|*phi), and no
     Condon-Shortley phase is applied. m = 0 is the zonal harmonic and ignores
-    phi.
+    phi. The value is column (order, m) of the sweep the embeddings use.
     """
     if not 0 <= order <= MAX_ORDER:
         raise BasisError(f"degree {order} outside supported range [0, {MAX_ORDER}]")
@@ -196,36 +232,47 @@ def real_sph_harm(order: int, m: int, theta, phi=0.0) -> np.ndarray | float:
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     theta_arr, phi_arr = np.broadcast_arrays(theta_arr, phi_arr)
-    m_abs = abs(m)
-    legendre = _assoc_legendre(order, m_abs, theta_arr)
-    norm = math.sqrt(
-        (2 * order + 1) / (4.0 * math.pi)
-        * math.factorial(order - m_abs) / math.factorial(order + m_abs)
-    )
-    if m == 0:
-        result = norm * legendre
-    elif m > 0:
-        result = math.sqrt(2.0) * norm * legendre * np.cos(m_abs * phi_arr)
-    else:
-        result = math.sqrt(2.0) * norm * legendre * np.sin(m_abs * phi_arr)
+    result = _harmonics(order + 1, theta_arr, phi_arr)[:, order * order + order + m]
     return float(result[0]) if np.asarray(theta).ndim == 0 and np.asarray(phi).ndim == 0 else result
 
 
-def _assoc_legendre(order: int, m: int, theta: np.ndarray) -> np.ndarray:
-    """P_order^m(cos theta) without Condon-Shortley phase, by upward recurrence."""
+def _harmonics(degrees: int, theta: np.ndarray, phi) -> np.ndarray:
+    """Every Y_l^m with l < degrees; shape (len(theta), degrees^2).
+
+    Column l*l + l + m holds (l, m), so each degree's columns run m = -l..l.
+    One upward recurrence in l per m evaluates P_l^m(cos theta) without the
+    Condon-Shortley phase, from P_m^m = (2m-1)!! sin^m theta, and cos/sin of
+    m*phi are computed once per m. The result is a transposed view.
+    """
     u = np.cos(theta)
     s = np.sin(theta)
+    out = np.empty((degrees * degrees, theta.size), dtype=np.float64)
     pmm = np.ones_like(u)
-    for i in range(1, m + 1):
-        pmm = pmm * (2 * i - 1) * s
-    if order == m:
-        return pmm
-    pm1 = (2 * m + 1) * u * pmm
-    if order == m + 1:
-        return pm1
-    for ell in range(m + 2, order + 1):
-        pmm, pm1 = pm1, ((2 * ell - 1) * u * pm1 - (ell + m - 1) * pmm) / (ell - m)
-    return pm1
+    for m in range(degrees):
+        if m > 0:
+            pmm = pmm * (2 * m - 1) * s
+            cos_m = np.cos(m * phi)
+            sin_m = np.sin(m * phi)
+        for ell in range(m, degrees):
+            if ell == m:
+                legendre = pmm
+            elif ell == m + 1:
+                below, legendre = pmm, (2 * m + 1) * u * pmm
+            else:
+                below, legendre = legendre, (
+                    (2 * ell - 1) * u * legendre - (ell + m - 1) * below) / (ell - m)
+            norm = math.sqrt(
+                (2 * ell + 1) / (4.0 * math.pi)
+                * math.factorial(ell - m) / math.factorial(ell + m)
+            )
+            centre = ell * ell + ell
+            if m == 0:
+                out[centre] = norm * legendre
+            else:
+                scaled = math.sqrt(2.0) * norm * legendre
+                out[centre + m] = scaled * cos_m
+                out[centre - m] = scaled * sin_m
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -262,10 +309,10 @@ def build_tables(cutoff: float, n_srbf: int, n_shbf: int) -> BasisTables:
     if not 1 <= n_srbf <= MAX_ROOTS:
         raise BasisError(f"n_srbf {n_srbf} outside supported range [1, {MAX_ROOTS}]")
     roots = bessel_roots(n_shbf - 1, n_srbf)
-    norms = np.empty_like(roots)
-    for ell in range(n_shbf):
-        j_next = spherical_bessel(ell + 1, roots[ell])
-        norms[ell] = np.sqrt(2.0 / (cutoff ** 3 * j_next * j_next))
+    orders = np.arange(n_shbf)
+    j_next = _bessel_table(n_shbf, roots.ravel()).reshape(
+        n_shbf + 1, n_shbf, n_srbf)[orders + 1, orders]
+    norms = np.sqrt(2.0 / (cutoff ** 3 * j_next * j_next))
     if not np.all(np.isfinite(norms)) or np.any(norms <= 0):
         raise BasisError("normalization constants must be finite and positive")
     norms.setflags(write=False)
@@ -313,10 +360,9 @@ def sbf_embed(d, theta, tables: BasisTables) -> np.ndarray:
     _check_distance(d_arr, tables.cutoff)
     _check_polar(theta_arr)
     radial = _radial_table(d_arr, tables)
-    out = np.empty((d_arr.size, tables.n_shbf, tables.n_srbf), dtype=np.float64)
-    for ell in range(tables.n_shbf):
-        zonal = real_sph_harm(ell, 0, theta_arr)
-        out[:, ell, :] = radial[:, ell, :] * np.atleast_1d(zonal)[:, None]
+    orders = np.arange(tables.n_shbf)
+    zonal = _harmonics(tables.n_shbf, theta_arr, 0.0)[:, orders * orders + orders]
+    out = radial * zonal[:, :, None]
     return out[0] if scalar else out
 
 
@@ -333,14 +379,14 @@ def tbf_embed(d, theta, phi, tables: BasisTables) -> np.ndarray:
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     _check_distance(d_arr, tables.cutoff)
     _check_polar(theta_arr)
+    theta_arr, phi_arr = np.broadcast_arrays(theta_arr, phi_arr)
     radial = _radial_table(d_arr, tables)
-    out = np.empty((d_arr.size, tables.tbf_size), dtype=np.float64)
-    col = 0
+    angular = _harmonics(tables.n_shbf, theta_arr, phi_arr)
+    out = np.empty((d_arr.size, tables.n_shbf ** 2, tables.n_srbf), dtype=np.float64)
     for ell in range(tables.n_shbf):
-        for m in range(-ell, ell + 1):
-            angular = np.atleast_1d(real_sph_harm(ell, m, theta_arr, phi_arr))
-            out[:, col:col + tables.n_srbf] = radial[:, ell, :] * angular[:, None]
-            col += tables.n_srbf
+        block = slice(ell * ell, (ell + 1) ** 2)
+        np.multiply(radial[:, ell, None, :], angular[:, block, None], out=out[:, block, :])
+    out = out.reshape(d_arr.size, tables.tbf_size)
     return out[0] if scalar else out
 
 
@@ -350,9 +396,10 @@ def _radial_table(d: np.ndarray, tables: BasisTables) -> np.ndarray:
     Pair distances repeat their neighbor edge's distance, so the table is
     evaluated once per distinct value and expanded. One Bessel recurrence up
     to order n_shbf - 1 runs over every (distinct, l, n) argument, and block
-    l keeps row l. The recurrence's start order follows the largest argument
-    of the call, so rows can differ in the last bits from evaluating each
-    order on its own.
+    l keeps row l. Each argument starts its recurrence at an order set by its
+    own value and n_shbf - 1, so a row does not depend on the other distances
+    of the call; it can differ in the last bits from evaluating order l on
+    its own, which starts lower.
     """
     distinct, inverse = np.unique(d, return_inverse=True)
     orders = np.arange(tables.n_shbf)

@@ -58,16 +58,14 @@ class TwoHopGeometry:
     """Per-pair spherical coordinates for all two-hop message paths.
 
     Pair p couples edge ``pair_edge[p]`` (the edge being updated) with edge
-    ``pair_neighbor[p]`` (an edge into its sender). ``neighbor_counts[k]`` is
-    the number of pairs contributed by edge k; ``collinear_pairs`` lists pair
-    indices whose neighbor was collinear with the edge axis.
+    ``pair_neighbor[p]`` (an edge into its sender). ``collinear_pairs`` lists
+    pair indices whose neighbor was collinear with the edge axis.
     """
 
     pair_edge: np.ndarray
     pair_neighbor: np.ndarray
     theta: np.ndarray
     phi: np.ndarray
-    neighbor_counts: np.ndarray
     collinear_pairs: tuple[int, ...] = ()
 
     @property
@@ -197,13 +195,12 @@ def two_hop_geometry(graph: Graph3D, edges: DirectedEdgeList) -> TwoHopGeometry:
     """Build the full (pair index, theta, phi) description for a graph."""
     pair_k, pair_j = build_two_hop_index(edges)
     theta = compute_angles(graph, edges, pair_k, pair_j)
-    phi, counts, collinear = compute_torsions(graph, edges, pair_k, pair_j)
+    phi, _, collinear = compute_torsions(graph, edges, pair_k, pair_j)
     return TwoHopGeometry(
         pair_edge=pair_k,
         pair_neighbor=pair_j,
         theta=theta,
         phi=phi,
-        neighbor_counts=counts,
         collinear_pairs=collinear,
     )
 

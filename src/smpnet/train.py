@@ -52,33 +52,17 @@ class MetricError(ValueError):
 
 @dataclass
 class OptimState:
-    """Adam moment buffers mirroring the parameter layout.
-
-    ``first`` and ``second`` expose per-tensor views into flat moment
-    buffers so the update runs as a few whole-model vector operations.
-    """
+    """Adam moment buffers, flat and in the parameter layout of ``flat_values``."""
 
     flat_first: np.ndarray
     flat_second: np.ndarray
-    first: dict[str, np.ndarray]
-    second: dict[str, np.ndarray]
     step: int = 0
     lr: float = 0.0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimState":
-        flat_first = np.zeros_like(params.flat_values)
-        flat_second = np.zeros_like(params.flat_values)
-        first = {}
-        second = {}
-        offset = 0
-        for name, value in params.values.items():
-            size = value.size
-            first[name] = flat_first[offset:offset + size].reshape(value.shape)
-            second[name] = flat_second[offset:offset + size].reshape(value.shape)
-            offset += size
-        return cls(flat_first=flat_first, flat_second=flat_second,
-                   first=first, second=second)
+        return cls(flat_first=np.zeros_like(params.flat_values),
+                   flat_second=np.zeros_like(params.flat_values))
 
 
 @dataclass(frozen=True)
@@ -136,8 +120,6 @@ def adam_step(params: ModelParams, opt: OptimState, lr: float):
     No weight decay and no dropout anywhere. Updates are in-place and
     deterministic (fixed parameter order).
     """
-    if set(opt.first) != set(params.values):
-        raise TrainError("optimizer state does not match parameter directory")
     if opt.flat_first.shape != params.flat_values.shape:
         raise TrainError("optimizer moment shape does not match parameters")
     opt.step += 1

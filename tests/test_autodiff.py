@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smpnet.autodiff import Tape
+from smpnet.autodiff import Tape, scatter_rows
 
 
 def numeric_grad(build, values, h=1e-6):
@@ -82,6 +82,38 @@ def test_segment_sum_and_empty_segments():
     assert np.array_equal(out.value[0], [2.0, 4.0])
     tape.backward(out, np.ones_like(out.value))
     assert np.array_equal(x.grad, np.ones((4, 2)))
+
+
+def add_at_reference(index, values, rows):
+    out = np.zeros((rows,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(40, 3), (40,), (40, 2, 3), (0, 4)],
+                         ids=["rows", "1-D", "3-D", "empty"])
+def test_scatter_rows_matches_add_at_bitwise(shape):
+    # Values spanning many magnitudes make every summation order visible.
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    index = rng.integers(0, 5, size=shape[0])
+    result = scatter_rows(index, values, 7)
+    assert result.shape == (7,) + shape[1:]
+    assert np.array_equal(result, add_at_reference(index, values, 7))
+
+
+def test_gather_gradient_from_concat_slice_matches_add_at():
+    # concat hands each part a non-contiguous column slice of its gradient.
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(6, 3))
+    idx = rng.integers(0, 6, size=50)
+    tape = Tape()
+    leaf = tape.leaf(x)
+    other = tape.leaf(rng.normal(size=(50, 2)))
+    out = tape.concat([tape.gather(leaf, idx), other])
+    upstream = rng.normal(size=(50, 5)) * 10.0 ** rng.integers(-8, 9, size=(50, 5))
+    tape.backward(out, upstream)
+    assert np.array_equal(leaf.grad, add_at_reference(idx, upstream[:, :3], 6))
 
 
 def test_constants_receive_no_gradient_work():

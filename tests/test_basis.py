@@ -52,12 +52,13 @@ def test_bessel_against_oracle_sweep():
 
 
 def test_bessel_vectorized_matches_scalar():
-    # The downward-recurrence start order depends on the batch maximum, so
-    # batched and scalar evaluations agree to machine precision, not bitwise.
-    xs = np.array([0.0, 1e-9, 0.3, 0.5, 2.0, 40.0])
-    batch = spherical_bessel(3, xs)
-    singles = [spherical_bessel(3, float(x)) for x in xs]
-    assert np.allclose(batch, singles, rtol=0, atol=5e-14)
+    # Each point runs its own recurrence start order and its own series
+    # length, so batched and scalar evaluations agree bitwise.
+    xs = np.array([0.0, 1e-9, 0.3, 0.5, 2.0, 40.0, 1e-300, 0.49])
+    for order in (0, 3, 16):
+        batch = spherical_bessel(order, xs)
+        singles = [spherical_bessel(order, float(x)) for x in xs]
+        assert np.array_equal(batch, singles)
 
 
 def test_bessel_order_range_enforced():
@@ -100,6 +101,14 @@ def test_roots_are_actual_zeros_and_increasing():
     # interlacing columns: z_{l,1} increases with l, and z_{0,1} < z_{1,1} < z_{0,2}
     assert np.all(np.diff(roots[:, 0]) > 0)
     assert roots[0, 0] < roots[1, 0] < roots[0, 1]
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 16])
+def test_roots_against_mpmath(order):
+    roots = bessel_roots(16, 64)
+    for n in (1, 2, 30, 64):
+        expected = float(mp.besseljzero(order + mp.mpf(1) / 2, n))
+        assert abs(roots[order, n - 1] - expected) <= 2e-16 * expected, (order, n)
 
 
 def test_root_range_enforced():

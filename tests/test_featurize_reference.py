@@ -1,16 +1,26 @@
-"""The segmented featurization against per-edge loop references.
+"""The vectorized featurization and basis kernels against loop references.
 
 ``reference_two_hop_index`` and ``reference_torsions`` are the per-edge loop
 implementations that ``build_two_hop_index`` and ``compute_torsions`` replaced,
 kept here as oracles. The torsion oracle also reports collinear neighbors of
-single-neighbor edges, as the documented contract asks.
+single-neighbor edges, as the documented contract asks. ``reference_roots``
+is the order-by-order interlacing bisection that the all-orders root solve
+replaced, and ``reference_real_sph_harm``, ``reference_sbf`` and
+``reference_tbf`` are the per-(l, m) harmonic and per-column embedding loops
+that the one-sweep harmonics replaced.
 """
+import math
+
 import numpy as np
 import pytest
 
-from smpnet.basis import _radial_table, spherical_bessel, tables_for
+from smpnet.basis import (MAX_ORDER, _bessel_table, _harmonics, _radial_table,
+                          bessel_roots, build_tables, sbf_embed,
+                          spherical_bessel, spherical_bessel_derivative,
+                          tables_for, tbf_embed)
 from smpnet.geometry import (COLLINEAR_PROJECTION_EPS, build_radius_graph,
-                             build_two_hop_index, compute_torsions)
+                             build_two_hop_index, compute_torsions,
+                             two_hop_geometry)
 from smpnet.ingest import Graph3D, RunConfig
 from smpnet.train import ablation_config
 
@@ -171,3 +181,133 @@ def test_radial_table_matches_per_order_bessel(cfg):
         # Relative to each (l, n) column's scale: entries near a root are ~0.
         scale = np.max(np.abs(expected), axis=0)
         assert np.all(np.abs(radial[:, ell, :] - expected) <= 2e-15 * scale)
+
+
+def reference_roots(l_max, n_max):
+    roots = np.zeros((l_max + 1, n_max + l_max), dtype=np.float64)
+    # j_0 = sin(x)/x: its roots are exactly n*pi; they seed the interlacing.
+    roots[0] = np.arange(1, n_max + l_max + 1) * np.pi
+    for order in range(1, l_max + 1):
+        count = n_max + l_max - order
+        lo = roots[order - 1, :count].copy()
+        hi = roots[order - 1, 1:count + 1].copy()
+        f_lo = _bessel_table(order, lo)[order]
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            f_mid = _bessel_table(order, mid)[order]
+            take_hi = (f_lo * f_mid) <= 0.0
+            hi = np.where(take_hi, mid, hi)
+            lo = np.where(take_hi, lo, mid)
+            f_lo = np.where(take_hi, f_lo, f_mid)
+        mid = 0.5 * (lo + hi)
+        for _ in range(2):
+            value = _bessel_table(order, mid)[order]
+            slope = spherical_bessel_derivative(order, mid)
+            mid = mid - value / slope
+        roots[order, :count] = mid
+    return roots[:, :n_max]
+
+
+def reference_assoc_legendre(order, m, theta):
+    u = np.cos(theta)
+    s = np.sin(theta)
+    pmm = np.ones_like(u)
+    for i in range(1, m + 1):
+        pmm = pmm * (2 * i - 1) * s
+    if order == m:
+        return pmm
+    pm1 = (2 * m + 1) * u * pmm
+    if order == m + 1:
+        return pm1
+    for ell in range(m + 2, order + 1):
+        pmm, pm1 = pm1, ((2 * ell - 1) * u * pm1 - (ell + m - 1) * pmm) / (ell - m)
+    return pm1
+
+
+def reference_real_sph_harm(order, m, theta, phi):
+    theta, phi = np.broadcast_arrays(np.atleast_1d(theta), np.atleast_1d(phi))
+    m_abs = abs(m)
+    legendre = reference_assoc_legendre(order, m_abs, theta)
+    norm = math.sqrt(
+        (2 * order + 1) / (4.0 * math.pi)
+        * math.factorial(order - m_abs) / math.factorial(order + m_abs)
+    )
+    if m == 0:
+        return norm * legendre
+    if m > 0:
+        return math.sqrt(2.0) * norm * legendre * np.cos(m_abs * phi)
+    return math.sqrt(2.0) * norm * legendre * np.sin(m_abs * phi)
+
+
+def reference_sbf(d, theta, tables):
+    radial = _radial_table(d, tables)
+    out = np.empty((d.size, tables.n_shbf, tables.n_srbf), dtype=np.float64)
+    for ell in range(tables.n_shbf):
+        zonal = reference_real_sph_harm(ell, 0, theta, 0.0)
+        out[:, ell, :] = radial[:, ell, :] * zonal[:, None]
+    return out
+
+
+def reference_tbf(d, theta, phi, tables):
+    radial = _radial_table(d, tables)
+    out = np.empty((d.size, tables.tbf_size), dtype=np.float64)
+    col = 0
+    for ell in range(tables.n_shbf):
+        for m in range(-ell, ell + 1):
+            angular = reference_real_sph_harm(ell, m, theta, phi)
+            out[:, col:col + tables.n_srbf] = radial[:, ell, :] * angular[:, None]
+            col += tables.n_srbf
+    return out
+
+
+def test_roots_match_interlacing_reference():
+    roots = bessel_roots(MAX_ORDER, 64)
+    reference = reference_roots(MAX_ORDER, 64)
+    assert np.array_equal(roots[0], reference[0])
+    assert np.all(np.abs(roots - reference) <= 2 * np.spacing(reference))
+
+
+def test_harmonics_sweep_matches_per_degree_reference():
+    rng = np.random.default_rng(13)
+    theta = np.concatenate([[0.0, np.pi, 0.5 * np.pi], rng.uniform(0.0, np.pi, 200)])
+    phi = np.concatenate([[0.3, 2.0, 0.0], rng.uniform(0.0, 2.0 * np.pi, 200)])
+    sweep = _harmonics(MAX_ORDER + 1, theta, phi)
+    assert sweep.shape == (theta.size, (MAX_ORDER + 1) ** 2)
+    for ell in range(MAX_ORDER + 1):
+        for m in range(-ell, ell + 1):
+            expected = reference_real_sph_harm(ell, m, theta, phi)
+            assert np.array_equal(sweep[:, ell * ell + ell + m], expected), (ell, m)
+
+
+@pytest.mark.parametrize("tables", [build_tables(5.0, 6, 7), build_tables(2.0, 4, 3),
+                                    build_tables(3.0, 2, 1)],
+                         ids=["default", "ablation", "order-zero"])
+def test_sbf_tbf_match_column_loops(tables):
+    rng = np.random.default_rng(17)
+    d = np.concatenate([[1e-9, tables.cutoff], rng.uniform(0.0, tables.cutoff, 300)])
+    theta = np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 300)])
+    phi = rng.uniform(0.0, 2.0 * np.pi, d.size)
+    assert np.array_equal(sbf_embed(d, theta, tables), reference_sbf(d, theta, tables))
+    assert np.array_equal(tbf_embed(d, theta, phi, tables),
+                          reference_tbf(d, theta, phi, tables))
+
+
+def test_embedding_rows_do_not_depend_on_batch_mates():
+    # A compact graph alone and followed by a spread one: the spread graph
+    # raises the largest Bessel argument of the call, which must not change
+    # the compact graph's rows.
+    tables = tables_for(RunConfig())
+    rng = np.random.default_rng(23)
+    coordinates = []
+    for box in (1.5, 6.0):
+        graph = random_graph(rng, n_atoms=8, box=box)
+        edges = build_radius_graph(graph, tables.cutoff)
+        hops = two_hop_geometry(graph, edges)
+        coordinates.append((edges.distances[hops.pair_neighbor], hops.theta, hops.phi))
+    (d, theta, phi), (d_other, theta_other, phi_other) = coordinates
+    assert d.size and d_other.size and d_other.max() > 2.0 * d.max()
+    both = [np.concatenate(pair) for pair in zip((d, theta, phi),
+                                                  (d_other, theta_other, phi_other))]
+    assert np.array_equal(sbf_embed(both[0], both[1], tables)[:d.size],
+                          sbf_embed(d, theta, tables))
+    assert np.array_equal(tbf_embed(*both, tables)[:d.size], tbf_embed(d, theta, phi, tables))

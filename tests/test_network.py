@@ -325,7 +325,7 @@ def test_full_vs_no_torsion_differ_only_through_torsion_encoder(tiny_cfg):
     from smpnet.geometry import build_radius_graph, two_hop_geometry
     hops = two_hop_geometry(chain, build_radius_graph(chain, cfg.cutoff_c))
     assert hops.n_pairs > 0
-    assert np.all(hops.neighbor_counts[hops.pair_edge] == 1)
+    assert np.all(np.bincount(hops.pair_edge)[hops.pair_edge] == 1)
     assert np.all(hops.phi == 0.0)
     full_value, _ = forward(chain, params, cfg.replace(ablation_mode=FULL))
     bare_value, _ = forward(chain, params, cfg.replace(ablation_mode=NO_TORSION))
