@@ -6,14 +6,27 @@ Gradient accumulation follows that fixed order, making backward runs
 bit-reproducible regardless of how callers schedule independent tapes.
 
 Nodes whose ancestors contain no differentiable leaf (geometry and basis
-constants) carry no vector-Jacobian hooks at all, so the backward sweep
-never spends work on them.
+constants) carry no vector-Jacobian hooks and are not kept on the tape, so
+the backward sweep never spends work on them. A forward whose parameters
+enter as constants therefore records nothing: each intermediate is freed as
+soon as its consumer has run.
+
+``pair_aggregate`` is the one fused operation. It reduces per-pair gated
+messages to per-edge sums block by block, so no array with one row per
+two-hop pair and one column per message channel outlives a block, in the
+forward or in its vector-Jacobian product.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+# Pairs per block of ``Tape.pair_aggregate``: a block ends at the first
+# segment boundary at or after each multiple of it. On a 66k-pair carbon
+# cluster batch (2 gates, 64 channels) the op's forward and vjp times were
+# flat within 10% from 512 to 2048 pairs and slower at 256 and from 4096 up.
+PAIR_BLOCK = 1024
 
 
 def scatter_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
@@ -54,7 +67,8 @@ class Tape:
     def _record(self, value: np.ndarray, hooks=()) -> Node:
         hooks = tuple(h for h in hooks if h[0].needs_grad)
         node = Node(value, hooks, needs_grad=bool(hooks))
-        self.nodes.append(node)
+        if hooks:
+            self.nodes.append(node)
         return node
 
     def leaf(self, value: np.ndarray) -> Node:
@@ -162,3 +176,104 @@ class Tape:
             x.value.reshape(shape),
             ((x, lambda g, s=x.value.shape: g.reshape(s), False),),
         )
+
+    def pair_aggregate(self, base: Node, gates: list[tuple[Node, Node, Node, Node]],
+                       pair_edge: np.ndarray, pair_neighbor: np.ndarray,
+                       n_edges: int) -> Node:
+        """Gated neighbor messages summed per edge, without pair-wide temporaries.
+
+        ``out[k] = sum over pairs p of edge k of
+        base[j] + sum over gates of (a[p] @ up + b) * proj[j]``, with
+        ``j = pair_neighbor[p]`` and one ``(a, up, b, proj)`` tuple per gate.
+        ``base`` and ``proj`` have one row per edge, ``a`` one row per pair.
+
+        ``pair_edge`` must be sorted (``build_two_hop_index`` and
+        ``merge_features`` produce it so). The pairs are then walked in blocks
+        of whole edges, each reduced by one ``scatter_rows`` over edge-local
+        keys. Each pair's term is built in the order of the unfused
+        gather/affine/mul/add composition and each edge sums its pairs in pair
+        order, so the value is bitwise that composition's. The vjp walks the
+        pairs sorted by neighbor edge instead, recomputing each block's gates
+        from ``a``.
+        """
+        pair_edge = np.asarray(pair_edge, dtype=np.int64)
+        pair_neighbor = np.asarray(pair_neighbor, dtype=np.int64)
+        if np.any(pair_edge[1:] < pair_edge[:-1]):
+            raise ValueError("pair_aggregate needs pair_edge sorted")
+        value = np.empty((n_edges, base.value.shape[1]))
+        for p0, p1, k0, k1 in _segment_blocks(pair_edge, n_edges):
+            j = pair_neighbor[p0:p1]
+            term = base.value[j]
+            for a, up, b, proj in gates:
+                gate = a.value[p0:p1] @ up.value
+                gate += b.value
+                gate *= proj.value[j]
+                term += gate
+            value[k0:k1] = scatter_rows(pair_edge[p0:p1] - k0, term, k1 - k0)
+
+        def vjp_all(g):
+            order = np.argsort(pair_neighbor, kind="stable")
+            sorted_j = pair_neighbor[order]
+            d_base = np.empty_like(base.value)
+            d_gates = [(np.empty_like(a.value), np.zeros_like(up.value),
+                        np.zeros_like(b.value), np.empty_like(proj.value))
+                       for a, up, b, proj in gates]
+            for p0, p1, j0, j1 in _segment_blocks(sorted_j, base.value.shape[0]):
+                idx = order[p0:p1]
+                j = sorted_j[p0:p1]
+                local = j - j0
+                g_pair = g[pair_edge[idx]]
+                d_base[j0:j1] = scatter_rows(local, g_pair, j1 - j0)
+                for (a, up, b, proj), (d_a, d_up, d_b, d_proj) in zip(gates, d_gates):
+                    a_block = a.value[idx]
+                    gate = a_block @ up.value
+                    gate += b.value
+                    gate *= g_pair
+                    d_proj[j0:j1] = scatter_rows(local, gate, j1 - j0)
+                    d_gate = g_pair * proj.value[j]
+                    d_a[idx] = d_gate @ up.value.T
+                    d_up += a_block.T @ d_gate
+                    d_b += d_gate.sum(axis=0)
+            return [d_base] + [d for ds in d_gates for d in ds]
+
+        parents = [base] + [node for gate in gates for node in gate]
+        return self._record(value, _joint_hooks(parents, vjp_all))
+
+
+def _segment_blocks(sorted_ids: np.ndarray, n_segments: int):
+    """Cut rows sorted by segment id into blocks of whole segments.
+
+    Returns (row start, row end, first segment, end segment) per block; the
+    blocks cover every segment, empty ones included. A block ends at the
+    first segment boundary at or after each multiple of ``PAIR_BLOCK`` rows.
+    A one-row block joins its neighbor: numpy multiplies a single row through
+    gemv, which rounds differently from the gemm a longer block uses.
+    """
+    offsets = np.searchsorted(sorted_ids, np.arange(n_segments + 1))
+    targets = np.arange(0, sorted_ids.size, PAIR_BLOCK)
+    cuts = np.unique(np.concatenate((
+        [0], np.searchsorted(offsets, targets), [n_segments])))
+    single = np.flatnonzero(np.diff(offsets[cuts]) == 1)
+    if cuts.size > 2:
+        cuts = np.delete(cuts, np.maximum(single, 1))
+    return [(offsets[s], offsets[e], s, e) for s, e in zip(cuts[:-1], cuts[1:])]
+
+
+def _joint_hooks(parents: list[Node], vjp_all) -> list:
+    """Hooks for an op whose vjp yields all parents' gradients in one pass.
+
+    The first hook the sweep calls runs ``vjp_all`` and parks the gradients
+    of the parents that need one; each hook then takes its own.
+    """
+    live = [i for i, parent in enumerate(parents) if parent.needs_grad]
+    pending: dict[int, np.ndarray] = {}
+
+    def hook(i):
+        def vjp(g):
+            if not pending:
+                grads = vjp_all(g)
+                pending.update((k, grads[k]) for k in live)
+            return pending.pop(i)
+        return vjp
+
+    return [(parents[i], hook(i), True) for i in live]

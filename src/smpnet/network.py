@@ -8,9 +8,16 @@ depending on the ablation mode); an output block pools messages into node
 features and sums a per-node readout into the graph scalar.
 
 Two-hop pairs outnumber edges many times over, so everything that depends
-only on the neighbor edge is computed once per edge and then gathered to
-pairs: the message projections and the distance gate. Only the angle and
-torsion gates are evaluated per pair.
+only on the neighbor edge is computed once per edge: the message projections
+and the distance term. Only the narrow down-projections of the angle and
+torsion embeddings are evaluated per pair as tape nodes. The rest of the pair
+path (gate up-projection, gating, summing per edge) is one fused tape op,
+``Tape.pair_aggregate``, that works through the pairs in blocks, so no
+message-wide array per pair is kept, in the forward or for the backward.
+
+Inference (``forward_features(..., grad=False)``) enters the parameters as
+constants, so the tape records nothing and every intermediate is freed once
+consumed; the predictions are bitwise those of the taped forward.
 
 Geometry and basis values enter as constants: gradients flow to parameters
 only. Gate encodings use bottleneck blocks (down-projection without bias,
@@ -348,9 +355,11 @@ def _bottleneck(ctx: ForwardContext, name: str, x: Node) -> Node:
 
 
 def begin_forward(features: GraphFeatures, params: ModelParams,
-                  cfg: RunConfig) -> ForwardContext:
+                  cfg: RunConfig, grad: bool = True) -> ForwardContext:
+    """A fresh tape; parameters enter as leaves, or as constants without grad."""
     tape = Tape()
-    leaves = {name: tape.leaf(value) for name, value in params.values.items()}
+    enter = tape.leaf if grad else tape.constant
+    leaves = {name: enter(value) for name, value in params.values.items()}
     return ForwardContext(tape=tape, leaves=leaves, features=features, cfg=cfg)
 
 
@@ -375,9 +384,15 @@ def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> M
     per-edge sums are mapped back to message width and added to the
     transformed old message, followed by residual refinement.
 
-    Projections act row-wise, so ``project`` runs on the edge messages and
-    its narrow result is gathered to pairs. The distance gate depends only on
-    the neighbor edge and is applied per edge before the gather as well.
+    Projections act row-wise, so ``project`` runs on the edge messages. The
+    distance term depends only on the neighbor edge and is computed per edge
+    too. Each angle or torsion gate is a bottleneck: its down-projection is a
+    (pairs, bottleneck) node, and ``Tape.pair_aggregate`` applies the
+    up-projection and bias, multiplies by the neighbor's projected message,
+    adds the distance term and sums per edge, a block of whole edges at a
+    time. Its value is bitwise that of gathering, gating and summing the
+    pair-wide arrays (``pair_edge`` is sorted, so each edge sums its pairs in
+    the same order).
     """
     tape, feats, cfg = ctx.tape, ctx.features, ctx.cfg
     if state.messages.value.shape[0] != feats.n_edges:
@@ -392,18 +407,17 @@ def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> M
         _bottleneck(ctx, prefix + "rbf", tape.constant(feats.edge_rbf)),
         _dense(ctx, prefix + "proj_rbf", messages),
     )
-    term = tape.gather(distance_term, feats.pair_neighbor)
+    gates = []
     if cfg.ablation_mode in (FULL, NO_TORSION):
-        projected = tape.gather(_dense(ctx, prefix + "proj_sbf", messages), feats.pair_neighbor)
-        term = tape.add(term, tape.mul(
-            _bottleneck(ctx, prefix + "sbf", tape.constant(feats.pair_sbf)), projected,
-        ))
+        gates.append(("sbf", feats.pair_sbf))
     if cfg.ablation_mode == FULL:
-        projected = tape.gather(_dense(ctx, prefix + "proj_tbf", messages), feats.pair_neighbor)
-        term = tape.add(term, tape.mul(
-            _bottleneck(ctx, prefix + "tbf", tape.constant(feats.pair_tbf)), projected,
-        ))
-    aggregated = tape.segment_sum(term, feats.pair_edge, feats.n_edges)
+        gates.append(("tbf", feats.pair_tbf))
+    aggregated = tape.pair_aggregate(distance_term, [(
+        tape.matmul(tape.constant(feature), ctx.leaves[prefix + kind + ".down"]),
+        ctx.leaves[prefix + kind + ".up"],
+        ctx.leaves[prefix + kind + ".b"],
+        _dense(ctx, prefix + f"proj_{kind}", messages),
+    ) for kind, feature in gates], feats.pair_edge, feats.pair_neighbor, feats.n_edges)
     aggregated = _dense(ctx, prefix + "up", aggregated)
 
     branch = messages
@@ -434,9 +448,14 @@ def output_block(ctx: ForwardContext, state: MessageState) -> tuple[Node, Node]:
 
 
 def forward_features(features: GraphFeatures, params: ModelParams,
-                     cfg: RunConfig) -> ForwardCache:
-    """Run all blocks on featurized input; cache the tape for backward."""
-    ctx = begin_forward(features, params, cfg)
+                     cfg: RunConfig, grad: bool = True) -> ForwardCache:
+    """Run all blocks on featurized input; cache the tape for backward.
+
+    With ``grad=False`` the parameters enter as constants, so the tape records
+    no node and each intermediate is freed once consumed: the predictions are
+    the same, bit for bit, and ``backward`` has nothing to sweep.
+    """
+    ctx = begin_forward(features, params, cfg, grad)
     state = embedding_block(ctx)
     for block in range(cfg.num_interaction_blocks):
         state = interaction_block(ctx, state, block)

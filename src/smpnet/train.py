@@ -19,7 +19,7 @@ from .basis import BasisTables, tables_for
 from .ingest import (FULL, NO_ANGLE_TORSION, NO_TORSION, SCHEDULE_STEP,
                      Graph3D, RunConfig)
 from .network import (GraphFeatures, ModelParams, NetworkError, backward,
-                      featurize_graph, forward, forward_features, init_params,
+                      featurize_graph, forward_features, init_params,
                       merge_features, philox_generator)
 
 ADAM_BETA1 = 0.9
@@ -52,12 +52,20 @@ class MetricError(ValueError):
 
 @dataclass
 class OptimState:
-    """Adam moment buffers, flat and in the parameter layout of ``flat_values``."""
+    """Adam moment buffers, flat and in the parameter layout of ``flat_values``.
+
+    ``scratch`` holds two more buffers of that size, in which ``adam_step``
+    computes its update without allocating.
+    """
 
     flat_first: np.ndarray
     flat_second: np.ndarray
     step: int = 0
     lr: float = 0.0
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.flat_first), np.empty_like(self.flat_first))
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimState":
@@ -118,7 +126,8 @@ def adam_step(params: ModelParams, opt: OptimState, lr: float):
     """One bias-corrected Adam update from the accumulated gradient buffers.
 
     No weight decay and no dropout anywhere. Updates are in-place and
-    deterministic (fixed parameter order).
+    deterministic (fixed parameter order); every product and quotient is
+    taken in the order of the textbook expression, in ``opt.scratch``.
     """
     if opt.flat_first.shape != params.flat_values.shape:
         raise TrainError("optimizer moment shape does not match parameters")
@@ -128,11 +137,22 @@ def adam_step(params: ModelParams, opt: OptimState, lr: float):
     grad = params.flat_grads
     m = opt.flat_first
     v = opt.flat_second
+    update, denom = opt.scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
+    m += update
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad * grad
-    params.flat_values -= lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=update)
+    update *= grad
+    v += update
+    # lr * (m / correction1) / (sqrt(v / correction2) + eps)
+    np.divide(m, correction1, out=update)
+    update *= lr
+    np.divide(v, correction2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    update /= denom
+    params.flat_values -= update
     opt.lr = lr
 
 
@@ -150,7 +170,7 @@ def _predict_features(features: list[GraphFeatures], params: ModelParams,
     chunks = [features[i:i + chunk] for i in range(0, len(features), chunk)]
 
     def run(part: list[GraphFeatures]) -> np.ndarray:
-        return forward_features(merge_features(part), params, cfg).predictions
+        return forward_features(merge_features(part), params, cfg, grad=False).predictions
 
     if threads <= 1 or len(chunks) < 2:
         outputs = [run(part) for part in chunks]
@@ -315,6 +335,11 @@ def fd_forces(params: ModelParams, graph: Graph3D, cfg: RunConfig,
     if not 1e-6 <= h <= 1e-3:
         raise TrainError(f"finite-difference step must lie in [1e-6, 1e-3], got {h}")
     tables = tables if tables is not None else tables_for(cfg)
+
+    def energy(moved: Graph3D) -> float:
+        features = featurize_graph(moved, cfg, tables)
+        return float(forward_features(features, params, cfg, grad=False).predictions[0])
+
     base = graph.positions
     n = graph.n_atoms
     forces = np.zeros((n, 3), dtype=np.float64)
@@ -324,10 +349,10 @@ def fd_forces(params: ModelParams, graph: Graph3D, cfg: RunConfig,
             shifted = base.copy()
             shifted[atom, axis] += h
             plus_graph = _with_positions(graph, shifted)
-            energy_plus, _ = forward(plus_graph, params, cfg, tables)
+            energy_plus = energy(plus_graph)
             shifted[atom, axis] -= 2.0 * h
             minus_graph = _with_positions(graph, shifted)
-            energy_minus, _ = forward(minus_graph, params, cfg, tables)
+            energy_minus = energy(minus_graph)
             forces[atom, axis] = -(energy_plus - energy_minus) / (2.0 * h)
             if not np.array_equal(_cutoff_mask(plus_graph, cfg.cutoff_c),
                                   _cutoff_mask(minus_graph, cfg.cutoff_c)):

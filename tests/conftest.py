@@ -40,3 +40,12 @@ def tiny_cfg() -> RunConfig:
         max_z=6,
         max_epochs=4,
     )
+
+
+def unfused_pair_aggregate(tape, base, gates, pair_edge, pair_neighbor, n_edges):
+    """Oracle for ``Tape.pair_aggregate``: the gather/affine/mul/add/segment_sum
+    composition that materializes every pair-wide intermediate."""
+    term = tape.gather(base, pair_neighbor)
+    for a, up, b, proj in gates:
+        term = tape.add(term, tape.mul(tape.affine(a, up, b), tape.gather(proj, pair_neighbor)))
+    return tape.segment_sum(term, pair_edge, n_edges)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import smpnet.autodiff as autodiff
 from smpnet.autodiff import Tape, scatter_rows
+
+from conftest import unfused_pair_aggregate
 
 
 def numeric_grad(build, values, h=1e-6):
@@ -153,3 +156,112 @@ def test_backward_is_repeatable():
     first = leaf.grad.copy()
     tape.backward(out, np.ones((1, 2)))
     assert np.array_equal(first, leaf.grad)
+
+
+# --- fused pair aggregation ------------------------------------------------------
+
+def pair_layout(rng, counts):
+    """Sorted pair_edge with ``counts[k]`` pairs on edge k; random neighbors."""
+    counts = np.asarray(counts, dtype=np.int64)
+    pair_edge = np.repeat(np.arange(counts.size), counts)
+    pair_neighbor = rng.integers(0, counts.size, size=pair_edge.size)
+    return pair_edge, pair_neighbor
+
+
+def pair_values(rng, n_edges, n_pairs, n_gates, width=5, rank=3):
+    values = [rng.normal(size=(n_edges, width))]
+    for _ in range(n_gates):
+        values += [rng.normal(size=(n_pairs, rank)), rng.normal(size=(rank, width)),
+                   rng.normal(size=width), rng.normal(size=(n_edges, width))]
+    return values
+
+
+def pair_program(op, pair_edge, pair_neighbor, n_edges):
+    def program(tape, leaves):
+        gates = [tuple(leaves[i:i + 4]) for i in range(1, len(leaves), 4)]
+        return op(tape, leaves[0], gates, pair_edge, pair_neighbor, n_edges)
+    return program
+
+
+def fused(tape, base, gates, pair_edge, pair_neighbor, n_edges):
+    return tape.pair_aggregate(base, gates, pair_edge, pair_neighbor, n_edges)
+
+
+def layout_counts(rng, layout):
+    block = autodiff.PAIR_BLOCK
+    if layout == "no pairs":
+        return np.zeros(7, dtype=np.int64)
+    if layout == "edges without pairs":
+        return rng.integers(0, 3, size=12) * rng.integers(0, 2, size=12)
+    if layout == "under one block":
+        return rng.integers(1, 9, size=block // 16)
+    # Several blocks, each edge shared by a few, one edge longer than a block
+    # and empty edges at both ends and right after the long edge.
+    counts = rng.integers(0, 30, size=(7 * block) // 15)
+    counts[[0, -1, 41]] = 0
+    counts[40] = block + 3
+    return counts
+
+
+def check_against_unfused(rng, counts, n_gates):
+    """Value bitwise equal to the unfused composition; gradients to 1e-12."""
+    pair_edge, pair_neighbor = pair_layout(rng, counts)
+    values = pair_values(rng, len(counts), pair_edge.size, n_gates)
+    upstream = rng.normal(size=values[0].shape)
+    runs = []
+    for op in (fused, unfused_pair_aggregate):
+        tape, leaves, out = run_program(
+            pair_program(op, pair_edge, pair_neighbor, len(counts)), values)
+        tape.backward(out, upstream)
+        runs.append((out.value, [leaf.grad for leaf in leaves]))
+    (value, grads), (expected_value, expected_grads) = runs
+    assert np.array_equal(value, expected_value)
+    for grad, expected in zip(grads, expected_grads):
+        scale = np.max(np.abs(expected), initial=1.0)
+        np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("layout", ["no pairs", "edges without pairs", "under one block",
+                                    "several blocks"])
+@pytest.mark.parametrize("n_gates", [0, 1, 2])
+def test_pair_aggregate_matches_unfused_composition(layout, n_gates):
+    rng = np.random.default_rng(17 + n_gates)
+    counts = layout_counts(rng, layout)
+    if layout == "several blocks":
+        assert counts.sum() > 3 * autodiff.PAIR_BLOCK
+    check_against_unfused(rng, counts, n_gates)
+
+
+@pytest.mark.parametrize("block", [1, 4])
+def test_pair_aggregate_small_blocks_match_unfused(monkeypatch, block):
+    # Blocks of one or four pairs put a boundary at nearly every edge.
+    monkeypatch.setattr(autodiff, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(23)
+    check_against_unfused(rng, rng.integers(0, 9, size=40), 2)
+
+
+@pytest.mark.parametrize("n_gates", [0, 1, 2])
+def test_pair_aggregate_gradients_match_finite_differences(monkeypatch, n_gates):
+    monkeypatch.setattr(autodiff, "PAIR_BLOCK", 3)
+    rng = np.random.default_rng(29)
+    pair_edge, pair_neighbor = pair_layout(rng, [2, 0, 3, 1, 2])
+    values = pair_values(rng, 5, pair_edge.size, n_gates, width=3, rank=2)
+    check_program(pair_program(fused, pair_edge, pair_neighbor, 5), values)
+
+
+def test_pair_aggregate_rejects_unsorted_pair_edge():
+    tape = Tape()
+    base = tape.leaf(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="sorted"):
+        tape.pair_aggregate(base, [], np.array([0, 2, 1]), np.array([1, 0, 2]), 3)
+
+
+def test_constant_inputs_record_no_nodes():
+    tape = Tape()
+    base = tape.constant(np.ones((2, 3)))
+    gate = (tape.constant(np.ones((2, 1))), tape.constant(np.ones((1, 3))),
+            tape.constant(np.zeros(3)), tape.constant(np.ones((2, 3))))
+    out = tape.pair_aggregate(base, [gate], np.array([0, 1]), np.array([1, 0]), 2)
+    tape.silu(tape.mul(out, out))
+    assert tape.nodes == []
+    assert np.array_equal(out.value, np.full((2, 3), 2.0))

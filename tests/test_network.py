@@ -14,7 +14,9 @@ from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
                             init_params, interaction_block, load_model,
                             merge_features, output_block, save_model)
 
-from conftest import random_graph
+from smpnet.autodiff import Tape
+
+from conftest import random_graph, unfused_pair_aggregate
 
 
 def two_atom_graph():
@@ -171,6 +173,45 @@ def test_interaction_block_matches_pair_level_reference(tiny_cfg, mode):
     updated = interaction_block(ctx, state, 1)
     expected = reference_interaction(feats, params.values, state.messages.value, 1, cfg)
     np.testing.assert_allclose(updated.messages.value, expected, rtol=1e-12, atol=1e-12)
+
+
+def batch_features(cfg, seed):
+    rng = np.random.default_rng(seed)
+    return merge_features([featurize_graph(random_graph(rng, n_atoms=n), cfg)
+                           for n in (6, 2, 5)])
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_fused_aggregation_matches_unfused_network(tiny_cfg, mode, monkeypatch):
+    cfg = tiny_cfg.replace(ablation_mode=mode)
+    params = init_params(cfg, seed=13)
+    rng = np.random.default_rng(19)
+    for value in params.values.values():
+        value[...] = rng.normal(scale=0.5, size=value.shape)
+    feats = batch_features(cfg, 31)
+    upstream = rng.normal(size=feats.n_graphs)
+    runs = []
+    for aggregate in (Tape.pair_aggregate, unfused_pair_aggregate):
+        monkeypatch.setattr(Tape, "pair_aggregate", aggregate)
+        cache = forward_features(feats, params, cfg)
+        runs.append((cache.predictions, backward(cache, upstream, accumulate=False)))
+    (fused, grads), (expected, expected_grads) = runs
+    assert np.array_equal(fused, expected)
+    for name, grad in grads.items():
+        scale = np.max(np.abs(expected_grads[name]), initial=1.0)
+        np.testing.assert_allclose(grad, expected_grads[name], rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_tape_free_forward_matches_taped_forward(tiny_cfg, mode):
+    cfg = tiny_cfg.replace(ablation_mode=mode)
+    params = init_params(cfg, seed=37)
+    feats = batch_features(cfg, 41)
+    taped = forward_features(feats, params, cfg)
+    free = forward_features(feats, params, cfg, grad=False)
+    assert len(taped.context.tape.nodes) > 0
+    assert free.context.tape.nodes == []
+    assert np.array_equal(free.predictions, taped.predictions)
 
 
 def test_default_config_smoke():

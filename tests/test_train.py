@@ -86,6 +86,26 @@ def test_adam_recurrence_two_steps(tiny_cfg):
     assert params.flat_values[0] == pytest.approx(reference, rel=1e-12)
 
 
+def test_adam_matches_textbook_expression_bitwise(tiny_cfg):
+    params = init_params(tiny_cfg, seed=5)
+    opt = T.OptimState.for_params(params)
+    rng = np.random.default_rng(7)
+    values = params.flat_values.copy()
+    m = np.zeros_like(values)
+    v = np.zeros_like(values)
+    for step in range(1, 5):
+        grad = rng.normal(size=values.size) * 10.0 ** rng.integers(-8, 3, size=values.size)
+        params.flat_grads[...] = grad
+        T.adam_step(params, opt, lr=1e-3 * step)
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * grad * grad
+        values -= 1e-3 * step * (m / (1.0 - 0.9 ** step)) / (
+            np.sqrt(v / (1.0 - 0.999 ** step)) + 1e-8)
+    assert np.array_equal(params.flat_values, values)
+    assert np.array_equal(opt.flat_first, m)
+    assert np.array_equal(opt.flat_second, v)
+
+
 def test_adam_deterministic(tiny_cfg):
     results = []
     for _ in range(2):
