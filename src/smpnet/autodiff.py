@@ -110,6 +110,30 @@ class Tape:
             (b, lambda g, av=a.value: av.T @ g, True),
         ))
 
+    def stacked_matmul(self, a: Node, bs: list[Node]) -> list[Node]:
+        """``matmul(a, b)`` for every b of ``bs`` through one product.
+
+        ``a`` is multiplied once by the column-stacked ``[b0 | b1 | ...]``, and
+        node i holds the column view of ``b_i`` with the hooks of
+        ``matmul(a, b_i)``. One wide product reads ``a`` once where separate
+        narrow ones read it once each. On OpenBLAS, column views 8 or 16 wide
+        (the shipped bottleneck width is 8) were bitwise the separate
+        products; views 1 to 4 wide can round differently in the last bit.
+        """
+        if not bs:
+            return []
+        value = a.value @ np.concatenate([b.value for b in bs], axis=1)
+        nodes = []
+        offset = 0
+        for b in bs:
+            width = b.value.shape[1]
+            nodes.append(self._record(value[:, offset:offset + width], (
+                (a, lambda g, bv=b.value: g @ bv.T, True),
+                (b, lambda g, av=a.value: av.T @ g, True),
+            )))
+            offset += width
+        return nodes
+
     def affine(self, x: Node, w: Node, b: Node) -> Node:
         """x @ w + bias row in one node."""
         return self._record(x.value @ w.value + b.value, (

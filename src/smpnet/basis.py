@@ -16,7 +16,14 @@ Each ingredient is computed once per call: the roots z_ln of every order in
 one vectorized solve (cached per table size), the radial factors in one
 Bessel recurrence over every distinct distance and order, and the harmonics
 in one sweep that yields every Y_l^m column. A point's Bessel values depend
-only on that point, never on the other points evaluated with it.
+only on that point, never on the other points evaluated with it. Arguments
+must be finite and in range; NaN and infinity raise ``BasisError``.
+
+The pair embeddings are column-major: ``sbf_embed`` and ``tbf_embed`` fill
+(columns, points) buffers and return their transposes, with the documented
+shapes and (l, m, n) column order. Each product of a radial row and a
+harmonic row then runs along the long point axis, and the network's
+down-projection reads each column as one contiguous run.
 """
 from __future__ import annotations
 
@@ -37,6 +44,11 @@ class BasisError(ValueError):
     """Raised for out-of-range basis arguments."""
 
 
+def _check_order(order: int):
+    if not 0 <= order <= MAX_ORDER:
+        raise BasisError(f"order {order} outside supported range [0, {MAX_ORDER}]")
+
+
 def spherical_bessel(order: int, x) -> np.ndarray | float:
     """First-kind spherical Bessel function j_order(x) for x >= 0.
 
@@ -45,11 +57,10 @@ def spherical_bessel(order: int, x) -> np.ndarray | float:
     catastrophic cancellation of upward recurrence at x < order. The x -> 0
     limit is handled analytically.
     """
-    if not 0 <= order <= MAX_ORDER:
-        raise BasisError(f"order {order} outside supported range [0, {MAX_ORDER}]")
+    _check_order(order)
     x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(x_arr < 0):
-        raise BasisError("spherical Bessel argument must be >= 0")
+    if not np.all((x_arr >= 0) & (x_arr < np.inf)):
+        raise BasisError("spherical Bessel argument must be finite and >= 0")
     table = _bessel_table(order, np.atleast_1d(x_arr))
     result = table[order]
     return float(result[0]) if x_arr.ndim == 0 else result
@@ -57,9 +68,10 @@ def spherical_bessel(order: int, x) -> np.ndarray | float:
 
 def spherical_bessel_derivative(order: int, x) -> np.ndarray | float:
     """d/dx j_order(x) via j_{order-1} - (order+1)/x * j_order."""
+    _check_order(order)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any(x_arr <= 0):
-        raise BasisError("derivative evaluation requires x > 0")
+    if not np.all((x_arr > 0) & (x_arr < np.inf)):
+        raise BasisError("derivative evaluation requires finite x > 0")
     table = _bessel_table(order + 1, x_arr)
     if order == 0:
         result = -table[1]
@@ -326,7 +338,8 @@ def tables_for(cfg) -> BasisTables:
 
 
 def _check_distance(d: np.ndarray, cutoff: float):
-    if np.any(d <= 0) or np.any(d > cutoff * (1 + 1e-12)):
+    # One comparison chain that NaN fails, unlike a search for bad values.
+    if not np.all((d > 0) & (d <= cutoff * (1 + 1e-12))):
         raise BasisError(f"distance outside (0, {cutoff}]")
 
 
@@ -352,17 +365,20 @@ def rbf_embed(d, tables: BasisTables) -> np.ndarray:
 def sbf_embed(d, theta, tables: BasisTables) -> np.ndarray:
     """Distance-angle embedding, shape (..., n_shbf, n_srbf).
 
-    Entry (l, n) is norm(l, n) * j_l(z_ln * d / c) * Y_l^0(theta).
+    Entry (l, n) is norm(l, n) * j_l(z_ln * d / c) * Y_l^0(theta). The array
+    is a transposed view of an (n_shbf, n_srbf, len(d)) buffer: the product
+    runs along the long point axis, and ``reshape(len(d), -1)`` gives the
+    column-major (points, n_shbf * n_srbf) feature without a copy.
     """
     scalar = np.asarray(d).ndim == 0
     d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     _check_distance(d_arr, tables.cutoff)
     _check_polar(theta_arr)
-    radial = _radial_table(d_arr, tables)
+    radial = _radial_table(d_arr, tables).transpose(1, 2, 0)
     orders = np.arange(tables.n_shbf)
-    zonal = _harmonics(tables.n_shbf, theta_arr, 0.0)[:, orders * orders + orders]
-    out = radial * zonal[:, :, None]
+    zonal = _harmonics(tables.n_shbf, theta_arr, 0.0).T[orders * orders + orders]
+    out = (radial * zonal[:, None, :]).transpose(2, 0, 1)
     return out[0] if scalar else out
 
 
@@ -372,6 +388,12 @@ def tbf_embed(d, theta, phi, tables: BasisTables) -> np.ndarray:
     Entry (l, m, n) is norm(l, n) * j_l(z_ln * d / c) * Y_l^m(theta, phi);
     the flattened length is n_shbf^2 * n_srbf. phi enters through cos/sin of
     m*phi only, so the embedding is 2*pi-periodic in phi.
+
+    The result is column-major, the transpose of an (n_shbf^2 * n_srbf,
+    len(d)) buffer. Each of its rows is one radial row times one harmonic
+    row, so every product runs along the long point axis, and the
+    down-projection ``feature @ down`` reads the columns it needs as
+    contiguous runs.
     """
     scalar = np.asarray(d).ndim == 0
     d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
@@ -379,23 +401,28 @@ def tbf_embed(d, theta, phi, tables: BasisTables) -> np.ndarray:
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=np.float64))
     _check_distance(d_arr, tables.cutoff)
     _check_polar(theta_arr)
+    if not np.all(np.isfinite(phi_arr)):
+        raise BasisError("azimuth must be finite")
     theta_arr, phi_arr = np.broadcast_arrays(theta_arr, phi_arr)
-    radial = _radial_table(d_arr, tables)
-    angular = _harmonics(tables.n_shbf, theta_arr, phi_arr)
-    out = np.empty((d_arr.size, tables.n_shbf ** 2, tables.n_srbf), dtype=np.float64)
+    radial = _radial_table(d_arr, tables).transpose(1, 2, 0)
+    angular = _harmonics(tables.n_shbf, theta_arr, phi_arr).T
+    out = np.empty((tables.n_shbf ** 2, tables.n_srbf, d_arr.size), dtype=np.float64)
     for ell in range(tables.n_shbf):
         block = slice(ell * ell, (ell + 1) ** 2)
-        np.multiply(radial[:, ell, None, :], angular[:, block, None], out=out[:, block, :])
-    out = out.reshape(d_arr.size, tables.tbf_size)
+        np.multiply(radial[None, ell], angular[block, None], out=out[block])
+    out = out.reshape(tables.tbf_size, d_arr.size).T
     return out[0] if scalar else out
 
 
 def _radial_table(d: np.ndarray, tables: BasisTables) -> np.ndarray:
     """norm(l, n) * j_l(z_ln * d / c) for all (l, n); shape (len(d), l, n).
 
+    The shape is a transposed view of an (l, n, len(d)) buffer, so the
+    embeddings multiply whole rows along the point axis.
+
     Pair distances repeat their neighbor edge's distance, so the table is
     evaluated once per distinct value and expanded. One Bessel recurrence up
-    to order n_shbf - 1 runs over every (distinct, l, n) argument, and block
+    to order n_shbf - 1 runs over every (l, n, distinct) argument, and block
     l keeps row l. Each argument starts its recurrence at an order set by its
     own value and n_shbf - 1, so a row does not depend on the other distances
     of the call; it can differ in the last bits from evaluating order l on
@@ -403,13 +430,13 @@ def _radial_table(d: np.ndarray, tables: BasisTables) -> np.ndarray:
     """
     distinct, inverse = np.unique(d, return_inverse=True)
     orders = np.arange(tables.n_shbf)
-    x = distinct[:, None, None] * (tables.roots / tables.cutoff)
+    x = (tables.roots / tables.cutoff)[:, :, None] * distinct
     values = _bessel_table(tables.n_shbf - 1, x.ravel()).reshape(
-        tables.n_shbf, distinct.size, tables.n_shbf, tables.n_srbf)
-    out = values[orders, :, orders, :] * tables.norms[:, None, :]
-    return out.transpose(1, 0, 2)[inverse]
+        tables.n_shbf, tables.n_shbf, tables.n_srbf, distinct.size)
+    out = values[orders, orders] * tables.norms[:, :, None]
+    return np.take(out, inverse, axis=2).transpose(2, 0, 1)
 
 
 def _check_polar(theta: np.ndarray):
-    if np.any(theta < -1e-9) or np.any(theta > np.pi + 1e-9):
+    if not np.all((theta >= -1e-9) & (theta <= np.pi + 1e-9)):
         raise BasisError("polar angle outside [0, pi]")

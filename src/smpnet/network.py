@@ -10,10 +10,14 @@ features and sums a per-node readout into the graph scalar.
 Two-hop pairs outnumber edges many times over, so everything that depends
 only on the neighbor edge is computed once per edge: the message projections
 and the distance term. Only the narrow down-projections of the angle and
-torsion embeddings are evaluated per pair as tape nodes. The rest of the pair
-path (gate up-projection, gating, summing per edge) is one fused tape op,
-``Tape.pair_aggregate``, that works through the pairs in blocks, so no
-message-wide array per pair is kept, in the forward or for the backward.
+torsion embeddings are evaluated per pair, and they do not depend on the
+messages: ``begin_forward`` computes them once per forward, one product per
+geometry kind against every block's down-projection stacked side by side.
+The column-major pair bases are read once by that product instead of once
+per block. The rest of the pair path (gate up-projection, gating, summing
+per edge) is one fused tape op, ``Tape.pair_aggregate``, that works through
+the pairs in blocks, so no message-wide array per pair is kept, in the
+forward or for the backward.
 
 Inference (``forward_features(..., grad=False)``) enters the parameters as
 constants, so the tape records nothing and every intermediate is freed once
@@ -188,7 +192,9 @@ class GraphFeatures:
     """Geometry and basis values for one graph (or a merged batch).
 
     All arrays are plain numpy; the network treats them as constants.
-    Merged batches keep per-graph node segments via ``graph_ids``.
+    Merged batches keep per-graph node segments via ``graph_ids``. The pair
+    bases ``pair_sbf`` and ``pair_tbf`` are column-major, as the basis
+    functions build them.
     """
 
     n_atoms: int
@@ -306,9 +312,19 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
         edge_rbf=np.concatenate(chunks["edge_rbf"]),
         pair_edge=np.concatenate(chunks["pair_edge"]),
         pair_neighbor=np.concatenate(chunks["pair_neighbor"]),
-        pair_sbf=np.concatenate(chunks["pair_sbf"]) if has_sbf else None,
-        pair_tbf=np.concatenate(chunks["pair_tbf"]) if has_tbf else None,
+        pair_sbf=_concat_column_major(chunks["pair_sbf"]) if has_sbf else None,
+        pair_tbf=_concat_column_major(chunks["pair_tbf"]) if has_tbf else None,
     )
+
+
+def _concat_column_major(arrays: list[np.ndarray]) -> np.ndarray:
+    """Rows of ``arrays`` stacked into one column-major array.
+
+    ``np.concatenate`` picks its output order from the inputs' strides, and a
+    part with no pairs (or one) would turn it row-major; concatenating the
+    transposes fixes the order whatever the parts.
+    """
+    return np.concatenate([a.T for a in arrays], axis=1).T
 
 
 @dataclass
@@ -326,6 +342,7 @@ class ForwardContext:
     leaves: dict[str, Node]
     features: GraphFeatures
     cfg: RunConfig
+    gate_inputs: dict[str, list[Node]]
 
 
 @dataclass
@@ -356,11 +373,29 @@ def _bottleneck(ctx: ForwardContext, name: str, x: Node) -> Node:
 
 def begin_forward(features: GraphFeatures, params: ModelParams,
                   cfg: RunConfig, grad: bool = True) -> ForwardContext:
-    """A fresh tape; parameters enter as leaves, or as constants without grad."""
+    """A fresh tape; parameters enter as leaves, or as constants without grad.
+
+    The gate inputs ``feature @ inter{b}.{kind}.down`` do not depend on the
+    messages, so they are computed here, once per forward: one product per
+    geometry kind against every block's down-projection stacked side by
+    side (``Tape.stacked_matmul``), one node per block. At the shipped
+    bottleneck width each node's value and gradient are bitwise those of the
+    block's own product. Blocks called one by one on this context pick up
+    theirs.
+    """
     tape = Tape()
     enter = tape.leaf if grad else tape.constant
     leaves = {name: enter(value) for name, value in params.values.items()}
-    return ForwardContext(tape=tape, leaves=leaves, features=features, cfg=cfg)
+    gate_features = {}
+    if cfg.ablation_mode in (FULL, NO_TORSION):
+        gate_features["sbf"] = features.pair_sbf
+    if cfg.ablation_mode == FULL:
+        gate_features["tbf"] = features.pair_tbf
+    gate_inputs = {kind: tape.stacked_matmul(tape.constant(feature), [
+        leaves[f"inter{b}.{kind}.down"] for b in range(cfg.num_interaction_blocks)])
+        for kind, feature in gate_features.items()}
+    return ForwardContext(tape=tape, leaves=leaves, features=features, cfg=cfg,
+                          gate_inputs=gate_inputs)
 
 
 def embedding_block(ctx: ForwardContext) -> MessageState:
@@ -386,13 +421,14 @@ def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> M
 
     Projections act row-wise, so ``project`` runs on the edge messages. The
     distance term depends only on the neighbor edge and is computed per edge
-    too. Each angle or torsion gate is a bottleneck: its down-projection is a
-    (pairs, bottleneck) node, and ``Tape.pair_aggregate`` applies the
-    up-projection and bias, multiplies by the neighbor's projected message,
-    adds the distance term and sums per edge, a block of whole edges at a
-    time. Its value is bitwise that of gathering, gating and summing the
-    pair-wide arrays (``pair_edge`` is sorted, so each edge sums its pairs in
-    the same order).
+    too. Each angle or torsion gate is a bottleneck. Its down-projection is
+    this block's (pairs, bottleneck) node of ``ctx.gate_inputs``, which
+    ``begin_forward`` computed once per forward for every block.
+    ``Tape.pair_aggregate`` applies the up-projection and bias, multiplies by
+    the neighbor's projected message, adds the distance term and sums per
+    edge, a block of whole edges at a time. Its value is bitwise that of
+    gathering, gating and summing the pair-wide arrays (``pair_edge`` is
+    sorted, so each edge sums its pairs in the same order).
     """
     tape, feats, cfg = ctx.tape, ctx.features, ctx.cfg
     if state.messages.value.shape[0] != feats.n_edges:
@@ -407,17 +443,13 @@ def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> M
         _bottleneck(ctx, prefix + "rbf", tape.constant(feats.edge_rbf)),
         _dense(ctx, prefix + "proj_rbf", messages),
     )
-    gates = []
-    if cfg.ablation_mode in (FULL, NO_TORSION):
-        gates.append(("sbf", feats.pair_sbf))
-    if cfg.ablation_mode == FULL:
-        gates.append(("tbf", feats.pair_tbf))
     aggregated = tape.pair_aggregate(distance_term, [(
-        tape.matmul(tape.constant(feature), ctx.leaves[prefix + kind + ".down"]),
+        inputs[block],
         ctx.leaves[prefix + kind + ".up"],
         ctx.leaves[prefix + kind + ".b"],
         _dense(ctx, prefix + f"proj_{kind}", messages),
-    ) for kind, feature in gates], feats.pair_edge, feats.pair_neighbor, feats.n_edges)
+    ) for kind, inputs in ctx.gate_inputs.items()],
+        feats.pair_edge, feats.pair_neighbor, feats.n_edges)
     aggregated = _dense(ctx, prefix + "up", aggregated)
 
     branch = messages

@@ -49,3 +49,8 @@ def unfused_pair_aggregate(tape, base, gates, pair_edge, pair_neighbor, n_edges)
     for a, up, b, proj in gates:
         term = tape.add(term, tape.mul(tape.affine(a, up, b), tape.gather(proj, pair_neighbor)))
     return tape.segment_sum(term, pair_edge, n_edges)
+
+
+def per_block_matmul(tape, a, bs):
+    """Oracle for ``Tape.stacked_matmul``: one ``matmul`` per weight."""
+    return [tape.matmul(a, b) for b in bs]

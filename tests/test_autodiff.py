@@ -4,7 +4,7 @@ import pytest
 import smpnet.autodiff as autodiff
 from smpnet.autodiff import Tape, scatter_rows
 
-from conftest import unfused_pair_aggregate
+from conftest import per_block_matmul, unfused_pair_aggregate
 
 
 def numeric_grad(build, values, h=1e-6):
@@ -60,6 +60,29 @@ def test_mul_add_concat():
         return t.concat([t.mul(l[0], l[1]), t.add(l[0], l[2])])
 
     check_program(program, values)
+
+
+@pytest.mark.parametrize("widths", [(8,), (8, 8, 8)], ids=["one", "three"])
+def test_stacked_matmul_matches_per_block_matmul(widths):
+    # Both inputs differentiable: the product and every gradient must be
+    # bitwise those of one matmul per weight. Widths are the shipped
+    # bottleneck width; OpenBLAS rounds narrower ones differently.
+    rng = np.random.default_rng(2)
+    values = [rng.normal(size=(300, 40))] + [rng.normal(size=(40, w)) for w in widths]
+    runs = []
+    for op in (Tape.stacked_matmul, per_block_matmul):
+        tape, leaves, out = run_program(lambda t, l: t.concat(op(t, l[0], l[1:])), values)
+        tape.backward(out, np.cos(np.arange(out.value.size)).reshape(out.value.shape))
+        runs.append((out.value, [leaf.grad for leaf in leaves]))
+    (value, grads), (expected, expected_grads) = runs
+    assert np.array_equal(value, expected)
+    assert all(np.array_equal(g, e) for g, e in zip(grads, expected_grads))
+
+
+def test_stacked_matmul_gradients_match_finite_differences():
+    rng = np.random.default_rng(3)
+    values = [rng.normal(size=(5, 4)), rng.normal(size=(4, 2)), rng.normal(size=(4, 3))]
+    check_program(lambda t, l: t.concat(t.stacked_matmul(l[0], l[1:])), values)
 
 
 def test_gather_accumulates_repeats():

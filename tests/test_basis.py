@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from smpnet.basis import (BasisError, bessel_roots, build_tables, rbf_embed,
-                          real_sph_harm, sbf_embed, spherical_bessel, tbf_embed)
+                          real_sph_harm, sbf_embed, spherical_bessel,
+                          spherical_bessel_derivative, tbf_embed)
 
 mp.mp.dps = 40
 
@@ -329,6 +330,37 @@ def test_embedding_range_errors():
         rbf_embed(0.0, tables)
     with pytest.raises(BasisError):
         sbf_embed(1.0, 3.5, tables)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: spherical_bessel(2, NAN),
+    lambda t: spherical_bessel(0, INF),
+    lambda t: spherical_bessel(3, np.array([1.0, NAN])),
+    lambda t: spherical_bessel_derivative(-1, 1.0),
+    lambda t: spherical_bessel_derivative(-3, 1.0),
+    lambda t: spherical_bessel_derivative(17, 1.0),
+    lambda t: spherical_bessel_derivative(1, NAN),
+    lambda t: spherical_bessel_derivative(1, INF),
+    lambda t: rbf_embed(NAN, t),
+    lambda t: sbf_embed(NAN, 0.5, t),
+    lambda t: tbf_embed(NAN, 0.5, 0.1, t),
+    lambda t: sbf_embed(1.0, NAN, t),
+    lambda t: tbf_embed(1.0, NAN, 0.1, t),
+    lambda t: tbf_embed(np.array([1.0, 2.0]), np.array([0.5, NAN]), 0.1, t),
+    lambda t: tbf_embed(1.0, 0.5, NAN, t),
+    lambda t: tbf_embed(1.0, 0.5, INF, t),
+], ids=["bessel-nan", "bessel-inf", "bessel-nan-in-array", "derivative-order-minus-1",
+        "derivative-order-minus-3", "derivative-order-17", "derivative-nan",
+        "derivative-inf", "rbf-nan-distance", "sbf-nan-distance", "tbf-nan-distance",
+        "sbf-nan-polar", "tbf-nan-polar", "tbf-nan-polar-in-array",
+        "tbf-nan-azimuth", "tbf-inf-azimuth"])
+def test_non_finite_and_out_of_range_arguments_raise(call):
+    with pytest.raises(BasisError):
+        call(build_tables(5.0, 3, 3))
 
 
 def test_tables_invariants():

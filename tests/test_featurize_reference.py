@@ -22,6 +22,7 @@ from smpnet.geometry import (COLLINEAR_PROJECTION_EPS, build_radius_graph,
                              build_two_hop_index, compute_torsions,
                              two_hop_geometry)
 from smpnet.ingest import Graph3D, RunConfig
+from smpnet.network import featurize_graph, merge_features
 from smpnet.train import ablation_config
 
 from conftest import random_graph
@@ -311,3 +312,28 @@ def test_embedding_rows_do_not_depend_on_batch_mates():
     assert np.array_equal(sbf_embed(both[0], both[1], tables)[:d.size],
                           sbf_embed(d, theta, tables))
     assert np.array_equal(tbf_embed(*both, tables)[:d.size], tbf_embed(d, theta, phi, tables))
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(), ablation_config()],
+                         ids=["default", "ablation"])
+def test_featurized_pair_bases_are_column_major_references(cfg):
+    # One graph without pairs among the parts: merging must keep the
+    # column-major order all the same.
+    tables = tables_for(cfg)
+    rng = np.random.default_rng(31)
+    graphs = [random_graph(rng, n_atoms=n, box=1.5) for n in (6, 2, 8)]
+    parts = [featurize_graph(g, cfg) for g in graphs]
+    sbf_rows, tbf_rows = [], []
+    for graph in graphs:
+        edges = build_radius_graph(graph, cfg.cutoff_c)
+        hops = two_hop_geometry(graph, edges)
+        d = edges.distances[hops.pair_neighbor]
+        sbf_rows.append(reference_sbf(d, hops.theta, tables).reshape(d.size, tables.sbf_size))
+        tbf_rows.append(reference_tbf(d, hops.theta, hops.phi, tables))
+    assert parts[1].n_pairs == 0 and parts[0].n_pairs and parts[2].n_pairs
+    merged = merge_features(parts)
+    for feats, sbf, tbf in zip(parts + [merged], sbf_rows + [np.concatenate(sbf_rows)],
+                               tbf_rows + [np.concatenate(tbf_rows)]):
+        for value, expected in ((feats.pair_sbf, sbf), (feats.pair_tbf, tbf)):
+            assert value.flags.f_contiguous
+            assert np.array_equal(value, expected)

@@ -1,0 +1,76 @@
+"""The paper's completeness claim, checked on mirror images.
+
+A graph and its mirror image (x -> -x) have the same distances and the same
+angles; only the torsions tell them apart. So the distance-only mode
+(NO_ANGLE_TORSION, SchNet-like) and the distance-angle mode (NO_TORSION,
+DimeNet-like) must featurize and predict the two bitwise alike, and the full
+spherical representation must not. This pins the torsion convention (gaps to
+the azimuthal predecessor) against a change that would make it
+reflection-blind.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D
+from smpnet.network import featurize_graph, forward_features, init_params, merge_features
+from smpnet.train import ablation_config, dihedral_angle, synthetic_torsion_task
+
+from conftest import random_graph
+
+FEATURE_FIELDS = ("edge_sender", "edge_receiver", "edge_dist", "edge_rbf",
+                  "pair_edge", "pair_neighbor", "pair_sbf", "pair_tbf")
+
+
+def mirrored(graph: Graph3D) -> Graph3D:
+    positions = graph.positions.copy()
+    positions[:, 0] = -positions[:, 0]
+    return Graph3D(graph.atomic_numbers, positions, graph_target=graph.graph_target,
+                   id=graph.id + "-mirror")
+
+
+def chiral_graphs(cfg):
+    rng = np.random.default_rng(71)
+    graphs = [random_graph(rng, n_atoms=5) for _ in range(3)]
+    return [g for g in graphs if featurize_graph(g, cfg).n_pairs]
+
+
+def ablation_chains():
+    # Dihedrals away from 0 and pi: those chains are their own mirror images.
+    chains = [g for g in synthetic_torsion_task(64, seed=5)
+              if abs(math.sin(dihedral_angle(*g.positions))) > 0.3]
+    return chains[:3]
+
+
+def features_and_predictions(graphs, cfg):
+    features = merge_features([featurize_graph(g, cfg) for g in graphs])
+    predictions = forward_features(features, init_params(cfg, seed=0), cfg,
+                                   grad=False).predictions
+    return features, predictions
+
+
+@pytest.mark.parametrize("case", ["random", "chains"])
+def test_mirror_images_split_only_with_torsions(tiny_cfg, case):
+    base_cfg = tiny_cfg if case == "random" else ablation_config()
+    graphs = chiral_graphs(base_cfg) if case == "random" else ablation_chains()
+    assert len(graphs) == 3
+    mirrors = [mirrored(g) for g in graphs]
+    for mode in (NO_TORSION, NO_ANGLE_TORSION):
+        cfg = base_cfg.replace(ablation_mode=mode)
+        (feats, preds), (mirror_feats, mirror_preds) = (
+            features_and_predictions(gs, cfg) for gs in (graphs, mirrors))
+        for field in FEATURE_FIELDS:
+            value, mirror_value = getattr(feats, field), getattr(mirror_feats, field)
+            assert (value is None and mirror_value is None) or np.array_equal(
+                value, mirror_value), (mode, field)
+        assert np.array_equal(preds, mirror_preds), mode
+    cfg = base_cfg.replace(ablation_mode=FULL)
+    (feats, preds), (mirror_feats, mirror_preds) = (
+        features_and_predictions(gs, cfg) for gs in (graphs, mirrors))
+    assert np.array_equal(feats.pair_sbf, mirror_feats.pair_sbf)
+    for g in range(len(graphs)):
+        rows = np.isin(feats.pair_edge, np.flatnonzero(
+            feats.graph_ids[feats.edge_sender] == g))
+        assert not np.array_equal(feats.pair_tbf[rows], mirror_feats.pair_tbf[rows])
+        assert preds[g] != mirror_preds[g]

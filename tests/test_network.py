@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smpnet.geometry import random_rotation, rigid_transform
-from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D
+from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
 from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
                             begin_forward, embedding_block, export_filters,
                             featurize_graph, forward, forward_features,
@@ -16,7 +16,7 @@ from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
 
 from smpnet.autodiff import Tape
 
-from conftest import random_graph, unfused_pair_aggregate
+from conftest import per_block_matmul, random_graph, unfused_pair_aggregate
 
 
 def two_atom_graph():
@@ -200,6 +200,59 @@ def test_fused_aggregation_matches_unfused_network(tiny_cfg, mode, monkeypatch):
     for name, grad in grads.items():
         scale = np.max(np.abs(expected_grads[name]), initial=1.0)
         np.testing.assert_allclose(grad, expected_grads[name], rtol=1e-12, atol=1e-12 * scale)
+
+
+def gate_cfg(mode, blocks):
+    # Full-size bases and the shipped bottleneck width (8): the products run
+    # through the same BLAS kernels as in training and evaluation.
+    return RunConfig(ablation_mode=mode, num_interaction_blocks=blocks, embed_size=16,
+                     output_embed_size=8, max_z=6)
+
+
+def gate_batch(cfg, with_pairs=True):
+    rng = np.random.default_rng(43)
+    graphs = [random_graph(rng, n_atoms=n) for n in ((7, 2, 9) if with_pairs else (2, 1))]
+    return merge_features([featurize_graph(g, cfg) for g in graphs])
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_gate_inputs_are_each_blocks_down_projection(mode):
+    cfg = gate_cfg(mode, blocks=3)
+    params = init_params(cfg, seed=47)
+    feats = gate_batch(cfg)
+    ctx = begin_forward(feats, params, cfg)
+    kinds = {FULL: ["sbf", "tbf"], NO_TORSION: ["sbf"], NO_ANGLE_TORSION: []}[mode]
+    assert list(ctx.gate_inputs) == kinds
+    for kind, inputs in ctx.gate_inputs.items():
+        feature = getattr(feats, f"pair_{kind}")
+        assert len(inputs) == cfg.num_interaction_blocks
+        for block, node in enumerate(inputs):
+            assert np.array_equal(node.value,
+                                  feature @ params.values[f"inter{block}.{kind}.down"])
+
+
+@pytest.mark.parametrize("with_pairs", [True, False], ids=["pairs", "no-pairs"])
+@pytest.mark.parametrize("blocks", [0, 1, 3])
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_stacked_gate_projection_matches_per_block_matmul(mode, blocks, with_pairs,
+                                                          monkeypatch):
+    cfg = gate_cfg(mode, blocks)
+    params = init_params(cfg, seed=53)
+    feats = gate_batch(cfg, with_pairs)
+    assert (feats.n_pairs > 0) == with_pairs
+    upstream = np.random.default_rng(59).normal(size=feats.n_graphs)
+    runs = []
+    for stacked in (Tape.stacked_matmul, per_block_matmul):
+        monkeypatch.setattr(Tape, "stacked_matmul", stacked)
+        cache = forward_features(feats, params, cfg)
+        runs.append((cache.predictions, backward(cache, upstream, accumulate=False)))
+    (predictions, grads), (expected, expected_grads) = runs
+    assert np.array_equal(predictions, expected)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, expected_grads[name]), name
+    if not with_pairs:
+        assert all(not np.any(grad) for name, grad in grads.items()
+                   if name.endswith(("sbf.down", "tbf.down")))
 
 
 @pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
