@@ -12,12 +12,18 @@ with norm(l,n) = sqrt(2 / (c^3 * j_{l+1}(z_ln)^2)). Harmonics are real-form
 (cos/sin in m*phi) without the Condon-Shortley phase and unit-normalized
 over the sphere. All evaluations accept scalars or 1-D arrays and are pure.
 
-Each ingredient is computed once per call: the roots z_ln of every order in
-one vectorized solve (cached per table size), the radial factors in one
-Bessel recurrence over every distinct distance and order, and the harmonics
-in one sweep that yields every Y_l^m column. A point's Bessel values depend
-only on that point, never on the other points evaluated with it. Arguments
-must be finite and in range; NaN and infinity raise ``BasisError``.
+Each ingredient is computed once: the roots z_ln of every order in one
+vectorized solve (cached per table size), the radial factors in one Bessel
+recurrence over every distinct distance and order, and the harmonics in one
+sweep that yields every Y_l^m column (the zonal Y_l^0 alone for the
+distance-angle embedding). The radial factors depend only on the distance,
+so a caller that embeds the same distances twice computes ``_radial_table``
+once and passes it to both embeddings as ``radial=``; the network computes
+it once per graph over the edge distances and gathers it to the pairs. A
+point's Bessel values depend only on that point, never on the other points
+evaluated with it, so the shared table is bitwise the one each embedding
+computes on its own. Arguments must be finite and in range; NaN and
+infinity raise ``BasisError``.
 
 The pair embeddings are column-major: ``sbf_embed`` and ``tbf_embed`` fill
 (columns, points) buffers and return their transposes, with the documented
@@ -236,6 +242,7 @@ def real_sph_harm(order: int, m: int, theta, phi=0.0) -> np.ndarray | float:
     carries cos(m*phi), negative m carries sin(|m|*phi), and no
     Condon-Shortley phase is applied. m = 0 is the zonal harmonic and ignores
     phi. The value is column (order, m) of the sweep the embeddings use.
+    Non-finite angles raise ``BasisError``.
     """
     if not 0 <= order <= MAX_ORDER:
         raise BasisError(f"degree {order} outside supported range [0, {MAX_ORDER}]")
@@ -243,6 +250,8 @@ def real_sph_harm(order: int, m: int, theta, phi=0.0) -> np.ndarray | float:
         raise BasisError(f"|m| = {abs(m)} exceeds degree {order}")
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     phi_arr = np.atleast_1d(np.asarray(phi, dtype=np.float64))
+    if not (np.all(np.isfinite(theta_arr)) and np.all(np.isfinite(phi_arr))):
+        raise BasisError("harmonic angles must be finite")
     theta_arr, phi_arr = np.broadcast_arrays(theta_arr, phi_arr)
     result = _harmonics(order + 1, theta_arr, phi_arr)[:, order * order + order + m]
     return float(result[0]) if np.asarray(theta).ndim == 0 and np.asarray(phi).ndim == 0 else result
@@ -265,26 +274,49 @@ def _harmonics(degrees: int, theta: np.ndarray, phi) -> np.ndarray:
             pmm = pmm * (2 * m - 1) * s
             cos_m = np.cos(m * phi)
             sin_m = np.sin(m * phi)
-        for ell in range(m, degrees):
-            if ell == m:
-                legendre = pmm
-            elif ell == m + 1:
-                below, legendre = pmm, (2 * m + 1) * u * pmm
-            else:
-                below, legendre = legendre, (
-                    (2 * ell - 1) * u * legendre - (ell + m - 1) * below) / (ell - m)
-            norm = math.sqrt(
-                (2 * ell + 1) / (4.0 * math.pi)
-                * math.factorial(ell - m) / math.factorial(ell + m)
-            )
+        for ell, scaled in _legendre_rows(m, degrees, u, pmm):
             centre = ell * ell + ell
             if m == 0:
-                out[centre] = norm * legendre
+                out[centre] = scaled
             else:
-                scaled = math.sqrt(2.0) * norm * legendre
                 out[centre + m] = scaled * cos_m
                 out[centre - m] = scaled * sin_m
     return out.T
+
+
+def _zonal_harmonics(degrees: int, theta: np.ndarray) -> np.ndarray:
+    """Y_l^0(theta) for l < degrees; shape (degrees, len(theta)).
+
+    One Legendre recurrence, bitwise the m = 0 columns of ``_harmonics``.
+    """
+    u = np.cos(theta)
+    out = np.empty((degrees, theta.size), dtype=np.float64)
+    for ell, row in _legendre_rows(0, degrees, u, np.ones_like(u)):
+        out[ell] = row
+    return out
+
+
+def _legendre_rows(m: int, degrees: int, u: np.ndarray, pmm: np.ndarray):
+    """Yield (l, c_lm * P_l^m(u)) for l = m..degrees-1, starting from P_m^m.
+
+    c_lm is the unit normalization of the real harmonic, times sqrt(2) for
+    m > 0; the caller multiplies by cos or sin of m*phi.
+    """
+    for ell in range(m, degrees):
+        if ell == m:
+            legendre = pmm
+        elif ell == m + 1:
+            below, legendre = pmm, (2 * m + 1) * u * pmm
+        else:
+            below, legendre = legendre, (
+                (2 * ell - 1) * u * legendre - (ell + m - 1) * below) / (ell - m)
+        norm = math.sqrt(
+            (2 * ell + 1) / (4.0 * math.pi)
+            * math.factorial(ell - m) / math.factorial(ell + m)
+        )
+        if m > 0:
+            norm = math.sqrt(2.0) * norm
+        yield ell, norm * legendre
 
 
 @dataclass(frozen=True)
@@ -362,27 +394,31 @@ def rbf_embed(d, tables: BasisTables) -> np.ndarray:
     return values[0] if scalar else values
 
 
-def sbf_embed(d, theta, tables: BasisTables) -> np.ndarray:
+def sbf_embed(d, theta, tables: BasisTables, *, radial=None) -> np.ndarray:
     """Distance-angle embedding, shape (..., n_shbf, n_srbf).
 
     Entry (l, n) is norm(l, n) * j_l(z_ln * d / c) * Y_l^0(theta). The array
     is a transposed view of an (n_shbf, n_srbf, len(d)) buffer: the product
     runs along the long point axis, and ``reshape(len(d), -1)`` gives the
-    column-major (points, n_shbf * n_srbf) feature without a copy.
+    column-major (points, n_shbf * n_srbf) feature without a copy. Only the
+    zonal harmonics are evaluated.
+
+    ``radial`` is the ``_radial_table`` of ``d``, shape (len(d), n_shbf,
+    n_srbf), for a caller that shares one table with ``tbf_embed``; it is
+    computed here when absent.
     """
     scalar = np.asarray(d).ndim == 0
     d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=np.float64))
     _check_distance(d_arr, tables.cutoff)
     _check_polar(theta_arr)
-    radial = _radial_table(d_arr, tables).transpose(1, 2, 0)
-    orders = np.arange(tables.n_shbf)
-    zonal = _harmonics(tables.n_shbf, theta_arr, 0.0).T[orders * orders + orders]
+    radial = _radial_rows(d_arr, tables, radial)
+    zonal = _zonal_harmonics(tables.n_shbf, theta_arr)
     out = (radial * zonal[:, None, :]).transpose(2, 0, 1)
     return out[0] if scalar else out
 
 
-def tbf_embed(d, theta, phi, tables: BasisTables) -> np.ndarray:
+def tbf_embed(d, theta, phi, tables: BasisTables, *, radial=None) -> np.ndarray:
     """Full 3D embedding, flattened over (l, m, n) in lexicographic order.
 
     Entry (l, m, n) is norm(l, n) * j_l(z_ln * d / c) * Y_l^m(theta, phi);
@@ -393,7 +429,7 @@ def tbf_embed(d, theta, phi, tables: BasisTables) -> np.ndarray:
     len(d)) buffer. Each of its rows is one radial row times one harmonic
     row, so every product runs along the long point axis, and the
     down-projection ``feature @ down`` reads the columns it needs as
-    contiguous runs.
+    contiguous runs. ``radial`` is as in ``sbf_embed``.
     """
     scalar = np.asarray(d).ndim == 0
     d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
@@ -404,7 +440,7 @@ def tbf_embed(d, theta, phi, tables: BasisTables) -> np.ndarray:
     if not np.all(np.isfinite(phi_arr)):
         raise BasisError("azimuth must be finite")
     theta_arr, phi_arr = np.broadcast_arrays(theta_arr, phi_arr)
-    radial = _radial_table(d_arr, tables).transpose(1, 2, 0)
+    radial = _radial_rows(d_arr, tables, radial)
     angular = _harmonics(tables.n_shbf, theta_arr, phi_arr).T
     out = np.empty((tables.n_shbf ** 2, tables.n_srbf, d_arr.size), dtype=np.float64)
     for ell in range(tables.n_shbf):
@@ -414,21 +450,36 @@ def tbf_embed(d, theta, phi, tables: BasisTables) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def _radial_table(d: np.ndarray, tables: BasisTables) -> np.ndarray:
+def _radial_rows(d: np.ndarray, tables: BasisTables, radial) -> np.ndarray:
+    """The (l, n, len(d)) radial rows: ``radial`` transposed, or computed."""
+    if radial is None:
+        return _radial_table(d, tables).transpose(1, 2, 0)
+    radial = np.asarray(radial, dtype=np.float64)
+    if radial.shape != (d.size, tables.n_shbf, tables.n_srbf):
+        raise BasisError(f"radial table of shape {radial.shape} does not match "
+                         f"{d.size} points and tables ({tables.n_shbf}, {tables.n_srbf})")
+    return radial.transpose(1, 2, 0)
+
+
+def _radial_table(d: np.ndarray, tables: BasisTables, index=None) -> np.ndarray:
     """norm(l, n) * j_l(z_ln * d / c) for all (l, n); shape (len(d), l, n).
 
-    The shape is a transposed view of an (l, n, len(d)) buffer, so the
-    embeddings multiply whole rows along the point axis.
+    With ``index``, the rows are those of ``d[index]`` (shape (len(index), l,
+    n)), computed from ``d`` alone: ``featurize_graph`` passes the edge
+    distances and each pair's neighbor edge, so one table per graph serves
+    both pair embeddings. The shape is a transposed view of an (l, n, rows)
+    buffer, so the embeddings multiply whole rows along the point axis.
 
-    Pair distances repeat their neighbor edge's distance, so the table is
-    evaluated once per distinct value and expanded. One Bessel recurrence up
-    to order n_shbf - 1 runs over every (l, n, distinct) argument, and block
-    l keeps row l. Each argument starts its recurrence at an order set by its
-    own value and n_shbf - 1, so a row does not depend on the other distances
-    of the call; it can differ in the last bits from evaluating order l on
-    its own, which starts lower.
+    The table is evaluated once per distinct value of ``d`` and gathered by
+    one ``np.take``. One Bessel recurrence up to order n_shbf - 1 runs over
+    every (l, n, distinct) argument, and block l keeps row l. Each argument
+    starts its recurrence at an order set by its own value and n_shbf - 1, so
+    a row does not depend on the other distances of the call; it can differ
+    in the last bits from evaluating order l on its own, which starts lower.
     """
     distinct, inverse = np.unique(d, return_inverse=True)
+    if index is not None:
+        inverse = inverse[index]
     orders = np.arange(tables.n_shbf)
     x = (tables.roots / tables.cutoff)[:, :, None] * distinct
     values = _bessel_table(tables.n_shbf - 1, x.ravel()).reshape(

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Node, Tape
-from .basis import BasisTables, rbf_embed, sbf_embed, tbf_embed, tables_for
+from .basis import BasisTables, _radial_table, rbf_embed, sbf_embed, tbf_embed, tables_for
 from .geometry import build_radius_graph, two_hop_geometry
 from .ingest import FULL, NO_TORSION, Graph3D, RunConfig
 
@@ -224,7 +224,9 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
     """Radius graph, two-hop geometry, and basis embeddings for one graph.
 
     Angle and torsion embeddings are computed only when the ablation mode
-    consumes them.
+    consumes them. Both depend on the neighbor edge's distance through the
+    same radial Bessel table, so it is computed once, over the edge
+    distances, gathered to the pairs, and passed to both as ``radial=``.
     """
     if np.any(graph.atomic_numbers > cfg.max_z):
         raise NetworkError(
@@ -235,19 +237,17 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
     hops = two_hop_geometry(graph, edges)
     edge_rbf = (rbf_embed(edges.distances, tables)
                 if edges.n_edges else np.zeros((0, cfg.n_srbf)))
-    pair_d = edges.distances[hops.pair_neighbor]
-    pair_sbf = None
-    pair_tbf = None
-    if cfg.ablation_mode in (FULL, NO_TORSION):
-        if hops.n_pairs:
-            pair_sbf = sbf_embed(pair_d, hops.theta, tables).reshape(hops.n_pairs, -1)
-        else:
-            pair_sbf = np.zeros((0, tables.sbf_size))
-    if cfg.ablation_mode == FULL:
-        if hops.n_pairs:
-            pair_tbf = tbf_embed(pair_d, hops.theta, hops.phi, tables)
-        else:
-            pair_tbf = np.zeros((0, tables.tbf_size))
+    angles = cfg.ablation_mode in (FULL, NO_TORSION)
+    torsions = cfg.ablation_mode == FULL
+    pair_sbf = np.zeros((0, tables.sbf_size)) if angles else None
+    pair_tbf = np.zeros((0, tables.tbf_size)) if torsions else None
+    if angles and hops.n_pairs:
+        pair_d = edges.distances[hops.pair_neighbor]
+        radial = _radial_table(edges.distances, tables, hops.pair_neighbor)
+        pair_sbf = sbf_embed(pair_d, hops.theta, tables,
+                             radial=radial).reshape(hops.n_pairs, -1)
+        if torsions:
+            pair_tbf = tbf_embed(pair_d, hops.theta, hops.phi, tables, radial=radial)
     return GraphFeatures(
         n_atoms=graph.n_atoms,
         n_graphs=1,

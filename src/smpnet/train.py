@@ -330,15 +330,18 @@ def fd_forces(params: ModelParams, graph: Graph3D, cfg: RunConfig,
     Returns an (n, 3) force array and the list of (atom, axis) displacements
     whose +-h configurations disagree about which atom pairs fall inside the
     cutoff; the energy is not smooth across that boundary, so those entries
-    are suspect.
+    are suspect. The edge list of a featurized graph is the (receiver,
+    sender)-ordered set of pairs within the cutoff, so two configurations
+    agree exactly when their edge arrays are equal.
     """
     if not 1e-6 <= h <= 1e-3:
         raise TrainError(f"finite-difference step must lie in [1e-6, 1e-3], got {h}")
     tables = tables if tables is not None else tables_for(cfg)
 
-    def energy(moved: Graph3D) -> float:
+    def energy(moved: Graph3D) -> tuple[float, GraphFeatures]:
         features = featurize_graph(moved, cfg, tables)
-        return float(forward_features(features, params, cfg, grad=False).predictions[0])
+        prediction = forward_features(features, params, cfg, grad=False).predictions[0]
+        return float(prediction), features
 
     base = graph.positions
     n = graph.n_atoms
@@ -348,14 +351,12 @@ def fd_forces(params: ModelParams, graph: Graph3D, cfg: RunConfig,
         for axis in range(3):
             shifted = base.copy()
             shifted[atom, axis] += h
-            plus_graph = _with_positions(graph, shifted)
-            energy_plus = energy(plus_graph)
+            energy_plus, plus = energy(_with_positions(graph, shifted))
             shifted[atom, axis] -= 2.0 * h
-            minus_graph = _with_positions(graph, shifted)
-            energy_minus = energy(minus_graph)
+            energy_minus, minus = energy(_with_positions(graph, shifted))
             forces[atom, axis] = -(energy_plus - energy_minus) / (2.0 * h)
-            if not np.array_equal(_cutoff_mask(plus_graph, cfg.cutoff_c),
-                                  _cutoff_mask(minus_graph, cfg.cutoff_c)):
+            if not (np.array_equal(plus.edge_sender, minus.edge_sender)
+                    and np.array_equal(plus.edge_receiver, minus.edge_receiver)):
                 flagged.append((atom, axis))
     return forces, flagged
 
@@ -364,14 +365,6 @@ def _with_positions(graph: Graph3D, positions: np.ndarray) -> Graph3D:
     return Graph3D(atomic_numbers=graph.atomic_numbers, positions=positions.copy(),
                    graph_target=graph.graph_target, node_targets=graph.node_targets,
                    id=graph.id)
-
-
-def _cutoff_mask(graph: Graph3D, cutoff: float) -> np.ndarray:
-    diff = graph.positions[:, None, :] - graph.positions[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    mask = dist <= cutoff
-    np.fill_diagonal(mask, False)
-    return mask
 
 
 # --- synthetic regression tasks ----------------------------------------------

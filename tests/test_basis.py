@@ -4,8 +4,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from smpnet.basis import (BasisError, bessel_roots, build_tables, rbf_embed,
-                          real_sph_harm, sbf_embed, spherical_bessel,
+from smpnet.basis import (BasisError, _radial_table, bessel_roots, build_tables,
+                          rbf_embed, real_sph_harm, sbf_embed, spherical_bessel,
                           spherical_bessel_derivative, tbf_embed)
 
 mp.mp.dps = 40
@@ -294,6 +294,43 @@ def test_repeated_distances_give_rows_of_distinct_call():
                           tbf_embed(d, theta, phi, tables)[index])
 
 
+def test_shared_radial_table_gives_standalone_embeddings():
+    # The network computes one table over edge distances and gathers it to
+    # the pairs; both embeddings must be bitwise their standalone values.
+    tables = build_tables(5.0, 6, 7)
+    rng = np.random.default_rng(43)
+    edge_d = np.concatenate([[0.02, 5.0], rng.uniform(0.1, 5.0, size=10)])
+    neighbor = rng.integers(0, edge_d.size, size=40)
+    d = edge_d[neighbor]
+    theta = rng.uniform(0.0, math.pi, size=d.size)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=d.size)
+    radial = _radial_table(edge_d, tables, neighbor)
+    assert np.array_equal(radial, _radial_table(d, tables))
+    assert np.array_equal(sbf_embed(d, theta, tables, radial=radial),
+                          sbf_embed(d, theta, tables))
+    assert np.array_equal(tbf_embed(d, theta, phi, tables, radial=radial),
+                          tbf_embed(d, theta, phi, tables))
+    single = _radial_table(np.array([2.5]), tables)
+    assert np.array_equal(sbf_embed(2.5, 0.3, tables, radial=single),
+                          sbf_embed(2.5, 0.3, tables))
+    assert np.array_equal(tbf_embed(2.5, 0.3, 1.0, tables, radial=single),
+                          tbf_embed(2.5, 0.3, 1.0, tables))
+
+
+def test_misshaped_radial_table_raises():
+    tables = build_tables(5.0, 4, 3)
+    d = np.array([0.5, 1.5, 2.5])
+    theta = np.array([0.2, 1.0, 2.0])
+    radial = _radial_table(d, tables)
+    for bad in (radial[:-1], radial[:, :-1], radial[:, :, :-1],
+                radial.reshape(d.size, -1), radial.transpose(1, 2, 0),
+                _radial_table(d, build_tables(5.0, 4, 4))):
+        with pytest.raises(BasisError):
+            sbf_embed(d, theta, tables, radial=bad)
+        with pytest.raises(BasisError):
+            tbf_embed(d, theta, 0.4, tables, radial=bad)
+
+
 def test_tbf_full_orthonormality_small_tables():
     tables = build_tables(5.0, 3, 3)
     d, wd = gauss_legendre(128, 0.0, 5.0)
@@ -353,11 +390,18 @@ INF = float("inf")
     lambda t: tbf_embed(np.array([1.0, 2.0]), np.array([0.5, NAN]), 0.1, t),
     lambda t: tbf_embed(1.0, 0.5, NAN, t),
     lambda t: tbf_embed(1.0, 0.5, INF, t),
+    lambda t: real_sph_harm(2, 1, NAN, 0.3),
+    lambda t: real_sph_harm(2, 1, 0.3, NAN),
+    lambda t: real_sph_harm(2, 0, INF),
+    lambda t: real_sph_harm(2, -1, 0.3, -INF),
+    lambda t: real_sph_harm(3, 2, np.array([0.3, NAN]), 0.1),
 ], ids=["bessel-nan", "bessel-inf", "bessel-nan-in-array", "derivative-order-minus-1",
         "derivative-order-minus-3", "derivative-order-17", "derivative-nan",
         "derivative-inf", "rbf-nan-distance", "sbf-nan-distance", "tbf-nan-distance",
         "sbf-nan-polar", "tbf-nan-polar", "tbf-nan-polar-in-array",
-        "tbf-nan-azimuth", "tbf-inf-azimuth"])
+        "tbf-nan-azimuth", "tbf-inf-azimuth", "harmonic-nan-polar",
+        "harmonic-nan-azimuth", "harmonic-inf-polar", "harmonic-minus-inf-azimuth",
+        "harmonic-nan-polar-in-array"])
 def test_non_finite_and_out_of_range_arguments_raise(call):
     with pytest.raises(BasisError):
         call(build_tables(5.0, 3, 3))

@@ -14,14 +14,15 @@ import math
 import numpy as np
 import pytest
 
+from smpnet import basis
 from smpnet.basis import (MAX_ORDER, _bessel_table, _harmonics, _radial_table,
-                          bessel_roots, build_tables, sbf_embed,
+                          _zonal_harmonics, bessel_roots, build_tables, sbf_embed,
                           spherical_bessel, spherical_bessel_derivative,
                           tables_for, tbf_embed)
 from smpnet.geometry import (COLLINEAR_PROJECTION_EPS, build_radius_graph,
                              build_two_hop_index, compute_torsions,
                              two_hop_geometry)
-from smpnet.ingest import Graph3D, RunConfig
+from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
 from smpnet.network import featurize_graph, merge_features
 from smpnet.train import ablation_config
 
@@ -314,15 +315,26 @@ def test_embedding_rows_do_not_depend_on_batch_mates():
     assert np.array_equal(tbf_embed(*both, tables)[:d.size], tbf_embed(d, theta, phi, tables))
 
 
+def pendant_graph(cutoff):
+    """A zigzag chain whose end atoms have one neighbor each: the edges into
+    them are no pair's neighbor edge."""
+    bond = 0.6 * cutoff
+    positions = [[0.0, 0.0, 0.0], [bond, 0.0, 0.0],
+                 [1.5 * bond, 0.5 * math.sqrt(3.0) * bond, 0.0],
+                 [2.5 * bond, 0.5 * math.sqrt(3.0) * bond, 0.2 * bond]]
+    return Graph3D(np.array([1, 2, 1, 2]), np.array(positions), id="pendant")
+
+
 @pytest.mark.parametrize("cfg", [RunConfig(), ablation_config()],
                          ids=["default", "ablation"])
 def test_featurized_pair_bases_are_column_major_references(cfg):
     # One graph without pairs among the parts: merging must keep the
-    # column-major order all the same.
+    # column-major order all the same. The pendant chain has edges whose
+    # rows of the shared radial table no pair reads.
     tables = tables_for(cfg)
     rng = np.random.default_rng(31)
     graphs = [random_graph(rng, n_atoms=n, box=1.5) for n in (6, 2, 8)]
-    parts = [featurize_graph(g, cfg) for g in graphs]
+    graphs.append(pendant_graph(cfg.cutoff_c))
     sbf_rows, tbf_rows = [], []
     for graph in graphs:
         edges = build_radius_graph(graph, cfg.cutoff_c)
@@ -330,10 +342,48 @@ def test_featurized_pair_bases_are_column_major_references(cfg):
         d = edges.distances[hops.pair_neighbor]
         sbf_rows.append(reference_sbf(d, hops.theta, tables).reshape(d.size, tables.sbf_size))
         tbf_rows.append(reference_tbf(d, hops.theta, hops.phi, tables))
-    assert parts[1].n_pairs == 0 and parts[0].n_pairs and parts[2].n_pairs
-    merged = merge_features(parts)
-    for feats, sbf, tbf in zip(parts + [merged], sbf_rows + [np.concatenate(sbf_rows)],
-                               tbf_rows + [np.concatenate(tbf_rows)]):
-        for value, expected in ((feats.pair_sbf, sbf), (feats.pair_tbf, tbf)):
-            assert value.flags.f_contiguous
-            assert np.array_equal(value, expected)
+    for mode in (FULL, NO_TORSION):
+        parts = [featurize_graph(g, cfg.replace(ablation_mode=mode)) for g in graphs]
+        assert parts[1].n_pairs == 0 and parts[1].n_edges
+        assert all(part.n_pairs for part in parts[:1] + parts[2:])
+        unread = np.setdiff1d(np.arange(parts[3].n_edges), parts[3].pair_neighbor)
+        assert unread.size == 2
+        merged = merge_features(parts)
+        for feats, sbf, tbf in zip(parts + [merged], sbf_rows + [np.concatenate(sbf_rows)],
+                                   tbf_rows + [np.concatenate(tbf_rows)]):
+            expected = ((feats.pair_sbf, sbf), (feats.pair_tbf, tbf))
+            if mode == NO_TORSION:
+                assert feats.pair_tbf is None
+                expected = expected[:1]
+            for value, reference in expected:
+                assert value.flags.f_contiguous
+                assert np.array_equal(value, reference)
+
+
+@pytest.mark.parametrize("mode, tables_built", [(FULL, 1), (NO_TORSION, 1),
+                                                (NO_ANGLE_TORSION, 0)])
+def test_featurize_builds_one_radial_table_per_graph(monkeypatch, mode, tables_built):
+    cfg = RunConfig(ablation_mode=mode)
+    tables = tables_for(cfg)
+    graph = random_graph(np.random.default_rng(37), n_atoms=6, box=1.5)
+    calls = []
+    bessel_table = basis._bessel_table
+
+    def counted(*args):
+        calls.append(args)
+        return bessel_table(*args)
+
+    monkeypatch.setattr(basis, "_bessel_table", counted)
+    features = featurize_graph(graph, cfg, tables)
+    assert features.n_pairs
+    assert len(calls) == tables_built
+
+
+def test_zonal_pass_matches_sweep_columns():
+    rng = np.random.default_rng(41)
+    theta = np.concatenate([[0.0, np.pi, 0.5 * np.pi], rng.uniform(0.0, np.pi, 200)])
+    for degrees in (1, 2, 7, MAX_ORDER + 1):
+        orders = np.arange(degrees)
+        sweep = _harmonics(degrees, theta, rng.uniform(0.0, 2.0 * np.pi, theta.size))
+        assert np.array_equal(_zonal_harmonics(degrees, theta),
+                              sweep[:, orders * orders + orders].T)

@@ -5,7 +5,7 @@ import pytest
 
 import smpnet.train as T
 from smpnet.geometry import rigid_transform
-from smpnet.ingest import FULL, NO_ANGLE_TORSION, RunConfig
+from smpnet.ingest import FULL, NO_ANGLE_TORSION, Graph3D, RunConfig
 from smpnet.network import init_params
 
 from conftest import random_graph
@@ -306,6 +306,43 @@ def test_fd_forces_flags_cutoff_crossings(tiny_cfg):
     g = g.__class__(g.atomic_numbers, positions, id="edge")
     _, flagged = T.fd_forces(params, g, cfg, h=1e-4)
     assert (0, 0) in flagged or (1, 0) in flagged
+
+
+def mask_flags(graph, cutoff, h):
+    """Oracle: displacements whose +h and -h all-pairs cutoff masks differ."""
+    def mask(positions):
+        diff = positions[:, None, :] - positions[None, :, :]
+        inside = np.sqrt(np.sum(diff * diff, axis=-1)) <= cutoff
+        np.fill_diagonal(inside, False)
+        return inside
+
+    flagged = []
+    for atom in range(graph.n_atoms):
+        for axis in range(3):
+            shifted = graph.positions.copy()
+            shifted[atom, axis] += h
+            plus = mask(shifted)
+            shifted[atom, axis] -= 2.0 * h
+            if not np.array_equal(plus, mask(shifted)):
+                flagged.append((atom, axis))
+    return flagged
+
+
+@pytest.mark.parametrize("near", [True, False], ids=["pair-within-h", "far-from-cutoff"])
+def test_fd_forces_flags_match_cutoff_mask_oracle(tiny_cfg, near):
+    h = 1e-4
+    cutoff = tiny_cfg.cutoff_c
+    # Atoms 0 and 1 lie h/2 inside the cutoff in the first graph, so moving
+    # either of them along x crosses it; every other distance is far from it.
+    gap = cutoff - 0.5 * h if near else 0.5 * cutoff
+    positions = np.array([[0.0, 0.0, 0.0], [gap, 0.0, 0.0], [0.4, 1.1, 0.0],
+                          [0.9, 0.5, 1.3]])
+    g = Graph3D(np.array([1, 6, 1, 6]), positions, graph_target=0.0, id="cutoff")
+    params = init_params(tiny_cfg, seed=13)
+    _, flagged = T.fd_forces(params, g, tiny_cfg, h=h)
+    expected = mask_flags(g, cutoff, h)
+    assert flagged == expected
+    assert expected == ([(0, 0), (1, 0)] if near else [])
 
 
 # --- synthetic tasks -------------------------------------------------------------------
