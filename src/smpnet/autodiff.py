@@ -82,7 +82,11 @@ class Tape:
         return Node(np.asarray(value, dtype=np.float64))
 
     def backward(self, output: Node, upstream: np.ndarray):
-        """Accumulate d(output)/d(leaf) * upstream into every node's .grad."""
+        """Accumulate d(output)/d(leaf) * upstream into every leaf's .grad.
+
+        An interior node's cotangent is freed as soon as its vjps have run,
+        so only the cotangents still awaiting their node are alive at once.
+        """
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != output.value.shape:
             raise ValueError(
@@ -101,6 +105,8 @@ class Tape:
                     parent.grad = contribution if fresh else contribution.copy()
                 else:
                     parent.grad += contribution
+            if node.parents:
+                node.grad = None
 
     # --- operations ------------------------------------------------------
 

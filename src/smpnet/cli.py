@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed (default: config value)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker-parallelism cap; outputs do not depend on it")
+                       help="accepted for compatibility; has no effect "
+                            "(everything runs in one thread)")
 
     p = sub.add_parser("featurize", help="emit per-pair geometry (d, theta, phi) as CSV")
     p.add_argument("--input", required=True, help="XYZ file, one or more frames")
@@ -187,8 +188,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"--valid-fraction must lie in [0, 1), got {args.valid_fraction}")
     cfg = _session_config(args)
     dataset = _load_dataset(args)
-    result = train(dataset, cfg, threads=args.threads,
-                   valid_fraction=args.valid_fraction)
+    result = train(dataset, cfg, valid_fraction=args.valid_fraction)
     save_model(result.params, args.out_model)
     if args.log:
         _write_text(args.log, format_epoch_log(result.log))
@@ -201,7 +201,7 @@ def cmd_eval(args) -> int:
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
     dataset = _load_dataset(args)
-    report = evaluate(params, dataset, cfg, threads=args.threads)
+    report = evaluate(params, dataset, cfg)
     _write_text(args.out, format_metric_report(report))
     return EXIT_OK
 
@@ -212,8 +212,7 @@ def cmd_ablate(args) -> int:
     if args.train_size < 64 or args.test_size < 1:
         raise UsageError("--train-size must be >= 64 and --test-size >= 1")
     report = run_ablation(task=args.task, epochs=args.epochs, n_seeds=args.seeds,
-                          train_size=args.train_size, test_size=args.test_size,
-                          threads=args.threads)
+                          train_size=args.train_size, test_size=args.test_size)
     by_seed = {}
     for run in report.runs:
         by_seed.setdefault(run.seed, {})[run.mode] = run.test_mae

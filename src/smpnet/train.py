@@ -1,17 +1,18 @@
 """Optimization, metrics, finite-difference forces, and synthetic tasks.
 
 Training is sequential over optimizer steps; each mini-batch runs as one
-merged forward/backward over the disjoint union of its graphs. Worker
-threads only parallelize featurization and evaluation, and results are
-always reduced in dataset order, so outputs are bit-identical for any
-thread count.
+merged forward/backward over the disjoint union of its graphs. Inference
+streams: graphs are featurized one at a time and run in chunks closed at
+``CHUNK_BUDGET`` pairs plus edges, and a chunk's features are released before
+the next graph is featurized, so memory follows the largest chunk rather than
+the dataset. Everything runs in one thread; the ``threads`` arguments are
+accepted for compatibility and have no effect.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +33,16 @@ _SHUFFLE_TAG = 202
 _TASK_TAG = 303
 
 SYNTHETIC_TASKS = ("torsion", "angles", "lengths")
+
+# Pairs plus edges at which an inference chunk closes: graphs join a chunk
+# until their sum reaches it. Inference memory follows the pairs of the
+# largest chunk (one row of n_shbf² · n_srbf torsion features per pair), not
+# the dataset. On perfbench's clusters-eval clusters (2.7k, 7.3k, 11.6k and
+# 45k pairs plus edges, default config) every budget from 2048 to 16384 gave
+# a 260-270 MB peak RSS and 0.74-1.0 s per evaluate, the largest cluster
+# being a chunk of its own; 32768 and up, one chunk, gave 503-512 MB. The
+# largest budget of the flat range keeps small graphs in long batches.
+CHUNK_BUDGET = 16384
 
 
 class TrainError(RuntimeError):
@@ -156,36 +167,43 @@ def adam_step(params: ModelParams, opt: OptimState, lr: float):
     opt.lr = lr
 
 
-def _featurize_all(dataset: Sequence[Graph3D], cfg: RunConfig,
-                   tables: BasisTables, threads: int) -> list[GraphFeatures]:
-    if threads <= 1 or len(dataset) < 2:
-        return [featurize_graph(g, cfg, tables) for g in dataset]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda g: featurize_graph(g, cfg, tables), dataset))
+def _stream_predictions(features: Iterable[GraphFeatures], params: ModelParams,
+                        cfg: RunConfig) -> np.ndarray:
+    """Ordered predictions over chunks of at least ``CHUNK_BUDGET`` pairs plus edges.
 
-
-def _predict_features(features: list[GraphFeatures], params: ModelParams,
-                      cfg: RunConfig, threads: int, chunk: int = 64) -> np.ndarray:
-    """Ordered predictions; chunking is fixed so results ignore thread count."""
-    chunks = [features[i:i + chunk] for i in range(0, len(features), chunk)]
-
-    def run(part: list[GraphFeatures]) -> np.ndarray:
-        return forward_features(merge_features(part), params, cfg, grad=False).predictions
-
-    if threads <= 1 or len(chunks) < 2:
-        outputs = [run(part) for part in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(run, chunks))
+    ``features`` may be a lazy iterable: each chunk runs as soon as it is
+    full, and drops its features before the next item is drawn.
+    """
+    outputs = []
+    chunk: list[GraphFeatures] = []
+    size = 0
+    for part in features:
+        chunk.append(part)
+        size += part.n_pairs + part.n_edges
+        del part   # else the name holds the graph while the next is featurized
+        if size >= CHUNK_BUDGET:
+            outputs.append(_predict_chunk(chunk, params, cfg))
+            chunk, size = [], 0
+    if chunk:
+        outputs.append(_predict_chunk(chunk, params, cfg))
     return np.concatenate(outputs) if outputs else np.zeros(0)
+
+
+def _predict_chunk(chunk: list[GraphFeatures], params: ModelParams,
+                   cfg: RunConfig) -> np.ndarray:
+    return forward_features(merge_features(chunk), params, cfg, grad=False).predictions
 
 
 def predict(params: ModelParams, dataset: Sequence[Graph3D], cfg: RunConfig,
             threads: int = 1, tables: Optional[BasisTables] = None) -> np.ndarray:
-    """Graph-scalar predictions for a dataset, in dataset order."""
+    """Graph-scalar predictions for a dataset, in dataset order.
+
+    Graphs are featurized lazily and streamed through ``CHUNK_BUDGET``-sized
+    chunks. ``threads`` has no effect.
+    """
     tables = tables if tables is not None else tables_for(cfg)
-    features = _featurize_all(dataset, cfg, tables, threads)
-    return _predict_features(features, params, cfg, threads)
+    return _stream_predictions((featurize_graph(g, cfg, tables) for g in dataset),
+                               params, cfg)
 
 
 def evaluate(params: ModelParams, dataset: Sequence[Graph3D], cfg: RunConfig,
@@ -193,17 +211,18 @@ def evaluate(params: ModelParams, dataset: Sequence[Graph3D], cfg: RunConfig,
     """MAE, std-normalized MAE, and the within-threshold fraction.
 
     std_mae divides the MAE by the evaluation set's target standard
-    deviation; a zero-variance target makes that undefined and raises.
+    deviation; a zero-variance target makes that undefined and raises before
+    any graph is featurized. ``threads`` has no effect.
     """
     if not dataset:
         raise TrainError("cannot evaluate on an empty dataset")
     targets = _targets_of(dataset)
-    preds = predict(params, dataset, cfg, threads=threads, tables=tables)
-    errors = np.abs(preds - targets)
-    mae = float(np.mean(errors))
     spread = float(np.std(targets))
     if spread == 0.0:
         raise MetricError("std_mae undefined: evaluation targets have zero variance")
+    preds = predict(params, dataset, cfg, tables=tables)
+    errors = np.abs(preds - targets)
+    mae = float(np.mean(errors))
     return MetricReport(
         mae=mae,
         std_mae=mae / spread,
@@ -237,14 +256,15 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
 
     Shuffling is keyed to (seed, epoch); the best checkpoint by validation
     MAE (train MAE when the validation split is empty) is retained. A
-    non-finite loss aborts with the offending step index.
+    non-finite loss aborts with the offending step index. Validation runs in
+    the chunks of ``predict``. ``threads`` has no effect.
     """
     if not dataset:
         raise TrainError("cannot train on an empty dataset")
     seed = cfg.seed if seed is None else seed
     targets = _targets_of(dataset)
     tables = tables_for(cfg)
-    features = _featurize_all(dataset, cfg, tables, threads)
+    features = [featurize_graph(g, cfg, tables) for g in dataset]
     if split is None:
         train_idx, valid_idx = split_dataset(len(dataset), valid_fraction, seed)
         if train_idx.size == 0:
@@ -289,7 +309,7 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
             step += 1
         train_mae = abs_error_sum / order.size
         if valid_idx.size:
-            valid_preds = _predict_features(valid_features, params, cfg, threads)
+            valid_preds = _stream_predictions(valid_features, params, cfg)
             valid_mae = float(np.mean(np.abs(valid_preds - valid_targets)))
             score = valid_mae
         else:
@@ -507,7 +527,7 @@ class AblationReport:
 
 def run_ablation(task: str = "torsion", epochs: int = 200, n_seeds: int = 3,
                  train_size: int = 512, test_size: int = 128,
-                 cfg: Optional[RunConfig] = None, threads: int = 1) -> AblationReport:
+                 cfg: Optional[RunConfig] = None) -> AblationReport:
     """Train all three geometry modes on a synthetic task across seeds.
 
     Train and test sets are drawn from one stream and split off the front,
@@ -521,9 +541,9 @@ def run_ablation(task: str = "torsion", epochs: int = 200, n_seeds: int = 3,
         test_set = samples[train_size:]
         for mode in (FULL, NO_TORSION, NO_ANGLE_TORSION):
             mode_cfg = base.replace(ablation_mode=mode, max_epochs=epochs, seed=seed)
-            result = train(train_set, mode_cfg, seed=seed, threads=threads)
+            result = train(train_set, mode_cfg, seed=seed)
             test_targets = _targets_of(test_set)
-            preds = predict(result.params, test_set, mode_cfg, threads=threads)
+            preds = predict(result.params, test_set, mode_cfg)
             test_mae = float(np.mean(np.abs(preds - test_targets)))
             report.runs.append(AblationRun(mode=mode, seed=seed, test_mae=test_mae))
     return report

@@ -4,7 +4,9 @@ import pytest
 import smpnet.autodiff as autodiff
 from smpnet.autodiff import Tape, scatter_rows
 
-from conftest import per_block_matmul, unfused_pair_aggregate
+from smpnet.network import featurize_graph, forward_features, init_params, merge_features
+
+from conftest import per_block_matmul, random_graph, unfused_pair_aggregate
 
 
 def numeric_grad(build, values, h=1e-6):
@@ -179,6 +181,42 @@ def test_backward_is_repeatable():
     first = leaf.grad.copy()
     tape.backward(out, np.ones((1, 2)))
     assert np.array_equal(first, leaf.grad)
+
+
+def retained_backward(tape, output, upstream):
+    """The reverse sweep that keeps every node's cotangent until it ends."""
+    for node in tape.nodes:
+        node.grad = None
+    output.grad = upstream.copy()
+    for node in reversed(tape.nodes):
+        if node.grad is None:
+            continue
+        for parent, vjp, fresh in node.parents:
+            contribution = vjp(node.grad)
+            if parent.grad is None:
+                parent.grad = contribution if fresh else contribution.copy()
+            else:
+                parent.grad += contribution
+
+
+def test_backward_frees_interior_cotangents(tiny_cfg):
+    # A whole network forward (gathers, stacked products, the fused pair op,
+    # reused nodes): after the sweep only leaves hold a cotangent, and theirs
+    # are bitwise those of the sweep that keeps every cotangent.
+    params = init_params(tiny_cfg, seed=61)
+    rng = np.random.default_rng(67)
+    merged = merge_features([featurize_graph(random_graph(rng, n_atoms=n), tiny_cfg)
+                             for n in (4, 5, 6)])
+    upstream = rng.normal(size=3)
+    swept, retained = (forward_features(merged, params, tiny_cfg) for _ in range(2))
+    swept.context.tape.backward(swept.prediction, upstream)
+    retained_backward(retained.context.tape, retained.prediction, upstream)
+    interior = [node for node in swept.context.tape.nodes if node.parents]
+    assert interior and all(node.grad is None for node in interior)
+    for name, leaf in swept.context.leaves.items():
+        expected = retained.context.leaves[name].grad
+        assert (leaf.grad is None and expected is None) or np.array_equal(leaf.grad, expected)
+    assert any(leaf.grad is not None for leaf in swept.context.leaves.values())
 
 
 # --- fused pair aggregation ------------------------------------------------------

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import smpnet.train as T
 from smpnet.geometry import rigid_transform
-from smpnet.ingest import FULL, NO_ANGLE_TORSION, Graph3D, RunConfig
-from smpnet.network import init_params
+from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
+from smpnet.network import featurize_graph, init_params
 
 from conftest import random_graph
 
@@ -162,14 +163,19 @@ def test_ewt_threshold_counts():
     assert float(np.mean(errors < 0.02)) == 0.5
 
 
-def test_evaluate_zero_variance_rejected(tiny_cfg):
+def test_evaluate_zero_variance_rejected(tiny_cfg, monkeypatch):
+    # Rejected from the targets alone, before any graph is featurized.
     params = init_params(tiny_cfg, seed=6)
     rng = np.random.default_rng(1)
     g = random_graph(rng, n_atoms=3, max_z=tiny_cfg.max_z)
     labeled = [g.__class__(g.atomic_numbers, g.positions, graph_target=1.0, id=str(i))
                for i in range(3)]
+    featurized = []
+    monkeypatch.setattr(T, "featurize_graph",
+                        lambda *args, **kwargs: featurized.append(args[0]))
     with pytest.raises(T.MetricError, match="zero variance"):
         T.evaluate(params, labeled, tiny_cfg)
+    assert featurized == []
 
 
 def test_metrics_invariant_to_order_and_batching(tiny_cfg):
@@ -183,6 +189,74 @@ def test_metrics_invariant_to_order_and_batching(tiny_cfg):
     assert report.ewt == report2.ewt
     threaded = T.evaluate(params, graphs, tiny_cfg, threads=4)
     assert threaded == report
+
+
+# --- streamed inference ------------------------------------------------------------
+
+def pair_less_graph():
+    """Two atoms: one edge each way and no two-hop pair."""
+    return Graph3D(np.array([1, 2]), np.array([[0.0, 0.0, 0.0], [1.2, 0.0, 0.0]]),
+                   graph_target=0.5, id="pair-less")
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_chunked_predictions_match_single_chunk(tiny_cfg, monkeypatch, mode):
+    cfg = tiny_cfg.replace(ablation_mode=mode)
+    params = init_params(cfg, seed=71)
+    rng = np.random.default_rng(73)
+    graphs = [random_graph(rng, n_atoms=n, max_z=cfg.max_z) for n in (3, 6, 1, 5)]
+    graphs.insert(2, pair_less_graph())
+    graphs += [random_graph(rng, n_atoms=n, max_z=cfg.max_z) for n in (4, 2, 6)]
+    with_edges = sum(featurize_graph(g, cfg).n_edges > 0 for g in graphs)
+    chunk_sizes = []
+    merge = T.merge_features
+
+    def spy(parts):
+        chunk_sizes.append(len(parts))
+        return merge(parts)
+
+    monkeypatch.setattr(T, "merge_features", spy)
+    runs = {}
+    for budget in (10 ** 9, 40, 1):
+        monkeypatch.setattr(T, "CHUNK_BUDGET", budget)
+        chunk_sizes.clear()
+        runs[budget] = T.predict(params, graphs, cfg)
+        assert sum(chunk_sizes) == len(graphs)
+        if budget == 1:   # a chunk closes at every graph with an edge
+            assert len(chunk_sizes) == with_edges < len(graphs)
+        elif budget > 1000:
+            assert chunk_sizes == [len(graphs)]
+        else:
+            assert 1 < len(chunk_sizes) < len(graphs)
+    for budget in (40, 1):
+        np.testing.assert_allclose(runs[budget], runs[10 ** 9], rtol=1e-12, atol=0)
+
+
+def test_predict_empty_dataset(tiny_cfg):
+    params = init_params(tiny_cfg, seed=79)
+    assert T.predict(params, [], tiny_cfg).shape == (0,)
+
+
+def test_predict_memory_does_not_grow_with_dataset(tiny_cfg):
+    # One 30-atom cluster is over the chunk budget on its own, so streaming
+    # holds one graph's features at a time whatever the dataset length.
+    cfg = tiny_cfg.replace(cutoff_c=5.0)
+    params = init_params(cfg, seed=83)
+    graph = random_graph(np.random.default_rng(89), n_atoms=30, max_z=cfg.max_z)
+    features = featurize_graph(graph, cfg)
+    assert features.n_pairs + features.n_edges >= T.CHUNK_BUDGET
+    del features
+    T.predict(params, [graph], cfg)   # builds the cached basis tables
+
+    def peak(copies):
+        tracemalloc.start()
+        try:
+            T.predict(params, [graph] * copies, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(8) <= 1.2 * peak(2)
 
 
 # --- training loop -----------------------------------------------------------------
