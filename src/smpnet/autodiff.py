@@ -71,9 +71,16 @@ class Tape:
             self.nodes.append(node)
         return node
 
-    def leaf(self, value: np.ndarray) -> Node:
-        """A differentiable input (parameters); gradients settle here."""
-        node = Node(np.asarray(value, dtype=np.float64), needs_grad=True)
+    def leaf(self, value: np.ndarray, grad: np.ndarray = None) -> Node:
+        """A differentiable input (a parameter) whose gradient is added into ``grad``.
+
+        ``grad`` becomes the leaf's ``.grad`` buffer; without one the tape
+        allocates zeros. ``backward`` adds into the buffer and never resets it,
+        so it holds the sum over every sweep since the caller last zeroed it.
+        """
+        value = np.asarray(value, dtype=np.float64)
+        node = Node(value, needs_grad=True)
+        node.grad = np.zeros_like(value) if grad is None else grad
         self.nodes.append(node)
         return node
 
@@ -82,10 +89,13 @@ class Tape:
         return Node(np.asarray(value, dtype=np.float64))
 
     def backward(self, output: Node, upstream: np.ndarray):
-        """Accumulate d(output)/d(leaf) * upstream into every leaf's .grad.
+        """Add d(output)/d(leaf) * upstream into every leaf's .grad buffer.
 
-        An interior node's cotangent is freed as soon as its vjps have run,
-        so only the cotangents still awaiting their node are alive at once.
+        Only interior cotangents start from nothing; each leaf contribution
+        is added with ``+=`` into the buffer as it stands, in the fixed
+        reversed tape order. An interior node's cotangent is freed as soon as
+        its vjps have run, so only the cotangents still awaiting their node
+        are alive at once.
         """
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != output.value.shape:
@@ -94,10 +104,14 @@ class Tape:
                 f"output shape {output.value.shape}"
             )
         for node in self.nodes:
-            node.grad = None
-        output.grad = upstream.copy()
+            if node.parents:
+                node.grad = None
+        if output.parents:
+            output.grad = upstream.copy()
+        elif output.needs_grad:
+            output.grad += upstream
         for node in reversed(self.nodes):
-            if node.grad is None:
+            if node.grad is None or not node.parents:
                 continue
             for parent, vjp, fresh in node.parents:
                 contribution = vjp(node.grad)
@@ -105,8 +119,7 @@ class Tape:
                     parent.grad = contribution if fresh else contribution.copy()
                 else:
                     parent.grad += contribution
-            if node.parents:
-                node.grad = None
+            node.grad = None
 
     # --- operations ------------------------------------------------------
 

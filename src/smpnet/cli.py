@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .basis import (BasisError, build_tables, rbf_embed, sbf_embed, tbf_embed,
-                    tables_for)
+from .basis import BasisError, build_tables, rbf_embed, sbf_embed, tbf_embed
 from .geometry import GeometryError, build_radius_graph, two_hop_geometry
 from .ingest import (ABLATION_MODES, IngestError, RunConfig, load_config,
                      load_manifest, load_xyz)
@@ -270,13 +269,11 @@ def cmd_export_filters(args) -> int:
     if not args.phi:
         raise UsageError("--phi must contain at least one sample")
     params, cfg = load_model(args.model)
-    tables = tables_for(cfg)
-    c = tables.cutoff
-    d_values = c * (np.arange(1, args.d_samples + 1) / (args.d_samples + 1))
+    d_values = cfg.cutoff_c * (np.arange(1, args.d_samples + 1) / (args.d_samples + 1))
     theta_values = np.linspace(0.0, math.pi, args.theta_samples)
     header, rows = export_filters(params, cfg, d_values, theta_values,
                                   np.asarray(args.phi, dtype=np.float64),
-                                  channels=args.channels, tables=tables)
+                                  channels=args.channels)
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(value) for value in row))

@@ -42,7 +42,7 @@ import numpy as np
 from .autodiff import Node, Tape
 from .basis import BasisTables, _radial_table, rbf_embed, sbf_embed, tbf_embed, tables_for
 from .geometry import build_radius_graph, two_hop_geometry
-from .ingest import FULL, NO_TORSION, Graph3D, RunConfig
+from .ingest import FULL, NO_TORSION, Graph3D, IngestError, RunConfig
 
 FORMAT_MAGIC = b"SMPNET01"
 FORMAT_VERSION = 1
@@ -122,7 +122,9 @@ class ModelParams:
     Shapes are fully determined by the config; construction audits every
     tensor against the directory and fails fast on any mismatch. Tensors and
     their gradients are views into two flat buffers, so the optimizer can
-    update everything with a handful of vectorized operations.
+    update everything with a handful of vectorized operations. ``grads`` is
+    the one gradient store: a taped forward binds each parameter leaf to its
+    view, and the backward sweep adds into ``flat_grads`` directly.
     """
 
     def __init__(self, cfg: RunConfig, values: dict[str, np.ndarray]):
@@ -156,10 +158,6 @@ class ModelParams:
 
     def zero_grads(self):
         self.flat_grads.fill(0.0)
-
-    def accumulate(self, contributions: dict[str, np.ndarray]):
-        for name, grad in contributions.items():
-            self.grads[name] += grad
 
     def clone(self) -> "ModelParams":
         return ModelParams(self.cfg, self.values)
@@ -203,7 +201,6 @@ class GraphFeatures:
     graph_ids: np.ndarray
     edge_sender: np.ndarray
     edge_receiver: np.ndarray
-    edge_dist: np.ndarray
     edge_rbf: np.ndarray
     pair_edge: np.ndarray
     pair_neighbor: np.ndarray
@@ -229,7 +226,7 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
     distances, gathered to the pairs, and passed to both as ``radial=``.
     """
     if np.any(graph.atomic_numbers > cfg.max_z):
-        raise NetworkError(
+        raise IngestError(
             f"graph {graph.id!r} contains atomic numbers above max_z={cfg.max_z}"
         )
     tables = tables if tables is not None else tables_for(cfg)
@@ -255,7 +252,6 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
         graph_ids=np.zeros(graph.n_atoms, dtype=np.int64),
         edge_sender=edges.senders,
         edge_receiver=edges.receivers,
-        edge_dist=edges.distances,
         edge_rbf=edge_rbf,
         pair_edge=hops.pair_edge,
         pair_neighbor=hops.pair_neighbor,
@@ -280,8 +276,8 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
     edge_offset = 0
     graph_offset = 0
     chunks = {name: [] for name in (
-        "atomic_numbers", "graph_ids", "edge_sender", "edge_receiver", "edge_dist",
-        "edge_rbf", "pair_edge", "pair_neighbor", "pair_sbf", "pair_tbf",
+        "atomic_numbers", "graph_ids", "edge_sender", "edge_receiver", "edge_rbf",
+        "pair_edge", "pair_neighbor", "pair_sbf", "pair_tbf",
     )}
     has_sbf = parts[0].pair_sbf is not None
     has_tbf = parts[0].pair_tbf is not None
@@ -290,7 +286,6 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
         chunks["graph_ids"].append(part.graph_ids + graph_offset)
         chunks["edge_sender"].append(part.edge_sender + node_offset)
         chunks["edge_receiver"].append(part.edge_receiver + node_offset)
-        chunks["edge_dist"].append(part.edge_dist)
         chunks["edge_rbf"].append(part.edge_rbf)
         chunks["pair_edge"].append(part.pair_edge + edge_offset)
         chunks["pair_neighbor"].append(part.pair_neighbor + edge_offset)
@@ -308,7 +303,6 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
         graph_ids=np.concatenate(chunks["graph_ids"]),
         edge_sender=np.concatenate(chunks["edge_sender"]),
         edge_receiver=np.concatenate(chunks["edge_receiver"]),
-        edge_dist=np.concatenate(chunks["edge_dist"]),
         edge_rbf=np.concatenate(chunks["edge_rbf"]),
         pair_edge=np.concatenate(chunks["pair_edge"]),
         pair_neighbor=np.concatenate(chunks["pair_neighbor"]),
@@ -325,13 +319,6 @@ def _concat_column_major(arrays: list[np.ndarray]) -> np.ndarray:
     transposes fixes the order whatever the parts.
     """
     return np.concatenate([a.T for a in arrays], axis=1).T
-
-
-@dataclass
-class MessageState:
-    """Per-edge messages between blocks."""
-
-    messages: Node
 
 
 @dataclass
@@ -384,8 +371,11 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
     theirs.
     """
     tape = Tape()
-    enter = tape.leaf if grad else tape.constant
-    leaves = {name: enter(value) for name, value in params.values.items()}
+    if grad:
+        leaves = {name: tape.leaf(value, params.grads[name])
+                  for name, value in params.values.items()}
+    else:
+        leaves = {name: tape.constant(value) for name, value in params.values.items()}
     gate_features = {}
     if cfg.ablation_mode in (FULL, NO_TORSION):
         gate_features["sbf"] = features.pair_sbf
@@ -398,7 +388,7 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
                           gate_inputs=gate_inputs)
 
 
-def embedding_block(ctx: ForwardContext) -> MessageState:
+def embedding_block(ctx: ForwardContext) -> Node:
     """Initial messages from sender/receiver embeddings and the edge distance."""
     tape, feats = ctx.tape, ctx.features
     atoms = tape.gather(ctx.leaves["atom_embed"], feats.atomic_numbers)
@@ -408,10 +398,10 @@ def embedding_block(ctx: ForwardContext) -> MessageState:
     merged = tape.concat([senders, receivers, encoded])
     messages = _dense(ctx, "input.merge", merged, activation=True)
     _check_finite(messages, "embedding block")
-    return MessageState(messages=messages)
+    return messages
 
 
-def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> MessageState:
+def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
     """One message update: gated geometry aggregation plus a transform branch.
 
     Each active geometry type contributes an additive term
@@ -431,13 +421,12 @@ def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> M
     sorted, so each edge sums its pairs in the same order).
     """
     tape, feats, cfg = ctx.tape, ctx.features, ctx.cfg
-    if state.messages.value.shape[0] != feats.n_edges:
+    if messages.value.shape[0] != feats.n_edges:
         raise NetworkError(
-            f"message state has {state.messages.value.shape[0]} rows but the "
+            f"messages have {messages.value.shape[0]} rows but the "
             f"two-hop index describes {feats.n_edges} edges"
         )
     prefix = f"inter{block}."
-    messages = state.messages
 
     distance_term = tape.mul(
         _bottleneck(ctx, prefix + "rbf", tape.constant(feats.edge_rbf)),
@@ -461,14 +450,14 @@ def interaction_block(ctx: ForwardContext, state: MessageState, block: int) -> M
         inner = _dense(ctx, prefix + f"res{r}.b", inner, activation=True)
         updated = tape.add(updated, inner)
     _check_finite(updated, f"interaction block {block}")
-    return MessageState(messages=updated)
+    return updated
 
 
-def output_block(ctx: ForwardContext, state: MessageState) -> tuple[Node, Node]:
+def output_block(ctx: ForwardContext, messages: Node) -> tuple[Node, Node]:
     """Pool distance-gated messages per node, then sum node readouts per graph."""
     tape, feats = ctx.tape, ctx.features
     gate = _bottleneck(ctx, "output.rbf", tape.constant(feats.edge_rbf))
-    gated = tape.mul(gate, state.messages)
+    gated = tape.mul(gate, messages)
     pooled = tape.segment_sum(gated, feats.edge_receiver, feats.n_atoms)
     nodes = _dense(ctx, "output.node", pooled, activation=True)
     hidden = _dense(ctx, "output.read1", nodes, activation=True)
@@ -488,43 +477,38 @@ def forward_features(features: GraphFeatures, params: ModelParams,
     the same, bit for bit, and ``backward`` has nothing to sweep.
     """
     ctx = begin_forward(features, params, cfg, grad)
-    state = embedding_block(ctx)
+    messages = embedding_block(ctx)
     for block in range(cfg.num_interaction_blocks):
-        state = interaction_block(ctx, state, block)
-    _, prediction = output_block(ctx, state)
+        messages = interaction_block(ctx, messages, block)
+    _, prediction = output_block(ctx, messages)
     return ForwardCache(context=ctx, prediction=prediction, params=params)
 
 
-def forward(graph: Graph3D, params: ModelParams, cfg: RunConfig,
-            tables: Optional[BasisTables] = None) -> tuple[float, ForwardCache]:
+def forward(graph: Graph3D, params: ModelParams,
+            cfg: RunConfig) -> tuple[float, ForwardCache]:
     """Predict the graph scalar for a single graph."""
-    cache = forward_features(featurize_graph(graph, cfg, tables), params, cfg)
+    cache = forward_features(featurize_graph(graph, cfg), params, cfg)
     return float(cache.predictions[0]), cache
 
 
 def backward(cache: ForwardCache, upstream,
              accumulate: bool = True) -> dict[str, np.ndarray]:
-    """Reverse sweep; returns per-parameter gradients for this call.
+    """Reverse sweep into the gradient buffers of ``cache.params``.
 
     ``upstream`` is the cotangent of the per-graph predictions: a scalar for
     single-graph caches or an array of shape (n_graphs,). With
-    ``accumulate=True`` the gradients are also added into the ModelParams
-    buffers; otherwise the caller owns the merge (used for deterministic
-    multi-worker reduction).
+    ``accumulate=False`` the buffers are zeroed first, so they hold this
+    call's gradients; otherwise the gradients are added to what they hold.
+    Returns ``cache.params.grads``: named views into ``flat_grads``, not
+    copies, so the next ``backward`` on the same params overwrites them.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 0:
         upstream = np.full(cache.prediction.value.shape, float(upstream))
+    if not accumulate:
+        cache.params.zero_grads()
     cache.context.tape.backward(cache.prediction, upstream)
-    grads: dict[str, np.ndarray] = {}
-    for name, leaf in cache.context.leaves.items():
-        if leaf.grad is None:
-            grads[name] = np.zeros_like(leaf.value)
-        else:
-            grads[name] = leaf.grad
-    if accumulate:
-        cache.params.accumulate(grads)
-    return grads
+    return cache.params.grads
 
 
 def _check_finite(node: Node, stage: str):
@@ -536,8 +520,7 @@ def _check_finite(node: Node, stage: str):
 
 def export_filters(params: ModelParams, cfg: RunConfig,
                    d_values, theta_values, phi_values,
-                   channels: Optional[list[int]] = None,
-                   tables: Optional[BasisTables] = None) -> tuple[list[str], np.ndarray]:
+                   channels: Optional[list[int]] = None) -> tuple[list[str], np.ndarray]:
     """Responses of the first block's torsion encoder on a geometry grid.
 
     For each grid point the full 3D embedding is pushed through that block's
@@ -552,7 +535,7 @@ def export_filters(params: ModelParams, cfg: RunConfig,
         raise NetworkError("filter grid must contain at least one sample per axis")
     if cfg.num_interaction_blocks < 1:
         raise NetworkError("filter export needs at least one interaction block")
-    tables = tables if tables is not None else tables_for(cfg)
+    tables = tables_for(cfg)
     down = params.values["inter0.tbf.down"]
     up = params.values["inter0.tbf.up"]
     bias = params.values["inter0.tbf.b"]

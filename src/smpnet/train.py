@@ -1,11 +1,12 @@
 """Optimization, metrics, finite-difference forces, and synthetic tasks.
 
 Training is sequential over optimizer steps; each mini-batch runs as one
-merged forward/backward over the disjoint union of its graphs. Inference
-streams: graphs are featurized one at a time and run in chunks closed at
-``CHUNK_BUDGET`` pairs plus edges, and a chunk's features are released before
-the next graph is featurized, so memory follows the largest chunk rather than
-the dataset. Everything runs in one thread; the ``threads`` arguments are
+merged forward/backward over the disjoint union of its graphs, whose sweep
+writes the gradients straight into ``ModelParams.flat_grads``, the buffer
+``adam_step`` reads. Inference streams: graphs are featurized one at a time
+and run in chunks closed at ``CHUNK_BUDGET`` pairs plus edges, and a chunk's
+features are released before the next graph is featurized, so memory follows
+the largest chunk rather than the dataset. Everything runs in one thread; the ``threads`` arguments are
 accepted for compatibility and have no effect.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .basis import BasisTables, tables_for
+from .basis import tables_for
 from .ingest import (FULL, NO_ANGLE_TORSION, NO_TORSION, SCHEDULE_STEP,
                      Graph3D, RunConfig)
 from .network import (GraphFeatures, ModelParams, NetworkError, backward,
@@ -194,20 +195,20 @@ def _predict_chunk(chunk: list[GraphFeatures], params: ModelParams,
     return forward_features(merge_features(chunk), params, cfg, grad=False).predictions
 
 
-def predict(params: ModelParams, dataset: Sequence[Graph3D], cfg: RunConfig,
-            threads: int = 1, tables: Optional[BasisTables] = None) -> np.ndarray:
+def predict(params: ModelParams, dataset: Sequence[Graph3D],
+            cfg: RunConfig) -> np.ndarray:
     """Graph-scalar predictions for a dataset, in dataset order.
 
     Graphs are featurized lazily and streamed through ``CHUNK_BUDGET``-sized
-    chunks. ``threads`` has no effect.
+    chunks.
     """
-    tables = tables if tables is not None else tables_for(cfg)
+    tables = tables_for(cfg)
     return _stream_predictions((featurize_graph(g, cfg, tables) for g in dataset),
                                params, cfg)
 
 
 def evaluate(params: ModelParams, dataset: Sequence[Graph3D], cfg: RunConfig,
-             threads: int = 1, tables: Optional[BasisTables] = None) -> MetricReport:
+             threads: int = 1) -> MetricReport:
     """MAE, std-normalized MAE, and the within-threshold fraction.
 
     std_mae divides the MAE by the evaluation set's target standard
@@ -220,7 +221,7 @@ def evaluate(params: ModelParams, dataset: Sequence[Graph3D], cfg: RunConfig,
     spread = float(np.std(targets))
     if spread == 0.0:
         raise MetricError("std_mae undefined: evaluation targets have zero variance")
-    preds = predict(params, dataset, cfg, tables=tables)
+    preds = predict(params, dataset, cfg)
     errors = np.abs(preds - targets)
     mae = float(np.mean(errors))
     return MetricReport(
@@ -302,8 +303,7 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
             loss = float(np.mean(np.abs(residual)))
             if not math.isfinite(loss):
                 raise DivergenceError(step)
-            params.zero_grads()
-            backward(cache, np.sign(residual) / batch.size)
+            backward(cache, np.sign(residual) / batch.size, accumulate=False)
             adam_step(params, opt, lr)
             abs_error_sum += float(np.sum(np.abs(residual)))
             step += 1
@@ -343,8 +343,7 @@ def format_metric_report(report: MetricReport) -> str:
 # --- finite-difference forces ------------------------------------------------
 
 def fd_forces(params: ModelParams, graph: Graph3D, cfg: RunConfig,
-              h: float = 1e-4, tables: Optional[BasisTables] = None
-              ) -> tuple[np.ndarray, list[tuple[int, int]]]:
+              h: float = 1e-4) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Central-difference force estimates -dE/dr, recomputing geometry per step.
 
     Returns an (n, 3) force array and the list of (atom, axis) displacements
@@ -356,7 +355,7 @@ def fd_forces(params: ModelParams, graph: Graph3D, cfg: RunConfig,
     """
     if not 1e-6 <= h <= 1e-3:
         raise TrainError(f"finite-difference step must lie in [1e-6, 1e-3], got {h}")
-    tables = tables if tables is not None else tables_for(cfg)
+    tables = tables_for(cfg)
 
     def energy(moved: Graph3D) -> tuple[float, GraphFeatures]:
         features = featurize_graph(moved, cfg, tables)

@@ -44,8 +44,7 @@ def check_program(program, values):
     tape.backward(out, np.ones_like(out.value))
     numeric = numeric_grad(program_scalar_wrapper := scalar, values)
     for leaf, expected in zip(leaves, numeric):
-        actual = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-        assert np.allclose(actual, expected, atol=1e-6), (actual, expected)
+        assert np.allclose(leaf.grad, expected, atol=1e-6), (leaf.grad, expected)
 
 
 def test_affine_silu_chain():
@@ -174,22 +173,40 @@ def test_backward_shape_mismatch_rejected():
 
 
 def test_backward_is_repeatable():
+    # A second sweep adds the same gradient into the leaf's buffer; from a
+    # zeroed buffer it gives the first sweep's gradient again, bit for bit.
     tape = Tape()
     leaf = tape.leaf(np.array([[1.0, 2.0]]))
     out = tape.silu(leaf)
     tape.backward(out, np.ones((1, 2)))
     first = leaf.grad.copy()
     tape.backward(out, np.ones((1, 2)))
-    assert np.array_equal(first, leaf.grad)
+    assert np.array_equal(leaf.grad, 2.0 * first)
+    leaf.grad[...] = 0.0
+    tape.backward(out, np.ones((1, 2)))
+    assert np.array_equal(leaf.grad, first)
+
+
+def test_leaf_adds_into_given_buffer():
+    buffer = np.full((2, 2), 0.5)
+    tape = Tape()
+    leaf = tape.leaf(np.ones((2, 2)), buffer)
+    assert leaf.grad is buffer
+    tape.backward(tape.add(leaf, leaf), np.ones((2, 2)))
+    assert np.array_equal(buffer, np.full((2, 2), 2.5))
+    tape.backward(leaf, np.ones((2, 2)))
+    assert leaf.grad is buffer and np.array_equal(buffer, np.full((2, 2), 3.5))
 
 
 def retained_backward(tape, output, upstream):
-    """The reverse sweep that keeps every node's cotangent until it ends."""
+    """The reverse sweep that keeps every node's cotangent until it ends;
+    leaf buffers are added into, as ``Tape.backward`` does."""
     for node in tape.nodes:
-        node.grad = None
+        if node.parents:
+            node.grad = None
     output.grad = upstream.copy()
     for node in reversed(tape.nodes):
-        if node.grad is None:
+        if node.grad is None or not node.parents:
             continue
         for parent, vjp, fresh in node.parents:
             contribution = vjp(node.grad)
@@ -202,21 +219,21 @@ def retained_backward(tape, output, upstream):
 def test_backward_frees_interior_cotangents(tiny_cfg):
     # A whole network forward (gathers, stacked products, the fused pair op,
     # reused nodes): after the sweep only leaves hold a cotangent, and theirs
-    # are bitwise those of the sweep that keeps every cotangent.
+    # are bitwise those of the sweep that keeps every cotangent. Each forward
+    # gets its own params, so each sweep adds into its own buffers.
     params = init_params(tiny_cfg, seed=61)
     rng = np.random.default_rng(67)
     merged = merge_features([featurize_graph(random_graph(rng, n_atoms=n), tiny_cfg)
                              for n in (4, 5, 6)])
     upstream = rng.normal(size=3)
-    swept, retained = (forward_features(merged, params, tiny_cfg) for _ in range(2))
+    swept, retained = (forward_features(merged, params.clone(), tiny_cfg) for _ in range(2))
     swept.context.tape.backward(swept.prediction, upstream)
     retained_backward(retained.context.tape, retained.prediction, upstream)
     interior = [node for node in swept.context.tape.nodes if node.parents]
     assert interior and all(node.grad is None for node in interior)
     for name, leaf in swept.context.leaves.items():
-        expected = retained.context.leaves[name].grad
-        assert (leaf.grad is None and expected is None) or np.array_equal(leaf.grad, expected)
-    assert any(leaf.grad is not None for leaf in swept.context.leaves.values())
+        assert np.array_equal(leaf.grad, retained.context.leaves[name].grad), name
+    assert np.any(swept.params.flat_grads)
 
 
 # --- fused pair aggregation ------------------------------------------------------

@@ -8,7 +8,7 @@ import smpnet.train as T
 from smpnet.cli import main
 from smpnet.ingest import format_xyz
 from smpnet.network import init_params, save_model
-from smpnet.ingest import RunConfig
+from smpnet.ingest import RunConfig, load_config
 
 
 WATER = "3\ntarget=-1.5\nO 0 0 0\nH 0.96 0 0\nH -0.24 0.93 0\n"
@@ -168,6 +168,24 @@ def test_eval_config_mismatch_is_data_error(tmp_path, torsion_dataset_file, caps
     code = main(["eval", "--model", str(model), "--input", str(torsion_dataset_file),
                  "--config", str(other_cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_element_above_max_z_is_data_error(tmp_path, capsys, command):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(small_config_text())
+    data = tmp_path / "n.xyz"
+    data.write_text("2\ntarget=1.0\nC 0 0 0\nC 1.2 0 0\n"
+                    "2\ntarget=2.0\nN 0 0 0\nC 1.2 0 0\n")
+    model = tmp_path / "model.bin"
+    save_model(init_params(load_config(str(cfg_path)), seed=0), str(model))
+    if command == "eval":
+        argv = ["eval", "--model", str(model), "--input", str(data)]
+    else:
+        argv = ["train", "--input", str(data), "--config", str(cfg_path),
+                "--out-model", str(tmp_path / "trained.bin")]
+    assert main(argv) == 2
+    assert "above max_z=6" in capsys.readouterr().err
 
 
 def test_eval_manifest_input(tmp_path):

@@ -19,7 +19,7 @@ from smpnet.train import ablation_config, dihedral_angle, synthetic_torsion_task
 
 from conftest import random_graph
 
-FEATURE_FIELDS = ("edge_sender", "edge_receiver", "edge_dist", "edge_rbf",
+FEATURE_FIELDS = ("edge_sender", "edge_receiver", "edge_rbf",
                   "pair_edge", "pair_neighbor", "pair_sbf", "pair_tbf")
 
 

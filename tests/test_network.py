@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smpnet.geometry import random_rotation, rigid_transform
-from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
+from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, IngestError, RunConfig
 from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
                             begin_forward, embedding_block, export_filters,
                             featurize_graph, forward, forward_features,
@@ -17,6 +17,12 @@ from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
 from smpnet.autodiff import Tape
 
 from conftest import per_block_matmul, random_graph, unfused_pair_aggregate
+
+
+def copied(grads):
+    """``backward`` returns views into ``flat_grads``, which the next call
+    overwrites; a result that must outlive it is copied."""
+    return {name: grad.copy() for name, grad in grads.items()}
 
 
 def two_atom_graph():
@@ -78,8 +84,8 @@ def test_embedding_block_row_count(tiny_cfg):
     params = init_params(tiny_cfg, seed=3)
     feats = featurize_graph(two_atom_graph(), tiny_cfg)
     ctx = begin_forward(feats, params, tiny_cfg)
-    state = embedding_block(ctx)
-    assert state.messages.value.shape == (2, tiny_cfg.embed_size)
+    messages = embedding_block(ctx)
+    assert messages.value.shape == (2, tiny_cfg.embed_size)
 
 
 def test_blocks_compose_and_count_layers(tiny_cfg):
@@ -87,11 +93,11 @@ def test_blocks_compose_and_count_layers(tiny_cfg):
     rng = np.random.default_rng(0)
     feats = featurize_graph(random_graph(rng, n_atoms=4), tiny_cfg)
     ctx = begin_forward(feats, params, tiny_cfg)
-    state = embedding_block(ctx)
+    messages = embedding_block(ctx)
     for block in range(tiny_cfg.num_interaction_blocks):
-        state = interaction_block(ctx, state, block)
-        assert state.messages.value.shape == (feats.n_edges, tiny_cfg.embed_size)
-    nodes, prediction = output_block(ctx, state)
+        messages = interaction_block(ctx, messages, block)
+        assert messages.value.shape == (feats.n_edges, tiny_cfg.embed_size)
+    nodes, prediction = output_block(ctx, messages)
     assert nodes.value.shape == (4, tiny_cfg.output_embed_size)
     assert prediction.value.shape == (1,)
 
@@ -103,11 +109,11 @@ def test_no_pairs_aggregate_is_transform_branch_only(tiny_cfg):
     feats = featurize_graph(two_atom_graph(), tiny_cfg)
     assert feats.n_pairs == 0
     ctx = begin_forward(feats, params, tiny_cfg)
-    state = embedding_block(ctx)
-    updated = interaction_block(ctx, state, 0)
+    messages = embedding_block(ctx)
+    updated = interaction_block(ctx, messages, 0)
 
     tape = ctx.tape
-    branch = state.messages
+    branch = messages
     for j in range(tiny_cfg.num_message_layers):
         name = f"inter0.msg{j}"
         branch = tape.silu(tape.affine(branch, ctx.leaves[name + ".w"],
@@ -121,7 +127,7 @@ def test_no_pairs_aggregate_is_transform_branch_only(tiny_cfg):
             pre = inner @ ctx.leaves[name + ".w"].value + ctx.leaves[name + ".b"].value
             inner = pre / (1.0 + np.exp(-pre))
         expected = expected + inner
-    assert np.allclose(updated.messages.value, expected, atol=1e-12)
+    assert np.allclose(updated.value, expected, atol=1e-12)
 
 
 def _silu(x):
@@ -169,10 +175,10 @@ def test_interaction_block_matches_pair_level_reference(tiny_cfg, mode):
     feats = featurize_graph(random_graph(rng, n_atoms=6), cfg)
     assert feats.n_pairs > 2 * feats.n_edges
     ctx = begin_forward(feats, params, cfg)
-    state = embedding_block(ctx)
-    updated = interaction_block(ctx, state, 1)
-    expected = reference_interaction(feats, params.values, state.messages.value, 1, cfg)
-    np.testing.assert_allclose(updated.messages.value, expected, rtol=1e-12, atol=1e-12)
+    messages = embedding_block(ctx)
+    updated = interaction_block(ctx, messages, 1)
+    expected = reference_interaction(feats, params.values, messages.value, 1, cfg)
+    np.testing.assert_allclose(updated.value, expected, rtol=1e-12, atol=1e-12)
 
 
 def batch_features(cfg, seed):
@@ -194,7 +200,7 @@ def test_fused_aggregation_matches_unfused_network(tiny_cfg, mode, monkeypatch):
     for aggregate in (Tape.pair_aggregate, unfused_pair_aggregate):
         monkeypatch.setattr(Tape, "pair_aggregate", aggregate)
         cache = forward_features(feats, params, cfg)
-        runs.append((cache.predictions, backward(cache, upstream, accumulate=False)))
+        runs.append((cache.predictions, copied(backward(cache, upstream, accumulate=False))))
     (fused, grads), (expected, expected_grads) = runs
     assert np.array_equal(fused, expected)
     for name, grad in grads.items():
@@ -245,7 +251,7 @@ def test_stacked_gate_projection_matches_per_block_matmul(mode, blocks, with_pai
     for stacked in (Tape.stacked_matmul, per_block_matmul):
         monkeypatch.setattr(Tape, "stacked_matmul", stacked)
         cache = forward_features(feats, params, cfg)
-        runs.append((cache.predictions, backward(cache, upstream, accumulate=False)))
+        runs.append((cache.predictions, copied(backward(cache, upstream, accumulate=False))))
     (predictions, grads), (expected, expected_grads) = runs
     assert np.array_equal(predictions, expected)
     for name, grad in grads.items():
@@ -295,7 +301,7 @@ def test_zero_interaction_blocks_still_runs(tiny_cfg):
 def test_max_z_enforced(tiny_cfg):
     params = init_params(tiny_cfg, seed=1)
     g = Graph3D(np.array([80]), np.zeros((1, 3)), id="heavy")
-    with pytest.raises(NetworkError, match="max_z"):
+    with pytest.raises(IngestError, match="max_z"):
         forward(g, params, tiny_cfg)
 
 
@@ -322,7 +328,7 @@ def test_initial_messages_invariant_under_rigid_motion(tiny_cfg):
 
     def initial(graph):
         ctx = begin_forward(featurize_graph(graph, tiny_cfg), params, tiny_cfg)
-        return embedding_block(ctx).messages.value
+        return embedding_block(ctx).value
 
     assert np.max(np.abs(initial(g) - initial(moved))) < 1e-9
 
@@ -349,10 +355,10 @@ def test_permuted_labels_permute_initial_messages(tiny_cfg):
     def initial_messages(graph):
         feats = featurize_graph(graph, tiny_cfg)
         ctx = begin_forward(feats, params, tiny_cfg)
-        state = embedding_block(ctx)
+        messages = embedding_block(ctx)
         keys = [(int(feats.edge_sender[i]), int(feats.edge_receiver[i]))
                 for i in range(feats.n_edges)]
-        return dict(zip(keys, state.messages.value))
+        return dict(zip(keys, messages.value))
 
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
@@ -448,10 +454,10 @@ def test_backward_linearity(tiny_cfg):
     rng = np.random.default_rng(73)
     g = random_graph(rng, n_atoms=4)
     _, cache = forward(g, params, tiny_cfg)
-    zero = backward(cache, 0.0, accumulate=False)
+    zero = copied(backward(cache, 0.0, accumulate=False))
     assert all(np.all(v == 0.0) for v in zero.values())
-    one = backward(cache, 1.0, accumulate=False)
-    two = backward(cache, 2.0, accumulate=False)
+    one = copied(backward(cache, 1.0, accumulate=False))
+    two = copied(backward(cache, 2.0, accumulate=False))
     for name in one:
         assert np.allclose(2.0 * one[name], two[name], rtol=1e-12, atol=0)
 
@@ -462,10 +468,39 @@ def test_backward_accumulates_into_buffers(tiny_cfg):
     g = random_graph(rng, n_atoms=4)
     _, cache = forward(g, params, tiny_cfg)
     params.zero_grads()
-    first = backward(cache, 1.0)
+    first = copied(backward(cache, 1.0))
     backward(cache, 1.0)
     for name in first:
         assert np.allclose(params.grads[name], 2.0 * first[name], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_backward_writes_into_flat_grads(tiny_cfg, mode, monkeypatch):
+    # One gradient store: the returned arrays are views into flat_grads,
+    # bitwise the gradients of a sweep whose leaves own their buffers, and a
+    # stale buffer is cleared, so encoders the mode never uses read exactly 0.
+    cfg = tiny_cfg.replace(ablation_mode=mode)
+    params = init_params(cfg, seed=101)
+    feats = batch_features(cfg, 103)
+    upstream = np.random.default_rng(107).normal(size=feats.n_graphs)
+    params.flat_grads[...] = 7.0
+    grads = backward(forward_features(feats, params, cfg), upstream, accumulate=False)
+    assert list(grads) == params.names()
+    assert all(np.shares_memory(grad, params.flat_grads) for grad in grads.values())
+
+    leaf = Tape.leaf
+    monkeypatch.setattr(Tape, "leaf", lambda tape, value, grad=None: leaf(tape, value))
+    unbound = forward_features(feats, params, cfg)
+    unbound.context.tape.backward(unbound.prediction, upstream)
+    for name, node in unbound.context.leaves.items():
+        assert not np.shares_memory(node.grad, params.flat_grads)
+        assert np.array_equal(grads[name], node.grad), name
+    unused = {FULL: (), NO_TORSION: ("tbf",), NO_ANGLE_TORSION: ("sbf", "tbf")}[mode]
+    untouched = [name for name in grads
+                 if any(f".{kind}." in name or f".proj_{kind}." in name for kind in unused)]
+    assert len(untouched) == 5 * len(unused) * cfg.num_interaction_blocks
+    assert all(not np.any(grads[name]) for name in untouched)
+    assert np.any(params.flat_grads)
 
 
 @pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
