@@ -11,7 +11,8 @@ the backward sweep never spends work on them. A forward whose parameters
 enter as constants therefore records nothing: each intermediate is freed as
 soon as its consumer has run.
 
-``pair_aggregate`` is the one fused operation. It reduces per-pair gated
+Two operations are fused. ``dense`` is a whole dense layer (product, bias,
+optional SiLU) in one node. ``pair_aggregate`` reduces per-pair gated
 messages to per-edge sums block by block, so no array with one row per
 two-hop pair and one column per message channel outlives a block, in the
 forward or in its vector-Jacobian product.
@@ -123,18 +124,44 @@ class Tape:
 
     # --- operations ------------------------------------------------------
 
-    def matmul(self, a: Node, b: Node) -> Node:
-        return self._record(a.value @ b.value, (
-            (a, lambda g, bv=b.value: g @ bv.T, True),
-            (b, lambda g, av=a.value: av.T @ g, True),
-        ))
+    def dense(self, x: Node, w: Node, b: Node = None, silu: bool = False) -> Node:
+        """``x @ w``, plus the bias row ``b`` if given, then SiLU if ``silu``.
+
+        The bias is added in place and the sigmoid built in one buffer; the vjp
+        turns the node's own cotangent, in place, into the pre-activation's.
+        Products keep the operand order of separate affine and SiLU ops, so
+        values and gradients are bitwise theirs.
+        """
+        value = pre = x.value @ w.value
+        if b is not None:
+            pre += b.value
+        if silu:
+            # exp(-pre) overflows to inf below pre = -709: sigmoid's right limit 0.
+            sig = np.negative(pre)
+            with np.errstate(over="ignore"):
+                np.exp(sig, out=sig)
+            sig += 1.0
+            value = pre * np.divide(1.0, sig, out=sig)
+
+        def vjp_all(g, xv=x.value, wv=w.value):
+            if silu:
+                slope = np.subtract(1.0, sig)
+                slope *= pre
+                slope += 1.0
+                slope *= sig
+                g *= slope
+            return [g @ wv.T if x.needs_grad else None,
+                    xv.T @ g if w.needs_grad else None,
+                    None if b is None else g.sum(axis=0)]
+
+        return self._record(value, _joint_hooks([x, w] if b is None else [x, w, b], vjp_all))
 
     def stacked_matmul(self, a: Node, bs: list[Node]) -> list[Node]:
-        """``matmul(a, b)`` for every b of ``bs`` through one product.
+        """``dense(a, b)`` for every b of ``bs`` through one product.
 
         ``a`` is multiplied once by the column-stacked ``[b0 | b1 | ...]``, and
         node i holds the column view of ``b_i`` with the hooks of
-        ``matmul(a, b_i)``. One wide product reads ``a`` once where separate
+        ``dense(a, b_i)``. One wide product reads ``a`` once where separate
         narrow ones read it once each. On OpenBLAS, column views 8 or 16 wide
         (the shipped bottleneck width is 8) were bitwise the separate
         products; views 1 to 4 wide can round differently in the last bit.
@@ -152,14 +179,6 @@ class Tape:
             )))
             offset += width
         return nodes
-
-    def affine(self, x: Node, w: Node, b: Node) -> Node:
-        """x @ w + bias row in one node."""
-        return self._record(x.value @ w.value + b.value, (
-            (x, lambda g, wv=w.value: g @ wv.T, True),
-            (w, lambda g, xv=x.value: xv.T @ g, True),
-            (b, lambda g: g.sum(axis=0), True),
-        ))
 
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
@@ -202,18 +221,6 @@ class Tape:
         value = scatter_rows(segment_ids, x.value, num_segments)
         return self._record(value, ((x, lambda g, idx=segment_ids: g[idx], True),))
 
-    def silu(self, x: Node) -> Node:
-        # exp overflow for very negative inputs lands on the correct
-        # saturated limit (sigmoid -> 0), so the warning is suppressed.
-        with np.errstate(over="ignore"):
-            sig = 1.0 / (1.0 + np.exp(-x.value))
-        value = x.value * sig
-
-        def vjp(g, s=sig, xv=x.value):
-            return g * (s * (1.0 + xv * (1.0 - s)))
-
-        return self._record(value, ((x, vjp, True),))
-
     def reshape(self, x: Node, shape: tuple) -> Node:
         return self._record(
             x.value.reshape(shape),
@@ -234,7 +241,7 @@ class Tape:
         ``merge_features`` produce it so). The pairs are then walked in blocks
         of whole edges, each reduced by one ``scatter_rows`` over edge-local
         keys. Each pair's term is built in the order of the unfused
-        gather/affine/mul/add composition and each edge sums its pairs in pair
+        gather/dense/mul/add composition and each edge sums its pairs in pair
         order, so the value is bitwise that composition's. The vjp walks the
         pairs sorted by neighbor edge instead, recomputing each block's gates
         from ``a``.
@@ -305,8 +312,8 @@ def _segment_blocks(sorted_ids: np.ndarray, n_segments: int):
 def _joint_hooks(parents: list[Node], vjp_all) -> list:
     """Hooks for an op whose vjp yields all parents' gradients in one pass.
 
-    The first hook the sweep calls runs ``vjp_all`` and parks the gradients
-    of the parents that need one; each hook then takes its own.
+    The first hook the sweep calls runs ``vjp_all`` and parks the gradients of
+    the parents that need one (the rest may be None); each hook takes its own.
     """
     live = [i for i, parent in enumerate(parents) if parent.needs_grad]
     pending: dict[int, np.ndarray] = {}

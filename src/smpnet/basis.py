@@ -182,8 +182,18 @@ def _bessel_miller(l_max: int, xs: np.ndarray) -> np.ndarray:
     return recorded / np.sqrt(norm_sq)
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_roots(l_max: int, n_max: int) -> np.ndarray:
+def bessel_roots(l_max: int, n_max: int) -> np.ndarray:
+    """First n_max positive roots of j_l for every order l in 0..l_max.
+
+    Order 0 is exactly n*pi. The other orders are solved together: sign
+    changes of one Bessel table on a grid of step at most 1 bracket every
+    root, then all brackets are bisected at once and polished by two Newton
+    steps, which leaves |j_l(z)| of order 1e-16.
+    """
+    if not 0 <= l_max <= MAX_ORDER:
+        raise BasisError(f"l_max {l_max} outside supported range [0, {MAX_ORDER}]")
+    if not 1 <= n_max <= MAX_ROOTS:
+        raise BasisError(f"n_max {n_max} outside supported range [1, {MAX_ROOTS}]")
     roots = np.empty((l_max + 1, n_max), dtype=np.float64)
     # j_0 = sin(x)/x: its roots are exactly n*pi.
     roots[0] = np.arange(1, n_max + 1) * np.pi
@@ -218,21 +228,6 @@ def _cached_roots(l_max: int, n_max: int) -> np.ndarray:
         roots[1:] = mid.reshape(l_max, n_max)
     roots.setflags(write=False)
     return roots
-
-
-def bessel_roots(l_max: int, n_max: int) -> np.ndarray:
-    """First n_max positive roots of j_l for every order l in 0..l_max.
-
-    Order 0 is exactly n*pi. The other orders are solved together: sign
-    changes of one Bessel table on a grid of step at most 1 bracket every
-    root, then all brackets are bisected at once and polished by two Newton
-    steps, which leaves |j_l(z)| of order 1e-16.
-    """
-    if not 0 <= l_max <= MAX_ORDER:
-        raise BasisError(f"l_max {l_max} outside supported range [0, {MAX_ORDER}]")
-    if not 1 <= n_max <= MAX_ROOTS:
-        raise BasisError(f"n_max {n_max} outside supported range [1, {MAX_ROOTS}]")
-    return _cached_roots(l_max, n_max)
 
 
 def real_sph_harm(order: int, m: int, theta, phi=0.0) -> np.ndarray | float:

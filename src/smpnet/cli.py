@@ -44,9 +44,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_csv(raw: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"expected a comma-separated float list, got {raw!r}") from exc
+    if not all(math.isfinite(value) for value in values):
+        raise UsageError(f"expected finite floats, got {raw!r}")
+    return values
 
 
 def _int_csv(raw: str) -> list[int]:
@@ -269,6 +272,11 @@ def cmd_export_filters(args) -> int:
     if not args.phi:
         raise UsageError("--phi must contain at least one sample")
     params, cfg = load_model(args.model)
+    if cfg.num_interaction_blocks < 1:
+        raise ModelIOError(f"{args.model}: filter export needs at least one interaction block")
+    width = params.values["inter0.tbf.b"].size
+    if not all(0 <= ch < width for ch in args.channels or ()):
+        raise UsageError(f"--channels entries must lie in [0, {width})")
     d_values = cfg.cutoff_c * (np.arange(1, args.d_samples + 1) / (args.d_samples + 1))
     theta_values = np.linspace(0.0, math.pi, args.theta_samples)
     header, rows = export_filters(params, cfg, d_values, theta_values,

@@ -46,7 +46,6 @@ class DirectedEdgeList:
     receivers: np.ndarray
     distances: np.ndarray
     receiver_offsets: np.ndarray
-    n_nodes: int
 
     @property
     def n_edges(self) -> int:
@@ -97,7 +96,6 @@ def build_radius_graph(graph: Graph3D, cutoff: float) -> DirectedEdgeList:
         receivers=_frozen(receivers.astype(np.int64)),
         distances=_frozen(dist[receivers, senders]),
         receiver_offsets=_frozen(offsets),
-        n_nodes=n,
     )
 
 

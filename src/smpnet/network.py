@@ -232,18 +232,13 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
     tables = tables if tables is not None else tables_for(cfg)
     edges = build_radius_graph(graph, cfg.cutoff_c)
     hops = two_hop_geometry(graph, edges)
-    edge_rbf = (rbf_embed(edges.distances, tables)
-                if edges.n_edges else np.zeros((0, cfg.n_srbf)))
-    angles = cfg.ablation_mode in (FULL, NO_TORSION)
-    torsions = cfg.ablation_mode == FULL
-    pair_sbf = np.zeros((0, tables.sbf_size)) if angles else None
-    pair_tbf = np.zeros((0, tables.tbf_size)) if torsions else None
-    if angles and hops.n_pairs:
+    pair_sbf = pair_tbf = None
+    if cfg.ablation_mode in (FULL, NO_TORSION):
         pair_d = edges.distances[hops.pair_neighbor]
         radial = _radial_table(edges.distances, tables, hops.pair_neighbor)
         pair_sbf = sbf_embed(pair_d, hops.theta, tables,
-                             radial=radial).reshape(hops.n_pairs, -1)
-        if torsions:
+                             radial=radial).reshape(hops.n_pairs, tables.sbf_size)
+        if cfg.ablation_mode == FULL:
             pair_tbf = tbf_embed(pair_d, hops.theta, hops.phi, tables, radial=radial)
     return GraphFeatures(
         n_atoms=graph.n_atoms,
@@ -252,7 +247,7 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
         graph_ids=np.zeros(graph.n_atoms, dtype=np.int64),
         edge_sender=edges.senders,
         edge_receiver=edges.receivers,
-        edge_rbf=edge_rbf,
+        edge_rbf=rbf_embed(edges.distances, tables),
         pair_edge=hops.pair_edge,
         pair_neighbor=hops.pair_neighbor,
         pair_sbf=pair_sbf,
@@ -346,16 +341,13 @@ class ForwardCache:
 
 
 def _dense(ctx: ForwardContext, name: str, x: Node, activation: bool = False) -> Node:
-    tape = ctx.tape
-    y = tape.affine(x, ctx.leaves[name + ".w"], ctx.leaves[name + ".b"])
-    return tape.silu(y) if activation else y
+    return ctx.tape.dense(x, ctx.leaves[name + ".w"], ctx.leaves[name + ".b"], silu=activation)
 
 
 def _bottleneck(ctx: ForwardContext, name: str, x: Node) -> Node:
     """Down-projection (no bias) followed by a biased up-projection."""
-    tape = ctx.tape
-    mid = tape.matmul(x, ctx.leaves[name + ".down"])
-    return tape.affine(mid, ctx.leaves[name + ".up"], ctx.leaves[name + ".b"])
+    mid = ctx.tape.dense(x, ctx.leaves[name + ".down"])
+    return ctx.tape.dense(mid, ctx.leaves[name + ".up"], ctx.leaves[name + ".b"])
 
 
 def begin_forward(features: GraphFeatures, params: ModelParams,

@@ -6,8 +6,8 @@ writes the gradients straight into ``ModelParams.flat_grads``, the buffer
 ``adam_step`` reads. Inference streams: graphs are featurized one at a time
 and run in chunks closed at ``CHUNK_BUDGET`` pairs plus edges, and a chunk's
 features are released before the next graph is featurized, so memory follows
-the largest chunk rather than the dataset. Everything runs in one thread; the ``threads`` arguments are
-accepted for compatibility and have no effect.
+the largest chunk rather than the dataset. Everything runs in one thread;
+the ``threads`` arguments are accepted for compatibility and have no effect.
 """
 from __future__ import annotations
 

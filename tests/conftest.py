@@ -43,14 +43,14 @@ def tiny_cfg() -> RunConfig:
 
 
 def unfused_pair_aggregate(tape, base, gates, pair_edge, pair_neighbor, n_edges):
-    """Oracle for ``Tape.pair_aggregate``: the gather/affine/mul/add/segment_sum
+    """Oracle for ``Tape.pair_aggregate``: the gather/dense/mul/add/segment_sum
     composition that materializes every pair-wide intermediate."""
     term = tape.gather(base, pair_neighbor)
     for a, up, b, proj in gates:
-        term = tape.add(term, tape.mul(tape.affine(a, up, b), tape.gather(proj, pair_neighbor)))
+        term = tape.add(term, tape.mul(tape.dense(a, up, b), tape.gather(proj, pair_neighbor)))
     return tape.segment_sum(term, pair_edge, n_edges)
 
 
 def per_block_matmul(tape, a, bs):
-    """Oracle for ``Tape.stacked_matmul``: one ``matmul`` per weight."""
-    return [tape.matmul(a, b) for b in bs]
+    """Oracle for ``Tape.stacked_matmul``: one ``dense`` per weight."""
+    return [tape.dense(a, b) for b in bs]

@@ -50,7 +50,43 @@ def check_program(program, values):
 def test_affine_silu_chain():
     rng = np.random.default_rng(0)
     values = [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)]
-    check_program(lambda t, l: t.silu(t.affine(l[0], l[1], l[2])), values)
+    check_program(lambda t, l: t.dense(l[0], l[1], l[2], silu=True), values)
+
+
+@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+@pytest.mark.parametrize("silu", [True, False], ids=["silu", "linear"])
+@pytest.mark.parametrize("shape", [(1, 3, 4), (7, 5, 2), (300, 64, 256)])
+def test_dense_matches_affine_and_silu_formulas(shape, silu, bias):
+    # The value and every gradient are bitwise those of the numpy expressions
+    # of a separate affine and SiLU. Row 0 is scaled so that some
+    # pre-activations lie below -700, where exp(-y) overflows to inf.
+    rows, inner, width = shape
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(rows, inner))
+    x[0] *= 1e4
+    w = rng.normal(size=(inner, width))
+    b = rng.normal(size=width)
+    g = rng.normal(size=(rows, width))
+
+    y = x @ w + b if bias else x @ w
+    assert np.any(y < -700)
+    d_y = g
+    expected = y
+    if silu:
+        with np.errstate(over="ignore"):
+            s = 1.0 / (1.0 + np.exp(-y))
+        expected = y * s
+        d_y = g * (s * (1.0 + y * (1.0 - s)))
+
+    tape = Tape()
+    leaves = [tape.leaf(v) for v in ((x, w, b) if bias else (x, w))]
+    out = tape.dense(*leaves, silu=silu)
+    tape.backward(out, g)
+    assert np.array_equal(out.value, expected)
+    assert np.array_equal(leaves[0].grad, d_y @ w.T)
+    assert np.array_equal(leaves[1].grad, x.T @ d_y)
+    if bias:
+        assert np.array_equal(leaves[2].grad, d_y.sum(0))
 
 
 def test_mul_add_concat():
@@ -158,7 +194,7 @@ def test_reused_node_accumulates_from_both_consumers():
     values = [rng.normal(size=(3, 3))]
 
     def program(t, l):
-        shared = t.silu(l[0])
+        shared = t.dense(l[0], t.constant(np.eye(3)), silu=True)
         return t.add(t.mul(shared, shared), shared)
 
     check_program(program, values)
@@ -167,7 +203,7 @@ def test_reused_node_accumulates_from_both_consumers():
 def test_backward_shape_mismatch_rejected():
     tape = Tape()
     leaf = tape.leaf(np.ones((2, 2)))
-    out = tape.silu(leaf)
+    out = tape.dense(leaf, tape.constant(np.eye(2)), silu=True)
     with pytest.raises(ValueError, match="shape"):
         tape.backward(out, np.ones(3))
 
@@ -177,7 +213,7 @@ def test_backward_is_repeatable():
     # zeroed buffer it gives the first sweep's gradient again, bit for bit.
     tape = Tape()
     leaf = tape.leaf(np.array([[1.0, 2.0]]))
-    out = tape.silu(leaf)
+    out = tape.dense(leaf, tape.constant(np.eye(2)), silu=True)
     tape.backward(out, np.ones((1, 2)))
     first = leaf.grad.copy()
     tape.backward(out, np.ones((1, 2)))
@@ -340,6 +376,6 @@ def test_constant_inputs_record_no_nodes():
     gate = (tape.constant(np.ones((2, 1))), tape.constant(np.ones((1, 3))),
             tape.constant(np.zeros(3)), tape.constant(np.ones((2, 3))))
     out = tape.pair_aggregate(base, [gate], np.array([0, 1]), np.array([1, 0]), 2)
-    tape.silu(tape.mul(out, out))
+    tape.dense(tape.mul(out, out), tape.constant(np.eye(3)), silu=True)
     assert tape.nodes == []
     assert np.array_equal(out.value, np.full((2, 3), 2.0))

@@ -255,6 +255,32 @@ def test_export_filters_cli(tmp_path):
     assert subset.read_text().splitlines()[0] == "d,theta,phi,c1,c3"
 
 
+def filter_model(tmp_path, blocks=1):
+    cfg = RunConfig(cutoff_c=2.0, n_srbf=3, n_shbf=2, num_interaction_blocks=blocks,
+                    embed_size=8, lb2_distance_size=3, lb2_angle_size=3,
+                    lb2_torsion_size=3, output_embed_size=4, max_z=6)
+    model = tmp_path / "model.bin"
+    save_model(init_params(cfg, seed=3), str(model))
+    return model
+
+
+@pytest.mark.parametrize("flag", [("--channels", "99"), ("--channels", "-1"),
+                                  ("--phi", "nan")], ids=["channel99", "channel-1", "phi-nan"])
+def test_export_filters_bad_flag_value_is_usage_error(tmp_path, capsys, flag):
+    code = main(["export-filters", "--model", str(filter_model(tmp_path)),
+                 "--d-samples", "2", "--theta-samples", "2",
+                 *flag, "--out", str(tmp_path / "filters.csv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_export_filters_zero_block_model_is_data_error(tmp_path, capsys):
+    code = main(["export-filters", "--model", str(filter_model(tmp_path, blocks=0)),
+                 "--out", str(tmp_path / "filters.csv")])
+    assert code == 2
+    assert "interaction block" in capsys.readouterr().err
+
+
 def test_malformed_checkpoint_is_data_error(tmp_path, capsys):
     from smpnet.network import FORMAT_MAGIC
     model = tmp_path / "model.bin"

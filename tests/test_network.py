@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smpnet.network as network
 from smpnet.geometry import random_rotation, rigid_transform
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, IngestError, RunConfig
 from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
@@ -102,6 +103,24 @@ def test_blocks_compose_and_count_layers(tiny_cfg):
     assert prediction.value.shape == (1,)
 
 
+def test_one_tape_node_per_dense_layer(tiny_cfg, monkeypatch):
+    # The product, the bias and the SiLU of a dense layer share one node.
+    recorded = {True: [], False: []}
+    dense = network._dense
+
+    def counting_dense(ctx, name, x, activation=False):
+        before = len(ctx.tape.nodes)
+        out = dense(ctx, name, x, activation)
+        recorded[activation].append(len(ctx.tape.nodes) - before)
+        return out
+
+    monkeypatch.setattr(network, "_dense", counting_dense)
+    feats = featurize_graph(random_graph(np.random.default_rng(0), n_atoms=4), tiny_cfg)
+    forward_features(feats, init_params(tiny_cfg, seed=3), tiny_cfg)
+    assert recorded[True] and recorded[False]
+    assert set(recorded[True]) == set(recorded[False]) == {1}
+
+
 def test_no_pairs_aggregate_is_transform_branch_only(tiny_cfg):
     # A 2-atom graph has edges but no two-hop pairs: the update must equal
     # the transform branch alone.
@@ -116,8 +135,8 @@ def test_no_pairs_aggregate_is_transform_branch_only(tiny_cfg):
     branch = messages
     for j in range(tiny_cfg.num_message_layers):
         name = f"inter0.msg{j}"
-        branch = tape.silu(tape.affine(branch, ctx.leaves[name + ".w"],
-                                       ctx.leaves[name + ".b"]))
+        branch = tape.dense(branch, ctx.leaves[name + ".w"], ctx.leaves[name + ".b"],
+                            silu=True)
     up_bias = ctx.leaves["inter0.up.b"]
     expected = branch.value + up_bias.value
     for r in range(tiny_cfg.num_residual_blocks):
