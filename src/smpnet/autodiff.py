@@ -5,11 +5,20 @@ valid topological order, so the backward sweep is a single reversed pass.
 Gradient accumulation follows that fixed order, making backward runs
 bit-reproducible regardless of how callers schedule independent tapes.
 
+Every recorded node has one vector-Jacobian product (vjp), which maps the
+node's cotangent to one cotangent per parent, in the order of its parents.
+The sweep ignores the entries of parents that need no gradient; they may be
+None. Every other array a vjp returns belongs to the parent that receives it:
+no other parent receives it and no node's value shares its memory. The sweep
+therefore keeps it as that parent's cotangent without a copy, and the
+parent's own vjp may overwrite it in place. An op that hands one array to two
+parents copies it for one of them.
+
 Nodes whose ancestors contain no differentiable leaf (geometry and basis
-constants) carry no vector-Jacobian hooks and are not kept on the tape, so
-the backward sweep never spends work on them. A forward whose parameters
-enter as constants therefore records nothing: each intermediate is freed as
-soon as its consumer has run.
+constants) have no vjp and are not kept on the tape, so the backward sweep
+never spends work on them. A forward whose parameters enter as constants
+therefore records nothing: each intermediate is freed as soon as its
+consumer has run.
 
 Two operations are fused. ``dense`` is a whole dense layer (product, bias,
 optional SiLU) in one node. ``pair_aggregate`` reduces per-pair gated
@@ -44,18 +53,20 @@ def scatter_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray
 
 
 class Node:
-    """One tape entry: a value plus vector-Jacobian hooks into its parents.
+    """One tape entry: a value, its parent nodes and the vjp into them.
 
-    Each hook is (parent, vjp, fresh): ``fresh`` marks vjps that return a
-    newly allocated array, which the sweep may then own without copying.
+    ``vjp(grad)`` returns one cotangent per node of ``parents``, each owned
+    by the parent that receives it (see the module docstring).
     """
 
-    __slots__ = ("value", "grad", "parents", "needs_grad")
+    __slots__ = ("value", "grad", "parents", "vjp", "needs_grad")
 
-    def __init__(self, value: np.ndarray, parents=(), needs_grad: bool = False):
+    def __init__(self, value: np.ndarray, parents: tuple = (), vjp=None,
+                 needs_grad: bool = False):
         self.value = value
         self.grad = None
         self.parents = parents
+        self.vjp = vjp
         self.needs_grad = needs_grad
 
 
@@ -65,11 +76,12 @@ class Tape:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _record(self, value: np.ndarray, hooks=()) -> Node:
-        hooks = tuple(h for h in hooks if h[0].needs_grad)
-        node = Node(value, hooks, needs_grad=bool(hooks))
-        if hooks:
-            self.nodes.append(node)
+    def _record(self, value: np.ndarray, parents, vjp) -> Node:
+        """A node of ``value``, kept on the tape only if a parent needs a gradient."""
+        if not any(parent.needs_grad for parent in parents):
+            return Node(value)
+        node = Node(value, tuple(parents), vjp, needs_grad=True)
+        self.nodes.append(node)
         return node
 
     def leaf(self, value: np.ndarray, grad: np.ndarray = None) -> Node:
@@ -95,8 +107,8 @@ class Tape:
         Only interior cotangents start from nothing; each leaf contribution
         is added with ``+=`` into the buffer as it stands, in the fixed
         reversed tape order. An interior node's cotangent is freed as soon as
-        its vjps have run, so only the cotangents still awaiting their node
-        are alive at once.
+        its vjp has run, so only the cotangents still awaiting their node are
+        alive at once.
         """
         upstream = np.asarray(upstream, dtype=np.float64)
         if upstream.shape != output.value.shape:
@@ -114,10 +126,11 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is None or not node.parents:
                 continue
-            for parent, vjp, fresh in node.parents:
-                contribution = vjp(node.grad)
+            for parent, contribution in zip(node.parents, node.vjp(node.grad)):
+                if not parent.needs_grad:
+                    continue
                 if parent.grad is None:
-                    parent.grad = contribution if fresh else contribution.copy()
+                    parent.grad = contribution
                 else:
                     parent.grad += contribution
             node.grad = None
@@ -143,24 +156,23 @@ class Tape:
             sig += 1.0
             value = pre * np.divide(1.0, sig, out=sig)
 
-        def vjp_all(g, xv=x.value, wv=w.value):
+        def vjp(g, xv=x.value, wv=w.value):
             if silu:
                 slope = np.subtract(1.0, sig)
                 slope *= pre
                 slope += 1.0
                 slope *= sig
                 g *= slope
-            return [g @ wv.T if x.needs_grad else None,
-                    xv.T @ g if w.needs_grad else None,
-                    None if b is None else g.sum(axis=0)]
+            grads = (g @ wv.T if x.needs_grad else None, xv.T @ g if w.needs_grad else None)
+            return grads if b is None else grads + (g.sum(axis=0),)
 
-        return self._record(value, _joint_hooks([x, w] if b is None else [x, w, b], vjp_all))
+        return self._record(value, (x, w) if b is None else (x, w, b), vjp)
 
     def stacked_matmul(self, a: Node, bs: list[Node]) -> list[Node]:
         """``dense(a, b)`` for every b of ``bs`` through one product.
 
         ``a`` is multiplied once by the column-stacked ``[b0 | b1 | ...]``, and
-        node i holds the column view of ``b_i`` with the hooks of
+        node i holds the column view of ``b_i`` with the vjp of
         ``dense(a, b_i)``. One wide product reads ``a`` once where separate
         narrow ones read it once each. On OpenBLAS, column views 8 or 16 wide
         (the shipped bottleneck width is 8) were bitwise the separate
@@ -173,59 +185,48 @@ class Tape:
         offset = 0
         for b in bs:
             width = b.value.shape[1]
-            nodes.append(self._record(value[:, offset:offset + width], (
-                (a, lambda g, bv=b.value: g @ bv.T, True),
-                (b, lambda g, av=a.value: av.T @ g, True),
-            )))
+            nodes.append(self._record(
+                value[:, offset:offset + width], (a, b),
+                lambda g, bv=b.value, db=b.needs_grad: (
+                    g @ bv.T if a.needs_grad else None, a.value.T @ g if db else None)))
             offset += width
         return nodes
 
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ValueError(f"add needs equal shapes, got {a.value.shape} and {b.value.shape}")
-        return self._record(a.value + b.value, (
-            (a, lambda g: g, False),
-            (b, lambda g: g, False),
-        ))
+        # Each parent owns its cotangent, so the second one gets a copy.
+        return self._record(a.value + b.value, (a, b), lambda g: (
+            g, g.copy() if a.needs_grad and b.needs_grad else g))
 
     def mul(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ValueError(f"mul needs equal shapes, got {a.value.shape} and {b.value.shape}")
-        return self._record(a.value * b.value, (
-            (a, lambda g, bv=b.value: g * bv, True),
-            (b, lambda g, av=a.value: g * av, True),
-        ))
+        return self._record(a.value * b.value, (a, b), lambda g: (
+            g * b.value if a.needs_grad else None, g * a.value if b.needs_grad else None))
 
     def concat(self, parts: list[Node]) -> Node:
         value = np.concatenate([p.value for p in parts], axis=1)
-        hooks = []
-        offset = 0
-        for part in parts:
-            width = part.value.shape[1]
-            hooks.append((part, lambda g, o=offset, w=width: g[:, o:o + w], False))
-            offset += width
-        return self._record(value, hooks)
+        ends = np.cumsum([p.value.shape[1] for p in parts])
+        return self._record(value, parts, lambda g: [
+            g[:, end - p.value.shape[1]:end].copy() if p.needs_grad else None
+            for p, end in zip(parts, ends)])
 
     def gather(self, x: Node, index: np.ndarray) -> Node:
         """Select rows; repeated indices accumulate gradient additively."""
         index = np.asarray(index, dtype=np.int64)
 
-        def vjp(g, rows=x.value.shape[0], idx=index):
-            return scatter_rows(idx, g, rows)
-
-        return self._record(x.value[index], ((x, vjp, True),))
+        rows = x.value.shape[0]
+        return self._record(x.value[index], (x,), lambda g: (scatter_rows(index, g, rows),))
 
     def segment_sum(self, x: Node, segment_ids: np.ndarray, num_segments: int) -> Node:
         """Sum rows of x into num_segments buckets (empty buckets stay zero)."""
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
         value = scatter_rows(segment_ids, x.value, num_segments)
-        return self._record(value, ((x, lambda g, idx=segment_ids: g[idx], True),))
+        return self._record(value, (x,), lambda g: (g[segment_ids],))
 
     def reshape(self, x: Node, shape: tuple) -> Node:
-        return self._record(
-            x.value.reshape(shape),
-            ((x, lambda g, s=x.value.shape: g.reshape(s), False),),
-        )
+        return self._record(x.value.reshape(shape), (x,), lambda g: (g.reshape(x.value.shape),))
 
     def pair_aggregate(self, base: Node, gates: list[tuple[Node, Node, Node, Node]],
                        pair_edge: np.ndarray, pair_neighbor: np.ndarray,
@@ -261,7 +262,7 @@ class Tape:
                 term += gate
             value[k0:k1] = scatter_rows(pair_edge[p0:p1] - k0, term, k1 - k0)
 
-        def vjp_all(g):
+        def vjp(g):
             order = np.argsort(pair_neighbor, kind="stable")
             sorted_j = pair_neighbor[order]
             d_base = np.empty_like(base.value)
@@ -287,7 +288,7 @@ class Tape:
             return [d_base] + [d for ds in d_gates for d in ds]
 
         parents = [base] + [node for gate in gates for node in gate]
-        return self._record(value, _joint_hooks(parents, vjp_all))
+        return self._record(value, parents, vjp)
 
 
 def _segment_blocks(sorted_ids: np.ndarray, n_segments: int):
@@ -307,23 +308,3 @@ def _segment_blocks(sorted_ids: np.ndarray, n_segments: int):
     if cuts.size > 2:
         cuts = np.delete(cuts, np.maximum(single, 1))
     return [(offsets[s], offsets[e], s, e) for s, e in zip(cuts[:-1], cuts[1:])]
-
-
-def _joint_hooks(parents: list[Node], vjp_all) -> list:
-    """Hooks for an op whose vjp yields all parents' gradients in one pass.
-
-    The first hook the sweep calls runs ``vjp_all`` and parks the gradients of
-    the parents that need one (the rest may be None); each hook takes its own.
-    """
-    live = [i for i, parent in enumerate(parents) if parent.needs_grad]
-    pending: dict[int, np.ndarray] = {}
-
-    def hook(i):
-        def vjp(g):
-            if not pending:
-                grads = vjp_all(g)
-                pending.update((k, grads[k]) for k in live)
-            return pending.pop(i)
-        return vjp
-
-    return [(parents[i], hook(i), True) for i in live]

@@ -72,20 +72,6 @@ def spherical_bessel(order: int, x) -> np.ndarray | float:
     return float(result[0]) if x_arr.ndim == 0 else result
 
 
-def spherical_bessel_derivative(order: int, x) -> np.ndarray | float:
-    """d/dx j_order(x) via j_{order-1} - (order+1)/x * j_order."""
-    _check_order(order)
-    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.all((x_arr > 0) & (x_arr < np.inf)):
-        raise BasisError("derivative evaluation requires finite x > 0")
-    table = _bessel_table(order + 1, x_arr)
-    if order == 0:
-        result = -table[1]
-    else:
-        result = table[order - 1] - (order + 1) / x_arr * table[order]
-    return float(result[0]) if np.asarray(x).ndim == 0 else result
-
-
 # Arguments below this go through the ascending series; its terms decay
 # immediately there, so no cancellation occurs.
 _SERIES_CUTOVER = 0.5

@@ -271,6 +271,8 @@ def cmd_export_filters(args) -> int:
         raise UsageError("--d-samples and --theta-samples must be positive")
     if not args.phi:
         raise UsageError("--phi must contain at least one sample")
+    if args.channels == []:
+        raise UsageError("--channels must name at least one channel")
     params, cfg = load_model(args.model)
     if cfg.num_interaction_blocks < 1:
         raise ModelIOError(f"{args.model}: filter export needs at least one interaction block")

@@ -22,14 +22,6 @@ SYMBOLS = (
 SYMBOL_TO_Z = {symbol: z for z, symbol in enumerate(SYMBOLS) if z > 0}
 
 
-def symbol_to_z(symbol: str) -> int:
-    """Map an element symbol to its atomic number.
-
-    Raises KeyError for symbols outside the supported Z <= 86 range.
-    """
-    return SYMBOL_TO_Z[symbol]
-
-
 def z_to_symbol(z: int) -> str:
     """Map an atomic number in [1, 86] to its element symbol."""
     if not 1 <= z <= MAX_Z:

@@ -224,7 +224,6 @@ def rigid_transform(graph: Graph3D, rotation: np.ndarray,
         atomic_numbers=graph.atomic_numbers,
         positions=new_positions,
         graph_target=graph.graph_target,
-        node_targets=graph.node_targets,
         id=graph.id,
     )
 

@@ -46,7 +46,7 @@ class XYZParseError(IngestError):
 
 @dataclass(frozen=True)
 class Graph3D:
-    """A 3D graph: atomic numbers, Cartesian positions, optional targets.
+    """A 3D graph: atomic numbers, Cartesian positions, an optional target.
 
     Positions are an (n, 3) float64 array in angstrom. Arrays are made
     read-only so instances can be shared freely across threads.
@@ -55,7 +55,6 @@ class Graph3D:
     atomic_numbers: np.ndarray
     positions: np.ndarray
     graph_target: Optional[float] = None
-    node_targets: Optional[np.ndarray] = None
     id: str = ""
 
     def __post_init__(self):
@@ -78,17 +77,10 @@ class Graph3D:
                 raise IngestError(f"graph {self.id!r}: non-finite target")
             object.__setattr__(self, "graph_target", target)
         _check_min_separation(pos, self.id)
-        node_t = self.node_targets
-        if node_t is not None:
-            node_t = np.ascontiguousarray(node_t, dtype=np.float64)
-            if node_t.ndim != 2 or node_t.shape[0] != z.size:
-                raise IngestError(f"graph {self.id!r}: node_targets must be (n, k)")
-            node_t.setflags(write=False)
         z.setflags(write=False)
         pos.setflags(write=False)
         object.__setattr__(self, "atomic_numbers", z)
         object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "node_targets", node_t)
 
     @property
     def n_atoms(self) -> int:

@@ -162,9 +162,6 @@ class ModelParams:
     def clone(self) -> "ModelParams":
         return ModelParams(self.cfg, self.values)
 
-    def n_parameters(self) -> int:
-        return self.flat_values.size
-
 
 def init_params(cfg: RunConfig, seed: int) -> ModelParams:
     """Draw parameters deterministically from a counter-based generator.
@@ -534,6 +531,8 @@ def export_filters(params: ModelParams, cfg: RunConfig,
     width = bias.size
     if channels is None:
         channels = list(range(width))
+    if len(channels) == 0:
+        raise NetworkError("channels must name at least one channel")
     if any(not 0 <= ch < width for ch in channels):
         raise NetworkError(f"channel index outside [0, {width})")
     grid_d, grid_t, grid_p = np.meshgrid(d_values, theta_values, phi_values, indexing="ij")

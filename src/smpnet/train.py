@@ -382,8 +382,7 @@ def fd_forces(params: ModelParams, graph: Graph3D, cfg: RunConfig,
 
 def _with_positions(graph: Graph3D, positions: np.ndarray) -> Graph3D:
     return Graph3D(atomic_numbers=graph.atomic_numbers, positions=positions.copy(),
-                   graph_target=graph.graph_target, node_targets=graph.node_targets,
-                   id=graph.id)
+                   graph_target=graph.graph_target, id=graph.id)
 
 
 # --- synthetic regression tasks ----------------------------------------------
@@ -443,19 +442,6 @@ def chain_positions(lengths: np.ndarray, angles: np.ndarray,
     )
     d = c + lengths[2] * direction
     return np.stack([a, b, c, d])
-
-
-def dihedral_angle(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray,
-                   p3: np.ndarray) -> float:
-    """Textbook dihedral of four points in [0, 2*pi), for oracle checks."""
-    b1 = p1 - p0
-    b2 = p2 - p1
-    b3 = p3 - p2
-    n1 = np.cross(b1, b2)
-    n2 = np.cross(b2, b3)
-    m1 = np.cross(n1, b2 / np.linalg.norm(b2))
-    angle = math.atan2(float(np.dot(m1, n2)), float(np.dot(n1, n2)))
-    return angle if angle >= 0.0 else angle + 2.0 * math.pi
 
 
 # --- ablation comparison ------------------------------------------------------

@@ -235,8 +235,10 @@ def test_leaf_adds_into_given_buffer():
 
 
 def retained_backward(tape, output, upstream):
-    """The reverse sweep that keeps every node's cotangent until it ends;
-    leaf buffers are added into, as ``Tape.backward`` does."""
+    """The reverse sweep that keeps every node's cotangent until it ends and
+    copies each first contribution, so it relies on no vjp handing its parent
+    an array of its own; leaf buffers are added into, as ``Tape.backward``
+    does."""
     for node in tape.nodes:
         if node.parents:
             node.grad = None
@@ -244,10 +246,11 @@ def retained_backward(tape, output, upstream):
     for node in reversed(tape.nodes):
         if node.grad is None or not node.parents:
             continue
-        for parent, vjp, fresh in node.parents:
-            contribution = vjp(node.grad)
+        for parent, contribution in zip(node.parents, node.vjp(node.grad.copy())):
+            if not parent.needs_grad:
+                continue
             if parent.grad is None:
-                parent.grad = contribution if fresh else contribution.copy()
+                parent.grad = contribution.copy()
             else:
                 parent.grad += contribution
 
@@ -270,6 +273,40 @@ def test_backward_frees_interior_cotangents(tiny_cfg):
     for name, leaf in swept.context.leaves.items():
         assert np.array_equal(leaf.grad, retained.context.leaves[name].grad), name
     assert np.any(swept.params.flat_grads)
+
+
+def check_vjp_ownership(tape, rng):
+    """Every recorded vjp returns one entry per parent, and each array it
+    hands a parent that needs a gradient has that parent's shape and shares
+    memory with no other returned array and with no node's value."""
+    values = [node.value for node in tape.nodes]
+    for node in tape.nodes:
+        if not node.parents:
+            continue
+        grads = node.vjp(rng.normal(size=node.value.shape))
+        assert len(grads) == len(node.parents)
+        owned = [(parent, grad) for parent, grad in zip(node.parents, grads)
+                 if parent.needs_grad]
+        for i, (parent, grad) in enumerate(owned):
+            assert grad.shape == parent.value.shape
+            assert not any(np.shares_memory(grad, other) for _, other in owned[i + 1:])
+            assert not any(np.shares_memory(grad, value) for value in values)
+
+
+def test_vjps_hand_each_parent_its_own_array(tiny_cfg):
+    rng = np.random.default_rng(73)
+    tape = Tape()
+    x = tape.leaf(rng.normal(size=(4, 3)))
+    y = tape.leaf(rng.normal(size=(4, 2)))
+    joined = tape.concat([tape.add(x, x), y, tape.constant(np.ones((4, 1))), x])
+    tape.reshape(tape.mul(joined, joined), (36,))
+    assert len(tape.nodes) == 6
+    check_vjp_ownership(tape, rng)
+
+    merged = merge_features([featurize_graph(random_graph(rng, n_atoms=n), tiny_cfg)
+                             for n in (4, 5, 6)])
+    cache = forward_features(merged, init_params(tiny_cfg, seed=79), tiny_cfg)
+    check_vjp_ownership(cache.context.tape, rng)
 
 
 # --- fused pair aggregation ------------------------------------------------------

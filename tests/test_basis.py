@@ -6,7 +6,7 @@ import pytest
 
 from smpnet.basis import (BasisError, _radial_table, bessel_roots, build_tables,
                           rbf_embed, real_sph_harm, sbf_embed, spherical_bessel,
-                          spherical_bessel_derivative, tbf_embed)
+                          tbf_embed)
 
 mp.mp.dps = 40
 
@@ -377,11 +377,6 @@ INF = float("inf")
     lambda t: spherical_bessel(2, NAN),
     lambda t: spherical_bessel(0, INF),
     lambda t: spherical_bessel(3, np.array([1.0, NAN])),
-    lambda t: spherical_bessel_derivative(-1, 1.0),
-    lambda t: spherical_bessel_derivative(-3, 1.0),
-    lambda t: spherical_bessel_derivative(17, 1.0),
-    lambda t: spherical_bessel_derivative(1, NAN),
-    lambda t: spherical_bessel_derivative(1, INF),
     lambda t: rbf_embed(NAN, t),
     lambda t: sbf_embed(NAN, 0.5, t),
     lambda t: tbf_embed(NAN, 0.5, 0.1, t),
@@ -395,9 +390,7 @@ INF = float("inf")
     lambda t: real_sph_harm(2, 0, INF),
     lambda t: real_sph_harm(2, -1, 0.3, -INF),
     lambda t: real_sph_harm(3, 2, np.array([0.3, NAN]), 0.1),
-], ids=["bessel-nan", "bessel-inf", "bessel-nan-in-array", "derivative-order-minus-1",
-        "derivative-order-minus-3", "derivative-order-17", "derivative-nan",
-        "derivative-inf", "rbf-nan-distance", "sbf-nan-distance", "tbf-nan-distance",
+], ids=["bessel-nan", "bessel-inf", "bessel-nan-in-array", "rbf-nan-distance", "sbf-nan-distance", "tbf-nan-distance",
         "sbf-nan-polar", "tbf-nan-polar", "tbf-nan-polar-in-array",
         "tbf-nan-azimuth", "tbf-inf-azimuth", "harmonic-nan-polar",
         "harmonic-nan-azimuth", "harmonic-inf-polar", "harmonic-minus-inf-azimuth",

@@ -265,7 +265,8 @@ def filter_model(tmp_path, blocks=1):
 
 
 @pytest.mark.parametrize("flag", [("--channels", "99"), ("--channels", "-1"),
-                                  ("--phi", "nan")], ids=["channel99", "channel-1", "phi-nan"])
+                                  ("--channels", ","), ("--phi", "nan")],
+                         ids=["channel99", "channel-1", "channels-empty", "phi-nan"])
 def test_export_filters_bad_flag_value_is_usage_error(tmp_path, capsys, flag):
     code = main(["export-filters", "--model", str(filter_model(tmp_path)),
                  "--d-samples", "2", "--theta-samples", "2",

@@ -17,8 +17,7 @@ import pytest
 from smpnet import basis
 from smpnet.basis import (MAX_ORDER, _bessel_table, _harmonics, _radial_table,
                           _zonal_harmonics, bessel_roots, build_tables, sbf_embed,
-                          spherical_bessel, spherical_bessel_derivative,
-                          tables_for, tbf_embed)
+                          spherical_bessel, tables_for, tbf_embed)
 from smpnet.geometry import (COLLINEAR_PROJECTION_EPS, build_radius_graph,
                              build_two_hop_index, compute_torsions,
                              two_hop_geometry)
@@ -204,7 +203,9 @@ def reference_roots(l_max, n_max):
         mid = 0.5 * (lo + hi)
         for _ in range(2):
             value = _bessel_table(order, mid)[order]
-            slope = spherical_bessel_derivative(order, mid)
+            # j_l'(x) = j_{l-1}(x) - (l + 1)/x * j_l(x)
+            table = _bessel_table(order + 1, mid)
+            slope = table[order - 1] - (order + 1) / mid * table[order]
             mid = mid - value / slope
         roots[order, :count] = mid
     return roots[:, :n_max]

@@ -15,7 +15,7 @@ import pytest
 
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D
 from smpnet.network import featurize_graph, forward_features, init_params, merge_features
-from smpnet.train import ablation_config, dihedral_angle, synthetic_torsion_task
+from smpnet.train import ablation_config, synthetic_torsion_task
 
 from conftest import random_graph
 
@@ -28,6 +28,19 @@ def mirrored(graph: Graph3D) -> Graph3D:
     positions[:, 0] = -positions[:, 0]
     return Graph3D(graph.atomic_numbers, positions, graph_target=graph.graph_target,
                    id=graph.id + "-mirror")
+
+
+def dihedral_angle(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray,
+                   p3: np.ndarray) -> float:
+    """Textbook dihedral of four points in [0, 2*pi)."""
+    b1 = p1 - p0
+    b2 = p2 - p1
+    b3 = p3 - p2
+    n1 = np.cross(b1, b2)
+    n2 = np.cross(b2, b3)
+    m1 = np.cross(n1, b2 / np.linalg.norm(b2))
+    angle = math.atan2(float(np.dot(m1, n2)), float(np.dot(n1, n2)))
+    return angle if angle >= 0.0 else angle + 2.0 * math.pi
 
 
 def chiral_graphs(cfg):

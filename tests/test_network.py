@@ -587,6 +587,8 @@ def test_export_filters_channel_subset_and_errors(tiny_cfg):
         export_filters(params, tiny_cfg, [], [0.5], [0.0])
     with pytest.raises(NetworkError, match="channel"):
         export_filters(params, tiny_cfg, [1.0], [0.5], [0.0], channels=[99])
+    with pytest.raises(NetworkError, match="at least one channel"):
+        export_filters(params, tiny_cfg, [1.0], [0.5], [0.0], channels=[])
 
 
 # --- serialization --------------------------------------------------------------------
@@ -615,7 +617,7 @@ def test_load_rejects_config_mismatch(tiny_cfg, tmp_path):
     with pytest.raises(ModelIOError, match="cutoff_c"):
         load_model(str(path), expected_cfg=tiny_cfg.replace(cutoff_c=4.0))
     loaded, _ = load_model(str(path), expected_cfg=tiny_cfg)
-    assert loaded.n_parameters() == params.n_parameters()
+    assert loaded.flat_values.size == params.flat_values.size
 
 
 def test_load_rejects_corrupt_files(tiny_cfg, tmp_path):
