@@ -25,6 +25,15 @@ optional SiLU) in one node. ``pair_aggregate`` reduces per-pair gated
 messages to per-edge sums block by block, so no array with one row per
 two-hop pair and one column per message channel outlives a block, in the
 forward or in its vector-Jacobian product.
+
+A tape built on a ``Workspace`` writes its forward values (dense, add, mul,
+concat, gather, stacked_matmul and pair_aggregate outputs) into the
+workspace's buffers with ``out=``, so successive training steps reuse one
+set of buffers instead of allocating them afresh. A forward's values are
+therefore valid only until the next forward on the same workspace.
+Cotangents are not pooled: they are allocated by the vjps and freed by the
+sweep. No vjp refers to its tape, so dropping the last reference to a tape
+frees it at once, without waiting for the cyclic garbage collector.
 """
 from __future__ import annotations
 
@@ -70,11 +79,49 @@ class Node:
         self.needs_grad = needs_grad
 
 
-class Tape:
-    """Records nodes in execution order; replays them in reverse."""
+class Workspace:
+    """Buffers for the forward values of successive tapes, handed out in call order.
+
+    Every ``Tape`` built on the workspace rewinds it to slot 0, and each
+    value the tape computes takes the next slot. Slot i keeps a flat buffer
+    of the largest size it has been asked for and returns a view of its
+    leading entries, so a forward that repeats the previous forward's calls
+    writes over the previous forward's values rather than allocating. A
+    slot that grows replaces its buffer; the old one is freed once no
+    earlier forward's node still refers to it.
+    """
 
     def __init__(self):
+        self.slots: list[np.ndarray] = []
+        self.used = 0
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        """The next slot as an uninitialised float64 array of ``shape``."""
+        size = math.prod(shape)
+        if self.used == len(self.slots):
+            self.slots.append(np.empty(size))
+        elif self.slots[self.used].size < size:
+            self.slots[self.used] = np.empty(size)
+        view = self.slots[self.used][:size].reshape(shape)
+        self.used += 1
+        return view
+
+
+class Tape:
+    """Records nodes in execution order; replays them in reverse.
+
+    With a ``workspace`` the forward values are written into its slots, and
+    they stay valid only until the next tape on that workspace computes its
+    own; without one every value is a fresh array.
+    """
+
+    def __init__(self, workspace: Workspace = None):
         self.nodes: list[Node] = []
+        if workspace is None:
+            self._empty = np.empty
+        else:
+            workspace.used = 0
+            self._empty = workspace.empty
 
     def _record(self, value: np.ndarray, parents, vjp) -> Node:
         """A node of ``value``, kept on the tape only if a parent needs a gradient."""
@@ -145,16 +192,17 @@ class Tape:
         Products keep the operand order of separate affine and SiLU ops, so
         values and gradients are bitwise theirs.
         """
-        value = pre = x.value @ w.value
+        shape = (x.value.shape[0], w.value.shape[1])
+        value = pre = np.matmul(x.value, w.value, out=self._empty(shape))
         if b is not None:
             pre += b.value
         if silu:
             # exp(-pre) overflows to inf below pre = -709: sigmoid's right limit 0.
-            sig = np.negative(pre)
+            sig = np.negative(pre, out=self._empty(shape))
             with np.errstate(over="ignore"):
                 np.exp(sig, out=sig)
             sig += 1.0
-            value = pre * np.divide(1.0, sig, out=sig)
+            value = np.multiply(pre, np.divide(1.0, sig, out=sig), out=self._empty(shape))
 
         def vjp(g, xv=x.value, wv=w.value):
             if silu:
@@ -180,7 +228,9 @@ class Tape:
         """
         if not bs:
             return []
-        value = a.value @ np.concatenate([b.value for b in bs], axis=1)
+        stacked = np.concatenate([b.value for b in bs], axis=1)
+        value = np.matmul(a.value, stacked,
+                          out=self._empty((a.value.shape[0], stacked.shape[1])))
         nodes = []
         offset = 0
         for b in bs:
@@ -196,28 +246,37 @@ class Tape:
         if a.value.shape != b.value.shape:
             raise ValueError(f"add needs equal shapes, got {a.value.shape} and {b.value.shape}")
         # Each parent owns its cotangent, so the second one gets a copy.
-        return self._record(a.value + b.value, (a, b), lambda g: (
+        value = np.add(a.value, b.value, out=self._empty(a.value.shape))
+        return self._record(value, (a, b), lambda g: (
             g, g.copy() if a.needs_grad and b.needs_grad else g))
 
     def mul(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:
             raise ValueError(f"mul needs equal shapes, got {a.value.shape} and {b.value.shape}")
-        return self._record(a.value * b.value, (a, b), lambda g: (
+        value = np.multiply(a.value, b.value, out=self._empty(a.value.shape))
+        return self._record(value, (a, b), lambda g: (
             g * b.value if a.needs_grad else None, g * a.value if b.needs_grad else None))
 
     def concat(self, parts: list[Node]) -> Node:
-        value = np.concatenate([p.value for p in parts], axis=1)
         ends = np.cumsum([p.value.shape[1] for p in parts])
+        value = np.concatenate([p.value for p in parts], axis=1,
+                               out=self._empty((parts[0].value.shape[0], int(ends[-1]))))
         return self._record(value, parts, lambda g: [
             g[:, end - p.value.shape[1]:end].copy() if p.needs_grad else None
             for p, end in zip(parts, ends)])
 
     def gather(self, x: Node, index: np.ndarray) -> Node:
-        """Select rows; repeated indices accumulate gradient additively."""
-        index = np.asarray(index, dtype=np.int64)
+        """Select rows; repeated indices accumulate gradient additively.
 
+        Indices must lie in [0, rows), as for ``scatter_rows``. The rows are
+        taken with ``mode="clip"``, which writes straight into the output;
+        the default mode would stage them in a temporary first.
+        """
+        index = np.asarray(index, dtype=np.int64)
         rows = x.value.shape[0]
-        return self._record(x.value[index], (x,), lambda g: (scatter_rows(index, g, rows),))
+        value = np.take(x.value, index, axis=0, mode="clip",
+                        out=self._empty(index.shape + x.value.shape[1:]))
+        return self._record(value, (x,), lambda g: (scatter_rows(index, g, rows),))
 
     def segment_sum(self, x: Node, segment_ids: np.ndarray, num_segments: int) -> Node:
         """Sum rows of x into num_segments buckets (empty buckets stay zero)."""
@@ -251,7 +310,7 @@ class Tape:
         pair_neighbor = np.asarray(pair_neighbor, dtype=np.int64)
         if np.any(pair_edge[1:] < pair_edge[:-1]):
             raise ValueError("pair_aggregate needs pair_edge sorted")
-        value = np.empty((n_edges, base.value.shape[1]))
+        value = self._empty((n_edges, base.value.shape[1]))
         for p0, p1, k0, k1 in _segment_blocks(pair_edge, n_edges):
             j = pair_neighbor[p0:p1]
             term = base.value[j]

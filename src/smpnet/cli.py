@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -140,6 +142,22 @@ def _write_text(path: Optional[str], text: str):
             handle.write(text)
 
 
+def _check_output_paths(*paths: Optional[str]):
+    """Raise an OSError (exit code 2) if a path's directory is missing or not writable.
+
+    Every subcommand calls it before any work, so a run that could not save
+    its result fails at once rather than after training.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(errno.ENOENT, "output directory does not exist", directory)
+        if not os.access(directory, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, "output directory is not writable", directory)
+
+
 def _load_dataset(args) -> list:
     if bool(args.input) == bool(args.manifest):
         raise UsageError("provide exactly one of --input or --manifest")
@@ -170,6 +188,7 @@ def _session_config(args) -> RunConfig:
 def cmd_featurize(args) -> int:
     if not args.cutoff > 0:
         raise UsageError(f"--cutoff must be positive, got {args.cutoff}")
+    _check_output_paths(args.out)
     graphs = load_xyz(args.input)
     lines = ["graph_id,k,j,d,theta,phi"]
     for graph in graphs:
@@ -188,6 +207,7 @@ def cmd_featurize(args) -> int:
 def cmd_train(args) -> int:
     if not 0.0 <= args.valid_fraction < 1.0:
         raise UsageError(f"--valid-fraction must lie in [0, 1), got {args.valid_fraction}")
+    _check_output_paths(args.out_model, args.log)
     cfg = _session_config(args)
     dataset = _load_dataset(args)
     result = train(dataset, cfg, valid_fraction=args.valid_fraction)
@@ -198,6 +218,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_output_paths(args.out)
     expected = load_config(args.config) if args.config else None
     params, cfg = load_model(args.model, expected_cfg=expected)
     if args.seed is not None:
@@ -213,6 +234,7 @@ def cmd_ablate(args) -> int:
         raise UsageError("--epochs and --seeds must be positive")
     if args.train_size < 64 or args.test_size < 1:
         raise UsageError("--train-size must be >= 64 and --test-size >= 1")
+    _check_output_paths(args.out)
     report = run_ablation(task=args.task, epochs=args.epochs, n_seeds=args.seeds,
                           train_size=args.train_size, test_size=args.test_size)
     by_seed = {}
@@ -230,6 +252,7 @@ def cmd_ablate(args) -> int:
 def cmd_basis_dump(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be positive")
+    _check_output_paths(args.out)
     try:
         tables = build_tables(args.cutoff, args.n_srbf, args.n_shbf)
     except BasisError as exc:
@@ -273,6 +296,7 @@ def cmd_export_filters(args) -> int:
         raise UsageError("--phi must contain at least one sample")
     if args.channels == []:
         raise UsageError("--channels must name at least one channel")
+    _check_output_paths(args.out)
     params, cfg = load_model(args.model)
     if cfg.num_interaction_blocks < 1:
         raise ModelIOError(f"{args.model}: filter export needs at least one interaction block")

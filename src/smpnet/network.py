@@ -21,7 +21,9 @@ forward or for the backward.
 
 Inference (``forward_features(..., grad=False)``) enters the parameters as
 constants, so the tape records nothing and every intermediate is freed once
-consumed; the predictions are bitwise those of the taped forward.
+consumed; the predictions are bitwise those of the taped forward. Training
+passes a ``Workspace`` to its taped forwards, which then write their values
+into the same buffers step after step (see ``forward_features``).
 
 Geometry and basis values enter as constants: gradients flow to parameters
 only. Gate encodings use bottleneck blocks (down-projection without bias,
@@ -39,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Node, Tape
+from .autodiff import Node, Tape, Workspace
 from .basis import BasisTables, _radial_table, rbf_embed, sbf_embed, tbf_embed, tables_for
 from .geometry import build_radius_graph, two_hop_geometry
 from .ingest import FULL, NO_TORSION, Graph3D, IngestError, RunConfig
@@ -348,8 +350,12 @@ def _bottleneck(ctx: ForwardContext, name: str, x: Node) -> Node:
 
 
 def begin_forward(features: GraphFeatures, params: ModelParams,
-                  cfg: RunConfig, grad: bool = True) -> ForwardContext:
+                  cfg: RunConfig, grad: bool = True,
+                  workspace: Optional[Workspace] = None) -> ForwardContext:
     """A fresh tape; parameters enter as leaves, or as constants without grad.
+
+    A taped forward writes its values into ``workspace`` when one is given;
+    a forward with ``grad=False`` never uses it.
 
     The gate inputs ``feature @ inter{b}.{kind}.down`` do not depend on the
     messages, so they are computed here, once per forward: one product per
@@ -359,7 +365,7 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
     block's own product. Blocks called one by one on this context pick up
     theirs.
     """
-    tape = Tape()
+    tape = Tape(workspace if grad else None)
     if grad:
         leaves = {name: tape.leaf(value, params.grads[name])
                   for name, value in params.values.items()}
@@ -458,14 +464,24 @@ def output_block(ctx: ForwardContext, messages: Node) -> tuple[Node, Node]:
 
 
 def forward_features(features: GraphFeatures, params: ModelParams,
-                     cfg: RunConfig, grad: bool = True) -> ForwardCache:
+                     cfg: RunConfig, grad: bool = True,
+                     workspace: Optional[Workspace] = None) -> ForwardCache:
     """Run all blocks on featurized input; cache the tape for backward.
 
     With ``grad=False`` the parameters enter as constants, so the tape records
     no node and each intermediate is freed once consumed: the predictions are
     the same, bit for bit, and ``backward`` has nothing to sweep.
+
+    A taped forward given a ``workspace`` writes its values into the
+    workspace's buffers, overwriting those of the previous forward on it.
+    The returned cache, its predictions included, is then valid only until
+    the next forward on the same workspace: run ``backward`` and copy what
+    must outlive the step before that. Drop the cache before the next
+    forward, so that the two tapes never coexist and a slot that grows frees
+    its old buffer. Values and gradients are bitwise those of a forward
+    without a workspace. ``grad=False`` ignores ``workspace``.
     """
-    ctx = begin_forward(features, params, cfg, grad)
+    ctx = begin_forward(features, params, cfg, grad, workspace)
     messages = embedding_block(ctx)
     for block in range(cfg.num_interaction_blocks):
         messages = interaction_block(ctx, messages, block)

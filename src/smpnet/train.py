@@ -3,10 +3,15 @@
 Training is sequential over optimizer steps; each mini-batch runs as one
 merged forward/backward over the disjoint union of its graphs, whose sweep
 writes the gradients straight into ``ModelParams.flat_grads``, the buffer
-``adam_step`` reads. Inference streams: graphs are featurized one at a time
-and run in chunks closed at ``CHUNK_BUDGET`` pairs plus edges, and a chunk's
-features are released before the next graph is featurized, so memory follows
-the largest chunk rather than the dataset. Everything runs in one thread;
+``adam_step`` reads. ``train`` owns one ``Workspace`` for its taped
+forwards: each step's forward values overwrite the previous step's buffers,
+and the step's tape is dropped after the Adam update, so two steps' tapes
+never coexist and a step's values are valid only until the next step's
+forward. Validation and prediction use no workspace. Inference streams:
+graphs are featurized one at a time and run in chunks closed at
+``CHUNK_BUDGET`` pairs plus edges, and a chunk's features are released
+before the next graph is featurized, so memory follows the largest chunk
+rather than the dataset. Everything runs in one thread;
 the ``threads`` arguments are accepted for compatibility and have no effect.
 """
 from __future__ import annotations
@@ -17,6 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .autodiff import Workspace
 from .basis import tables_for
 from .ingest import (FULL, NO_ANGLE_TORSION, NO_TORSION, SCHEDULE_STEP,
                      Graph3D, RunConfig)
@@ -280,6 +286,7 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
 
     params = init_params(cfg, seed)
     opt = OptimState.for_params(params)
+    workspace = Workspace()
     log: list[EpochLog] = []
     best_score = math.inf
     best_epoch = -1
@@ -294,7 +301,7 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
             batch = order[start:start + cfg.batch_size]
             merged = merge_features([features[i] for i in batch])
             try:
-                cache = forward_features(merged, params, cfg)
+                cache = forward_features(merged, params, cfg, workspace=workspace)
             except NetworkError as exc:
                 # Parameters blew up on an earlier step; report it as
                 # divergence at the step whose forward pass failed.
@@ -305,6 +312,9 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
                 raise DivergenceError(step)
             backward(cache, np.sign(residual) / batch.size, accumulate=False)
             adam_step(params, opt, lr)
+            # The next forward overwrites this tape's values in the workspace;
+            # nothing of the step may outlive it.
+            del cache, merged
             abs_error_sum += float(np.sum(np.abs(residual)))
             step += 1
         train_mae = abs_error_sum / order.size

@@ -1,10 +1,14 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import smpnet.autodiff as autodiff
-from smpnet.autodiff import Tape, scatter_rows
+from smpnet.autodiff import Tape, Workspace, scatter_rows
 
-from smpnet.network import featurize_graph, forward_features, init_params, merge_features
+from smpnet.network import (backward, begin_forward, embedding_block, featurize_graph,
+                            forward_features, init_params, merge_features)
 
 from conftest import per_block_matmul, random_graph, unfused_pair_aggregate
 
@@ -416,3 +420,56 @@ def test_constant_inputs_record_no_nodes():
     tape.dense(tape.mul(out, out), tape.constant(np.eye(3)), silu=True)
     assert tape.nodes == []
     assert np.array_equal(out.value, np.full((2, 3), 2.0))
+
+
+def small_batch(cfg, seed):
+    rng = np.random.default_rng(seed)
+    return merge_features([featurize_graph(random_graph(rng, n_atoms=n), cfg)
+                           for n in (4, 6)])
+
+
+def test_workspace_reuses_forward_values(tiny_cfg):
+    # Consecutive taped forwards on one workspace write their dense values
+    # into the same memory; a forward without gradients leaves it untouched.
+    params = init_params(tiny_cfg, seed=101)
+    features = small_batch(tiny_cfg, 103)
+    workspace = Workspace()
+    first = embedding_block(begin_forward(features, params, tiny_cfg, workspace=workspace))
+    second = embedding_block(begin_forward(features, params, tiny_cfg, workspace=workspace))
+    assert np.shares_memory(first.value, second.value)
+    slots, used, kept = list(workspace.slots), workspace.used, second.value.copy()
+    forward_features(features, params, tiny_cfg, grad=False, workspace=workspace)
+    assert workspace.used == used
+    assert len(workspace.slots) == len(slots)
+    assert all(now is before for now, before in zip(workspace.slots, slots))
+    assert np.array_equal(second.value, kept)
+
+
+def test_workspace_slot_grows_to_the_largest_request():
+    # Each tape rewinds the workspace, so its first value takes slot 0 again.
+    workspace = Workspace()
+    small = workspace.empty((2, 3))
+    Tape(workspace)
+    large = workspace.empty((4, 5))
+    assert workspace.slots[0].size == 20 and not np.shares_memory(small, large)
+    Tape(workspace)
+    again = workspace.empty((3, 2))
+    assert again.shape == (3, 2) and np.shares_memory(again, large)
+
+
+def test_dropped_tape_is_freed_without_the_cycle_collector(tiny_cfg):
+    # No vjp may refer to its tape: a tape -> node -> vjp -> tape cycle would
+    # keep every step's tape (and its values) alive until the cyclic garbage
+    # collector happens to run.
+    params = init_params(tiny_cfg, seed=107)
+    features = small_batch(tiny_cfg, 109)
+    workspace = Workspace()
+    gc.disable()
+    try:
+        cache = forward_features(features, params, tiny_cfg, workspace=workspace)
+        backward(cache, 1.0, accumulate=False)
+        tape = weakref.ref(cache.context.tape)
+        del cache
+        assert tape() is None
+    finally:
+        gc.enable()

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import smpnet.cli as cli
 import smpnet.train as T
 from smpnet.cli import main
 from smpnet.ingest import format_xyz
@@ -303,3 +304,45 @@ def test_ablate_smoke(tmp_path):
     assert lines[0] == "seed,full_mae,no_torsion_mae,no_angle_torsion_mae"
     assert lines[1].startswith("0,")
     assert lines[-1].startswith("median,")
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Replaces the long-running entry points by spies that record any call."""
+    calls = []
+    for name in ("train", "run_ablation", "evaluate"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    return calls
+
+
+@pytest.mark.parametrize("flag", ["--out-model", "--log"])
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_train_checks_output_paths_first(tmp_path, torsion_dataset_file, capsys, no_work,
+                                         flag, parent):
+    (tmp_path / "file").write_text("")
+    outputs = {"--out-model": str(tmp_path / "model.bin"), "--log": str(tmp_path / "log.csv")}
+    outputs[flag] = str(tmp_path / parent / "out")
+    argv = ["train", "--input", str(torsion_dataset_file)]
+    argv += [token for item in outputs.items() for token in item]
+    assert main(argv) == 2
+    assert no_work == []
+    assert str(tmp_path / parent) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ablate", "eval", "featurize", "basis-dump",
+                                     "export-filters"])
+def test_other_commands_check_output_paths_first(tmp_path, water_file, capsys, no_work,
+                                                 command):
+    out = str(tmp_path / "missing" / "out.csv")
+    model = tmp_path / "model.bin"
+    save_model(init_params(RunConfig(embed_size=8, output_embed_size=6), seed=0), str(model))
+    argv = {
+        "ablate": ["ablate", "--epochs", "1", "--seeds", "1"],
+        "eval": ["eval", "--model", str(model), "--input", str(water_file)],
+        "featurize": ["featurize", "--input", str(water_file)],
+        "basis-dump": ["basis-dump"],
+        "export-filters": ["export-filters", "--model", str(model)],
+    }[command]
+    assert main(argv + ["--out", out]) == 2
+    assert no_work == []
+    assert "output directory does not exist" in capsys.readouterr().err

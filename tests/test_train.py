@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import smpnet.train as T
+from smpnet.autodiff import Workspace
 from smpnet.geometry import rigid_transform
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
 from smpnet.network import featurize_graph, init_params
@@ -329,6 +330,47 @@ def test_explicit_split_overfits_small_set(tiny_cfg):
     result = T.train(data, cfg, seed=3, split=(list(range(8)), []))
     assert all(math.isnan(entry.valid_mae) for entry in result.log)
     assert result.best_epoch >= 0
+
+
+def test_training_steps_never_hold_two_tapes(tiny_cfg):
+    # Each step's forward overwrites the previous step's values in the
+    # training workspace, and the previous tape is gone before it starts, so
+    # three one-step epochs peak no higher than one.
+    cfg = tiny_cfg.replace(cutoff_c=5.0)
+    rng = np.random.default_rng(97)
+    data = [random_graph(rng, n_atoms=12, max_z=cfg.max_z) for _ in range(4)]
+    split = (list(range(4)), [])
+    T.train(data, cfg.replace(max_epochs=1), seed=1, split=split)  # builds the cached tables
+
+    def peak(epochs):
+        tracemalloc.start()
+        try:
+            T.train(data, cfg.replace(max_epochs=epochs), seed=1, split=split)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3) <= 1.05 * peak(1)
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_workspace_training_matches_fresh_buffers(tiny_cfg, monkeypatch, mode):
+    # Batches of 4, 4, ..., 2 graphs make the workspace slots shrink and grow.
+    cfg = quick_cfg(tiny_cfg, ablation_mode=mode)
+    data = T.synthetic_torsion_task(64, seed=23)
+    pooled = T.train(data, cfg, seed=4)
+    requests = []
+
+    def fresh(self, shape):
+        requests.append(shape)
+        return np.empty(shape)
+
+    monkeypatch.setattr(Workspace, "empty", fresh)
+    unpooled = T.train(data, cfg, seed=4)
+    assert requests
+    assert np.array_equal(pooled.params.flat_values, unpooled.params.flat_values)
+    assert np.array_equal(pooled.final_params.flat_values, unpooled.final_params.flat_values)
+    assert T.format_epoch_log(pooled.log) == T.format_epoch_log(unpooled.log)
 
 
 # --- finite-difference forces ---------------------------------------------------------
