@@ -79,11 +79,12 @@ _RESCALE_LIMIT = 1e140
 
 
 def _bessel_table(l_max: int, x: np.ndarray) -> np.ndarray:
-    """j_l(x) for all l in 0..l_max, shape (l_max + 1, len(x))."""
+    """j_l(x) for all l in 0..l_max, shape (l_max + 1, len(x)).
+
+    The series gives exactly (1, 0, ..., 0) at x = 0.
+    """
     table = np.zeros((l_max + 1, x.size), dtype=np.float64)
-    zero = x == 0.0
-    table[0, zero] = 1.0
-    small = ~zero & (x < _SERIES_CUTOVER)
+    small = x < _SERIES_CUTOVER
     if np.any(small):
         table[:, small] = _bessel_series(l_max, x[small])
     live = x >= _SERIES_CUTOVER

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Graph3D
+from .ingest import Graph3D, pair_distances
 
 # Below this projected norm (angstrom) a neighbor counts as collinear with
 # the edge axis; its torsion is geometrically undefined and set to zero.
@@ -81,10 +81,8 @@ def build_radius_graph(graph: Graph3D, cutoff: float) -> DirectedEdgeList:
     """
     if not cutoff > 0:
         raise GeometryError(f"cutoff must be positive, got {cutoff}")
-    pos = graph.positions
     n = graph.n_atoms
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = pair_distances(graph.positions)
     mask = (dist <= cutoff)
     np.fill_diagonal(mask, False)
     # Row-major scan of mask[receiver, sender] yields (receiver, sender) order.

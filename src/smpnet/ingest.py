@@ -10,8 +10,9 @@ import dataclasses
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -87,12 +88,21 @@ class Graph3D:
         return self.atomic_numbers.size
 
 
+def pair_distances(positions: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix of distances between all atoms, 0 on the diagonal.
+
+    The one all-pairs distance routine: the separation guard of ``Graph3D``
+    and the radius graph both call it.
+    """
+    diff = positions[:, None, :] - positions[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
 def _check_min_separation(pos: np.ndarray, graph_id: str):
     n = pos.shape[0]
     if n < 2:
         return
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = pair_distances(pos)
     dist[np.diag_indices(n)] = np.inf
     i, j = np.unravel_index(np.argmin(dist), dist.shape)
     if dist[i, j] < MIN_ATOM_SEPARATION:
@@ -284,17 +294,21 @@ class RunConfig:
         self.validate()
 
     def validate(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is None and _CONFIG_FIELDS[name] == Optional[int]:
+                continue
+            if not _is_int(value):
+                raise IngestError(f"{name} must be an integer, got {value!r}")
+            minimum = 0 if name in _MAY_BE_ZERO else 1
+            if name != "seed" and value < minimum:   # any integer seeds the generators
+                raise IngestError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not (_is_int(value) or isinstance(value, float)) or not abs(value) <= _FLOAT_MAX:
+                raise IngestError(f"{name} must be a finite number, got {value!r}")
         if not self.cutoff_c > 0:
             raise IngestError(f"cutoff_c must be positive, got {self.cutoff_c}")
-        for name in ("n_srbf", "n_shbf", "num_interaction_blocks", "embed_size",
-                     "lb2_distance_size", "lb2_angle_size", "lb2_torsion_size",
-                     "output_embed_size", "num_message_layers", "num_residual_blocks",
-                     "batch_size", "warmup_epochs", "max_epochs", "step_size", "max_z"):
-            value = getattr(self, name)
-            minimum = 0 if name in ("num_interaction_blocks", "num_message_layers",
-                                    "num_residual_blocks") else 1
-            if not isinstance(value, int) or value < minimum:
-                raise IngestError(f"{name} must be an integer >= {minimum}, got {value!r}")
         if self.n_shbf > 16:
             raise IngestError(f"n_shbf exceeds supported harmonic order 16: {self.n_shbf}")
         if self.n_srbf > 64:
@@ -315,8 +329,6 @@ class RunConfig:
             raise IngestError(f"init_lr must be positive, got {self.init_lr}")
         if not self.ewt_threshold > 0:
             raise IngestError(f"ewt_threshold must be positive, got {self.ewt_threshold}")
-        if self.t_max is not None and self.t_max < 1:
-            raise IngestError(f"t_max must be a positive integer, got {self.t_max}")
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)
@@ -325,15 +337,17 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {
-    "n_srbf", "n_shbf", "num_interaction_blocks", "embed_size",
-    "lb2_distance_size", "lb2_angle_size", "lb2_torsion_size",
-    "output_embed_size", "num_message_layers", "num_residual_blocks",
-    "batch_size", "step_size", "t_max", "warmup_epochs", "max_epochs",
-    "seed", "max_z",
-}
-_FLOAT_FIELDS = {"cutoff_c", "init_lr", "decay_ratio", "warmup_factor", "ewt_threshold"}
+# The schema is the annotations of RunConfig.
+_CONFIG_FIELDS = get_type_hints(RunConfig)
+_INT_FIELDS = tuple(name for name, kind in _CONFIG_FIELDS.items()
+                    if kind in (int, Optional[int]))
+_FLOAT_FIELDS = tuple(name for name, kind in _CONFIG_FIELDS.items() if kind is float)
+_MAY_BE_ZERO = ("num_interaction_blocks", "num_message_layers", "num_residual_blocks")
+_FLOAT_MAX = sys.float_info.max   # abs(x) <= it fails for inf, nan and ints beyond float64
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_config(text: str, source: str = "<string>") -> RunConfig:

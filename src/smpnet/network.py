@@ -36,13 +36,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
 
 from .autodiff import Node, Tape, Workspace
-from .basis import BasisTables, _radial_table, rbf_embed, sbf_embed, tbf_embed, tables_for
+from .basis import _radial_table, rbf_embed, sbf_embed, tbf_embed, tables_for
 from .geometry import build_radius_graph, two_hop_geometry
 from .ingest import FULL, NO_TORSION, Graph3D, IngestError, RunConfig
 
@@ -189,22 +190,23 @@ class GraphFeatures:
     """Geometry and basis values for one graph (or a merged batch).
 
     All arrays are plain numpy; the network treats them as constants.
-    Merged batches keep per-graph node segments via ``graph_ids``. The pair
-    bases ``pair_sbf`` and ``pair_tbf`` are column-major, as the basis
-    functions build them.
+    Merged batches keep per-graph node segments via ``graph_ids``. The field
+    metadata is the layout ``merge_features`` reads: the count each index
+    field is offset by, and the pair bases ``pair_sbf`` and ``pair_tbf``
+    being column-major, as the basis functions build them.
     """
 
     n_atoms: int
     n_graphs: int
     atomic_numbers: np.ndarray
-    graph_ids: np.ndarray
-    edge_sender: np.ndarray
-    edge_receiver: np.ndarray
+    graph_ids: np.ndarray = field(metadata={"offset_by": "n_graphs"})
+    edge_sender: np.ndarray = field(metadata={"offset_by": "n_atoms"})
+    edge_receiver: np.ndarray = field(metadata={"offset_by": "n_atoms"})
     edge_rbf: np.ndarray
-    pair_edge: np.ndarray
-    pair_neighbor: np.ndarray
-    pair_sbf: Optional[np.ndarray]
-    pair_tbf: Optional[np.ndarray]
+    pair_edge: np.ndarray = field(metadata={"offset_by": "n_edges"})
+    pair_neighbor: np.ndarray = field(metadata={"offset_by": "n_edges"})
+    pair_sbf: Optional[np.ndarray] = field(metadata={"column_major": True})
+    pair_tbf: Optional[np.ndarray] = field(metadata={"column_major": True})
 
     @property
     def n_edges(self) -> int:
@@ -215,8 +217,7 @@ class GraphFeatures:
         return self.pair_edge.size
 
 
-def featurize_graph(graph: Graph3D, cfg: RunConfig,
-                    tables: Optional[BasisTables] = None) -> GraphFeatures:
+def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
     """Radius graph, two-hop geometry, and basis embeddings for one graph.
 
     Angle and torsion embeddings are computed only when the ablation mode
@@ -228,7 +229,7 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
         raise IngestError(
             f"graph {graph.id!r} contains atomic numbers above max_z={cfg.max_z}"
         )
-    tables = tables if tables is not None else tables_for(cfg)
+    tables = tables_for(cfg)
     edges = build_radius_graph(graph, cfg.cutoff_c)
     hops = two_hop_geometry(graph, edges)
     pair_sbf = pair_tbf = None
@@ -255,54 +256,36 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig,
 
 
 def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
-    """Disjoint union of featurized graphs with offset indices.
+    """Disjoint union of featurized graphs, laid out as ``GraphFeatures`` declares.
 
-    Geometry was computed per graph, so no cross-graph edges appear no matter
-    how close the coordinate frames happen to be.
+    Counts add up, arrays are concatenated, and an index field's part is
+    shifted by the sum of its count over the parts before it. Geometry was
+    computed per graph, so no cross-graph edges appear no matter how close
+    the coordinate frames happen to be. A single graph is returned as is.
     """
     if not parts:
         raise NetworkError("cannot merge an empty feature list")
-    if len(parts) == 1:
-        single = parts[0]
-        if single.n_graphs == 1:
-            return single
-    node_offset = 0
-    edge_offset = 0
-    graph_offset = 0
-    chunks = {name: [] for name in (
-        "atomic_numbers", "graph_ids", "edge_sender", "edge_receiver", "edge_rbf",
-        "pair_edge", "pair_neighbor", "pair_sbf", "pair_tbf",
-    )}
-    has_sbf = parts[0].pair_sbf is not None
-    has_tbf = parts[0].pair_tbf is not None
-    for part in parts:
-        chunks["atomic_numbers"].append(part.atomic_numbers)
-        chunks["graph_ids"].append(part.graph_ids + graph_offset)
-        chunks["edge_sender"].append(part.edge_sender + node_offset)
-        chunks["edge_receiver"].append(part.edge_receiver + node_offset)
-        chunks["edge_rbf"].append(part.edge_rbf)
-        chunks["pair_edge"].append(part.pair_edge + edge_offset)
-        chunks["pair_neighbor"].append(part.pair_neighbor + edge_offset)
-        if has_sbf:
-            chunks["pair_sbf"].append(part.pair_sbf)
-        if has_tbf:
-            chunks["pair_tbf"].append(part.pair_tbf)
-        node_offset += part.n_atoms
-        edge_offset += part.n_edges
-        graph_offset += part.n_graphs
-    return GraphFeatures(
-        n_atoms=node_offset,
-        n_graphs=graph_offset,
-        atomic_numbers=np.concatenate(chunks["atomic_numbers"]),
-        graph_ids=np.concatenate(chunks["graph_ids"]),
-        edge_sender=np.concatenate(chunks["edge_sender"]),
-        edge_receiver=np.concatenate(chunks["edge_receiver"]),
-        edge_rbf=np.concatenate(chunks["edge_rbf"]),
-        pair_edge=np.concatenate(chunks["pair_edge"]),
-        pair_neighbor=np.concatenate(chunks["pair_neighbor"]),
-        pair_sbf=_concat_column_major(chunks["pair_sbf"]) if has_sbf else None,
-        pair_tbf=_concat_column_major(chunks["pair_tbf"]) if has_tbf else None,
-    )
+    if len(parts) == 1 and parts[0].n_graphs == 1:
+        return parts[0]
+    starts: dict[str, list[int]] = {}
+    merged = {}
+    for spec in fields(GraphFeatures):
+        values = [getattr(part, spec.name) for part in parts]
+        count = spec.metadata.get("offset_by")
+        if count is not None:
+            if count not in starts:
+                starts[count] = list(accumulate(
+                    (getattr(part, count) for part in parts[:-1]), initial=0))
+            values = [value + start for value, start in zip(values, starts[count])]
+        if values[0] is None:
+            merged[spec.name] = None
+        elif not isinstance(values[0], np.ndarray):
+            merged[spec.name] = sum(values)
+        elif spec.metadata.get("column_major"):
+            merged[spec.name] = _concat_column_major(values)
+        else:
+            merged[spec.name] = np.concatenate(values)
+    return GraphFeatures(**merged)
 
 
 def _concat_column_major(arrays: list[np.ndarray]) -> np.ndarray:
@@ -363,7 +346,8 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
     side (``Tape.stacked_matmul``), one node per block. At the shipped
     bottleneck width each node's value and gradient are bitwise those of the
     block's own product. Blocks called one by one on this context pick up
-    theirs.
+    theirs. Features built for a mode without a basis that ``cfg``'s mode
+    needs raise ``NetworkError``.
     """
     tape = Tape(workspace if grad else None)
     if grad:
@@ -371,14 +355,14 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
                   for name, value in params.values.items()}
     else:
         leaves = {name: tape.constant(value) for name, value in params.values.items()}
-    gate_features = {}
-    if cfg.ablation_mode in (FULL, NO_TORSION):
-        gate_features["sbf"] = features.pair_sbf
-    if cfg.ablation_mode == FULL:
-        gate_features["tbf"] = features.pair_tbf
-    gate_inputs = {kind: tape.stacked_matmul(tape.constant(feature), [
-        leaves[f"inter{b}.{kind}.down"] for b in range(cfg.num_interaction_blocks)])
-        for kind, feature in gate_features.items()}
+    gate_inputs = {}
+    for kind in {FULL: ("sbf", "tbf"), NO_TORSION: ("sbf",)}.get(cfg.ablation_mode, ()):
+        feature = getattr(features, "pair_" + kind)
+        if feature is None:
+            raise NetworkError(f"ablation mode {cfg.ablation_mode} needs the {kind} basis, "
+                               f"which the features do not carry")
+        gate_inputs[kind] = tape.stacked_matmul(tape.constant(feature), [
+            leaves[f"inter{b}.{kind}.down"] for b in range(cfg.num_interaction_blocks)])
     return ForwardContext(tape=tape, leaves=leaves, features=features, cfg=cfg,
                           gate_inputs=gate_inputs)
 

@@ -23,7 +23,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .autodiff import Workspace
-from .basis import tables_for
 from .ingest import (FULL, NO_ANGLE_TORSION, NO_TORSION, SCHEDULE_STEP,
                      Graph3D, RunConfig)
 from .network import (GraphFeatures, ModelParams, NetworkError, backward,
@@ -208,9 +207,7 @@ def predict(params: ModelParams, dataset: Sequence[Graph3D],
     Graphs are featurized lazily and streamed through ``CHUNK_BUDGET``-sized
     chunks.
     """
-    tables = tables_for(cfg)
-    return _stream_predictions((featurize_graph(g, cfg, tables) for g in dataset),
-                               params, cfg)
+    return _stream_predictions((featurize_graph(g, cfg) for g in dataset), params, cfg)
 
 
 def evaluate(params: ModelParams, dataset: Sequence[Graph3D], cfg: RunConfig,
@@ -270,8 +267,7 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
         raise TrainError("cannot train on an empty dataset")
     seed = cfg.seed if seed is None else seed
     targets = _targets_of(dataset)
-    tables = tables_for(cfg)
-    features = [featurize_graph(g, cfg, tables) for g in dataset]
+    features = [featurize_graph(g, cfg) for g in dataset]
     if split is None:
         train_idx, valid_idx = split_dataset(len(dataset), valid_fraction, seed)
         if train_idx.size == 0:
@@ -365,10 +361,9 @@ def fd_forces(params: ModelParams, graph: Graph3D, cfg: RunConfig,
     """
     if not 1e-6 <= h <= 1e-3:
         raise TrainError(f"finite-difference step must lie in [1e-6, 1e-3], got {h}")
-    tables = tables_for(cfg)
 
     def energy(moved: Graph3D) -> tuple[float, GraphFeatures]:
-        features = featurize_graph(moved, cfg, tables)
+        features = featurize_graph(moved, cfg)
         prediction = forward_features(features, params, cfg, grad=False).predictions[0]
         return float(prediction), features
 
@@ -502,13 +497,10 @@ class AblationReport:
     runs: list[AblationRun] = field(default_factory=list)
 
     def median(self, mode: str) -> float:
-        values = sorted(run.test_mae for run in self.runs if run.mode == mode)
+        values = [run.test_mae for run in self.runs if run.mode == mode]
         if not values:
             raise TrainError(f"no runs recorded for mode {mode!r}")
-        mid = len(values) // 2
-        if len(values) % 2:
-            return values[mid]
-        return 0.5 * (values[mid - 1] + values[mid])
+        return float(np.median(values))
 
     def ordered(self, min_gap: float = 0.2) -> bool:
         """True when medians satisfy FULL < NO_TORSION < NO_ANGLE_TORSION

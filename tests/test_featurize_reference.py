@@ -365,7 +365,7 @@ def test_featurized_pair_bases_are_column_major_references(cfg):
                                                 (NO_ANGLE_TORSION, 0)])
 def test_featurize_builds_one_radial_table_per_graph(monkeypatch, mode, tables_built):
     cfg = RunConfig(ablation_mode=mode)
-    tables = tables_for(cfg)
+    tables_for(cfg)   # fills the table cache, whose normalization calls _bessel_table too
     graph = random_graph(np.random.default_rng(37), n_atoms=6, box=1.5)
     calls = []
     bessel_table = basis._bessel_table
@@ -375,7 +375,7 @@ def test_featurize_builds_one_radial_table_per_graph(monkeypatch, mode, tables_b
         return bessel_table(*args)
 
     monkeypatch.setattr(basis, "_bessel_table", counted)
-    features = featurize_graph(graph, cfg, tables)
+    features = featurize_graph(graph, cfg)
     assert features.n_pairs
     assert len(calls) == tables_built
 

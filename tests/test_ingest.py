@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -195,6 +196,20 @@ def test_config_replace_revalidates():
     cfg = RunConfig()
     with pytest.raises(IngestError):
         cfg.replace(cutoff_c=-1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_srbf", True), ("max_epochs", True), ("seed", "x"), ("seed", 1.5), ("t_max", 2.5),
+    ("cutoff_c", True), ("ewt_threshold", math.inf), ("init_lr", "1"),
+])
+def test_config_rejects_values_of_the_wrong_type(name, value):
+    with pytest.raises(IngestError, match=name):
+        RunConfig(**{name: value})
+
+
+def test_config_accepts_ints_numpy_floats_and_negative_seeds():
+    cfg = RunConfig(cutoff_c=4, init_lr=np.float64(2e-3), seed=-5, t_max=7)
+    assert (cfg.cutoff_c, cfg.init_lr, cfg.seed, cfg.t_max) == (4, 2e-3, -5, 7)
 
 
 # --- loader fuzzing -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -322,6 +323,77 @@ def test_max_z_enforced(tiny_cfg):
     g = Graph3D(np.array([80]), np.zeros((1, 3)), id="heavy")
     with pytest.raises(IngestError, match="max_z"):
         forward(g, params, tiny_cfg)
+
+
+@pytest.mark.parametrize("built, run, missing", [(NO_TORSION, FULL, "tbf"),
+                                                  (NO_ANGLE_TORSION, NO_TORSION, "sbf")])
+def test_forward_names_the_basis_its_mode_lacks(tiny_cfg, built, run, missing):
+    features = featurize_graph(random_graph(np.random.default_rng(3), n_atoms=5),
+                               tiny_cfg.replace(ablation_mode=built))
+    cfg = tiny_cfg.replace(ablation_mode=run)
+    params = init_params(cfg, seed=1)
+    for grad in (True, False):
+        with pytest.raises(NetworkError, match=f"{run} needs the {missing} basis"):
+            forward_features(features, params, cfg, grad=grad)
+
+
+# --- merging ------------------------------------------------------------------------
+
+def layout_parts(cfg):
+    """Featurized parts with many pairs, none (a bond, a lone atom) and one.
+
+    Pairs come two by two from featurization, so the one-pair part keeps the
+    first pair of a three-atom chain; its bases are one row, which is C- and
+    F-contiguous at once.
+    """
+    rng = np.random.default_rng(53)
+    many = featurize_graph(random_graph(rng, n_atoms=6, box=1.5), cfg)
+    chain = featurize_graph(Graph3D(np.array([1, 6, 1]), np.array(
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.5, 0.9, 0.0]]), id="chain"), cfg)
+    one_pair = dataclasses.replace(
+        chain, pair_edge=chain.pair_edge[:1], pair_neighbor=chain.pair_neighbor[:1],
+        **{name: np.asfortranarray(getattr(chain, name)[:1])
+           for name in ("pair_sbf", "pair_tbf") if getattr(chain, name) is not None})
+    lone = featurize_graph(Graph3D(np.array([6]), np.zeros((1, 3)), id="atom"), cfg)
+    parts = [many, featurize_graph(two_atom_graph(), cfg), one_pair, lone, many]
+    assert [part.n_pairs for part in parts] == [many.n_pairs, 0, 1, 0, many.n_pairs]
+    return parts
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_merge_layout_matches_an_explicit_oracle(mode):
+    cfg = RunConfig(ablation_mode=mode)
+    parts = layout_parts(cfg)
+    merged = merge_features(parts)
+    atoms = edges = graphs = 0
+    shifted = {name: [] for name in ("graph_ids", "edge_sender", "edge_receiver",
+                                      "pair_edge", "pair_neighbor")}
+    for part in parts:
+        shifted["graph_ids"].append(part.graph_ids + graphs)
+        shifted["edge_sender"].append(part.edge_sender + atoms)
+        shifted["edge_receiver"].append(part.edge_receiver + atoms)
+        shifted["pair_edge"].append(part.pair_edge + edges)
+        shifted["pair_neighbor"].append(part.pair_neighbor + edges)
+        atoms += part.n_atoms
+        edges += part.n_edges
+        graphs += part.n_graphs
+    assert (merged.n_atoms, merged.n_edges, merged.n_graphs) == (atoms, edges, graphs)
+    for name, chunks in shifted.items():
+        value = getattr(merged, name)
+        assert value.dtype == np.int64
+        assert np.array_equal(value, np.concatenate(chunks))
+    for name in ("atomic_numbers", "edge_rbf", "pair_sbf", "pair_tbf"):
+        value = getattr(merged, name)
+        if getattr(parts[0], name) is None:
+            assert value is None
+            continue
+        assert np.array_equal(value, np.concatenate([getattr(p, name) for p in parts]))
+        if name.startswith("pair_"):
+            assert value.flags.f_contiguous and not value.flags.c_contiguous
+    assert merged.edge_rbf.flags.c_contiguous and not merged.edge_rbf.flags.f_contiguous
+    assert (merged.pair_sbf is None) == (mode == NO_ANGLE_TORSION)
+    assert (merged.pair_tbf is None) == (mode != FULL)
+    assert all(merge_features([part]) is part for part in parts)
 
 
 # --- whole-model properties -------------------------------------------------------
@@ -652,18 +724,29 @@ def test_load_rejects_header_without_config(tmp_path):
         load_model(_model_file(tmp_path / "noconfig.bin", header))
 
 
-def test_load_rejects_unknown_config_key(tiny_cfg, tmp_path):
-    params = init_params(tiny_cfg, seed=137)
+def _with_stored_config(cfg, tmp_path, **config) -> str:
+    """A saved model whose header config has ``config`` written over it."""
     good = tmp_path / "good.bin"
-    save_model(params, str(good))
+    save_model(init_params(cfg, seed=137), str(good))
     data = good.read_bytes()
     start = len(FORMAT_MAGIC) + 8
     (length,) = struct.unpack("<Q", data[len(FORMAT_MAGIC):start])
     header = json.loads(data[start:start + length])
-    header["config"]["frobnicate"] = 1
+    header["config"].update(config)
     encoded = json.dumps(header).encode()
-    path = _model_file(tmp_path / "unknown.bin", encoded, data[start + length:])
+    return _model_file(tmp_path / "edited.bin", encoded, data[start + length:])
+
+
+def test_load_rejects_unknown_config_key(tiny_cfg, tmp_path):
     with pytest.raises(ModelIOError, match="frobnicate"):
+        load_model(_with_stored_config(tiny_cfg, tmp_path, frobnicate=1))
+
+
+@pytest.mark.parametrize("key, value", [("ewt_threshold", float("inf")), ("seed", "x"),
+                                        ("cutoff_c", 10 ** 400)])
+def test_load_rejects_malformed_config_values(tiny_cfg, tmp_path, key, value):
+    path = _with_stored_config(tiny_cfg, tmp_path, **{key: value})
+    with pytest.raises(ModelIOError, match=key):
         load_model(path)
 
 

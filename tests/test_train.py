@@ -588,3 +588,12 @@ def test_ablation_report_median_and_ordering():
     assert report.median(FULL) == 0.1
     assert report.ordered(min_gap=0.2)
     assert not report.ordered(min_gap=0.6)
+
+
+def test_ablation_report_median_of_even_runs_and_missing_mode():
+    report = T.AblationReport(task="torsion", runs=[
+        T.AblationRun(mode=FULL, seed=seed, test_mae=mae)
+        for seed, mae in enumerate((0.3, 0.1, 0.7, 0.2))])
+    assert report.median(FULL) == 0.5 * (0.2 + 0.3)
+    with pytest.raises(T.TrainError, match=NO_TORSION):
+        report.median(NO_TORSION)
