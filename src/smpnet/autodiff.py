@@ -14,11 +14,12 @@ therefore keeps it as that parent's cotangent without a copy, and the
 parent's own vjp may overwrite it in place. An op that hands one array to two
 parents copies it for one of them.
 
-Nodes whose ancestors contain no differentiable leaf (geometry and basis
-constants) have no vjp and are not kept on the tape, so the backward sweep
-never spends work on them. A forward whose parameters enter as constants
-therefore records nothing: each intermediate is freed as soon as its
-consumer has run.
+The tape lists only the nodes its sweep visits. A leaf (a parameter) is not
+listed: the vjps of its consumers reach its gradient buffer. Nodes whose
+ancestors contain no differentiable leaf (geometry and basis constants) have
+no vjp and are not kept either, so the sweep never spends work on them. A
+forward whose parameters enter as constants therefore records nothing: each
+intermediate is freed as soon as its consumer has run.
 
 Two operations are fused. ``dense`` is a whole dense layer (product, bias,
 optional SiLU) in one node. ``pair_aggregate`` reduces per-pair gated
@@ -141,7 +142,6 @@ class Tape:
         value = np.asarray(value, dtype=np.float64)
         node = Node(value, needs_grad=True)
         node.grad = np.zeros_like(value) if grad is None else grad
-        self.nodes.append(node)
         return node
 
     def constant(self, value: np.ndarray) -> Node:
@@ -164,14 +164,13 @@ class Tape:
                 f"output shape {output.value.shape}"
             )
         for node in self.nodes:
-            if node.parents:
-                node.grad = None
+            node.grad = None
         if output.parents:
             output.grad = upstream.copy()
         elif output.needs_grad:
             output.grad += upstream
         for node in reversed(self.nodes):
-            if node.grad is None or not node.parents:
+            if node.grad is None:
                 continue
             for parent, contribution in zip(node.parents, node.vjp(node.grad)):
                 if not parent.needs_grad:
@@ -283,9 +282,6 @@ class Tape:
         segment_ids = np.asarray(segment_ids, dtype=np.int64)
         value = scatter_rows(segment_ids, x.value, num_segments)
         return self._record(value, (x,), lambda g: (g[segment_ids],))
-
-    def reshape(self, x: Node, shape: tuple) -> Node:
-        return self._record(x.value.reshape(shape), (x,), lambda g: (g.reshape(x.value.shape),))
 
     def pair_aggregate(self, base: Node, gates: list[tuple[Node, Node, Node, Node]],
                        pair_edge: np.ndarray, pair_neighbor: np.ndarray,

@@ -338,7 +338,9 @@ def build_tables(cutoff: float, n_srbf: int, n_shbf: int) -> BasisTables:
     orders = np.arange(n_shbf)
     j_next = _bessel_table(n_shbf, roots.ravel()).reshape(
         n_shbf + 1, n_shbf, n_srbf)[orders + 1, orders]
-    norms = np.sqrt(2.0 / (cutoff ** 3 * j_next * j_next))
+    # A cube that overflows or underflows gives norms the check below rejects.
+    with np.errstate(over="ignore", divide="ignore"):
+        norms = np.sqrt(2.0 / (np.float64(cutoff) ** 3 * j_next * j_next))
     if not np.all(np.isfinite(norms)) or np.any(norms <= 0):
         raise BasisError("normalization constants must be finite and positive")
     norms.setflags(write=False)

@@ -62,10 +62,11 @@ class ModelIOError(NetworkError):
 def philox_generator(seed: int, tag: int = 0, extra: int = 0) -> np.random.Generator:
     """Counter-based, platform-independent RNG keyed by (seed, tag, extra).
 
-    The Philox key is two 64-bit words: the (wrapped) seed and a fold of the
-    stream tag with a per-use counter such as the epoch.
+    The Philox key is two uint64 words: the seed modulo 2^64 and a fold of the
+    stream tag with a per-use counter such as the epoch. (Given as a list, an
+    int at or above 2^63 would be read as float64 and could collide.)
     """
-    key = [seed % (1 << 64), ((tag % (1 << 32)) << 32) + (extra % (1 << 32))]
+    key = np.array([seed % (1 << 64), ((tag % (1 << 32)) << 32) + extra % (1 << 32)], np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -300,26 +301,21 @@ def _concat_column_major(arrays: list[np.ndarray]) -> np.ndarray:
 
 @dataclass
 class ForwardContext:
-    """Everything one forward pass threads through its blocks."""
+    """One forward pass: what it threads through its blocks, and its (n_graphs, 1)
+    ``prediction`` node, None until ``forward_features`` sets it."""
 
     tape: Tape
+    params: ModelParams
     leaves: dict[str, Node]
     features: GraphFeatures
     cfg: RunConfig
     gate_inputs: dict[str, list[Node]]
-
-
-@dataclass
-class ForwardCache:
-    """Forward result plus the tape needed for the backward sweep."""
-
-    context: ForwardContext
-    prediction: Node
-    params: ModelParams
+    prediction: Optional[Node] = None
 
     @property
     def predictions(self) -> np.ndarray:
-        return self.prediction.value
+        """The per-graph predictions: a 1-D view of the prediction column."""
+        return self.prediction.value[:, 0]
 
 
 def _dense(ctx: ForwardContext, name: str, x: Node, activation: bool = False) -> Node:
@@ -363,8 +359,8 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
                                f"which the features do not carry")
         gate_inputs[kind] = tape.stacked_matmul(tape.constant(feature), [
             leaves[f"inter{b}.{kind}.down"] for b in range(cfg.num_interaction_blocks)])
-    return ForwardContext(tape=tape, leaves=leaves, features=features, cfg=cfg,
-                          gate_inputs=gate_inputs)
+    return ForwardContext(tape=tape, params=params, leaves=leaves, features=features,
+                          cfg=cfg, gate_inputs=gate_inputs)
 
 
 def embedding_block(ctx: ForwardContext) -> Node:
@@ -432,8 +428,11 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
     return updated
 
 
-def output_block(ctx: ForwardContext, messages: Node) -> tuple[Node, Node]:
-    """Pool distance-gated messages per node, then sum node readouts per graph."""
+def output_block(ctx: ForwardContext, messages: Node) -> Node:
+    """Pool distance-gated messages per node, then sum node readouts per graph.
+
+    Returns the (n_graphs, 1) column of graph predictions.
+    """
     tape, feats = ctx.tape, ctx.features
     gate = _bottleneck(ctx, "output.rbf", tape.constant(feats.edge_rbf))
     gated = tape.mul(gate, messages)
@@ -441,16 +440,15 @@ def output_block(ctx: ForwardContext, messages: Node) -> tuple[Node, Node]:
     nodes = _dense(ctx, "output.node", pooled, activation=True)
     hidden = _dense(ctx, "output.read1", nodes, activation=True)
     contributions = _dense(ctx, "output.read2", hidden)
-    totals = tape.segment_sum(contributions, feats.graph_ids, feats.n_graphs)
-    prediction = tape.reshape(totals, (feats.n_graphs,))
+    prediction = tape.segment_sum(contributions, feats.graph_ids, feats.n_graphs)
     _check_finite(prediction, "output block")
-    return nodes, prediction
+    return prediction
 
 
 def forward_features(features: GraphFeatures, params: ModelParams,
                      cfg: RunConfig, grad: bool = True,
-                     workspace: Optional[Workspace] = None) -> ForwardCache:
-    """Run all blocks on featurized input; cache the tape for backward.
+                     workspace: Optional[Workspace] = None) -> ForwardContext:
+    """Run all blocks on featurized input; the context keeps the tape for backward.
 
     With ``grad=False`` the parameters enter as constants, so the tape records
     no node and each intermediate is freed once consumed: the predictions are
@@ -458,9 +456,9 @@ def forward_features(features: GraphFeatures, params: ModelParams,
 
     A taped forward given a ``workspace`` writes its values into the
     workspace's buffers, overwriting those of the previous forward on it.
-    The returned cache, its predictions included, is then valid only until
+    The returned context, its predictions included, is then valid only until
     the next forward on the same workspace: run ``backward`` and copy what
-    must outlive the step before that. Drop the cache before the next
+    must outlive the step before that. Drop the context before the next
     forward, so that the two tapes never coexist and a slot that grows frees
     its old buffer. Values and gradients are bitwise those of a forward
     without a workspace. ``grad=False`` ignores ``workspace``.
@@ -469,35 +467,35 @@ def forward_features(features: GraphFeatures, params: ModelParams,
     messages = embedding_block(ctx)
     for block in range(cfg.num_interaction_blocks):
         messages = interaction_block(ctx, messages, block)
-    _, prediction = output_block(ctx, messages)
-    return ForwardCache(context=ctx, prediction=prediction, params=params)
+    ctx.prediction = output_block(ctx, messages)
+    return ctx
 
 
 def forward(graph: Graph3D, params: ModelParams,
-            cfg: RunConfig) -> tuple[float, ForwardCache]:
+            cfg: RunConfig) -> tuple[float, ForwardContext]:
     """Predict the graph scalar for a single graph."""
-    cache = forward_features(featurize_graph(graph, cfg), params, cfg)
-    return float(cache.predictions[0]), cache
+    ctx = forward_features(featurize_graph(graph, cfg), params, cfg)
+    return float(ctx.predictions[0]), ctx
 
 
-def backward(cache: ForwardCache, upstream,
+def backward(ctx: ForwardContext, upstream,
              accumulate: bool = True) -> dict[str, np.ndarray]:
-    """Reverse sweep into the gradient buffers of ``cache.params``.
+    """Reverse sweep of ``ctx.tape`` into the gradient buffers of ``ctx.params``.
 
     ``upstream`` is the cotangent of the per-graph predictions: a scalar for
-    single-graph caches or an array of shape (n_graphs,). With
+    single-graph forwards or an array of shape (n_graphs,). With
     ``accumulate=False`` the buffers are zeroed first, so they hold this
     call's gradients; otherwise the gradients are added to what they hold.
-    Returns ``cache.params.grads``: named views into ``flat_grads``, not
+    Returns ``ctx.params.grads``: named views into ``flat_grads``, not
     copies, so the next ``backward`` on the same params overwrites them.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim == 0:
-        upstream = np.full(cache.prediction.value.shape, float(upstream))
+        upstream = np.full(ctx.predictions.shape, float(upstream))
     if not accumulate:
-        cache.params.zero_grads()
-    cache.context.tape.backward(cache.prediction, upstream)
-    return cache.params.grads
+        ctx.params.zero_grads()
+    ctx.tape.backward(ctx.prediction, upstream[:, None])
+    return ctx.params.grads
 
 
 def _check_finite(node: Node, stage: str):

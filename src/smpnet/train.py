@@ -78,7 +78,6 @@ class OptimState:
     flat_first: np.ndarray
     flat_second: np.ndarray
     step: int = 0
-    lr: float = 0.0
     scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,7 +169,6 @@ def adam_step(params: ModelParams, opt: OptimState, lr: float):
     denom += ADAM_EPS
     update /= denom
     params.flat_values -= update
-    opt.lr = lr
 
 
 def _stream_predictions(features: Iterable[GraphFeatures], params: ModelParams,
@@ -287,7 +285,6 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
     best_score = math.inf
     best_epoch = -1
     best_params = params.clone()
-    step = 0
     for epoch in range(cfg.max_epochs):
         lr = lr_at(cfg, epoch)
         rng = philox_generator(seed, _SHUFFLE_TAG, epoch)
@@ -297,22 +294,21 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
             batch = order[start:start + cfg.batch_size]
             merged = merge_features([features[i] for i in batch])
             try:
-                cache = forward_features(merged, params, cfg, workspace=workspace)
+                ctx = forward_features(merged, params, cfg, workspace=workspace)
             except NetworkError as exc:
                 # Parameters blew up on an earlier step; report it as
                 # divergence at the step whose forward pass failed.
-                raise DivergenceError(step) from exc
-            residual = cache.predictions - targets[batch]
+                raise DivergenceError(opt.step) from exc
+            residual = ctx.predictions - targets[batch]
             loss = float(np.mean(np.abs(residual)))
             if not math.isfinite(loss):
-                raise DivergenceError(step)
-            backward(cache, np.sign(residual) / batch.size, accumulate=False)
+                raise DivergenceError(opt.step)
+            backward(ctx, np.sign(residual) / batch.size, accumulate=False)
             adam_step(params, opt, lr)
             # The next forward overwrites this tape's values in the workspace;
             # nothing of the step may outlive it.
-            del cache, merged
+            del ctx, merged
             abs_error_sum += float(np.sum(np.abs(residual)))
-            step += 1
         train_mae = abs_error_sum / order.size
         if valid_idx.size:
             valid_preds = _stream_predictions(valid_features, params, cfg)
@@ -513,22 +509,20 @@ class AblationReport:
 
 
 def run_ablation(task: str = "torsion", epochs: int = 200, n_seeds: int = 3,
-                 train_size: int = 512, test_size: int = 128,
-                 cfg: Optional[RunConfig] = None) -> AblationReport:
+                 train_size: int = 512, test_size: int = 128) -> AblationReport:
     """Train all three geometry modes on a synthetic task across seeds.
 
     Train and test sets are drawn from one stream and split off the front,
     so every mode and seed sees identical data.
     """
     report = AblationReport(task=task)
-    base = cfg if cfg is not None else ablation_config(epochs)
     for seed in range(n_seeds):
         samples = synthetic_torsion_task(train_size + test_size, seed=seed, task=task)
         train_set = samples[:train_size]
         test_set = samples[train_size:]
         for mode in (FULL, NO_TORSION, NO_ANGLE_TORSION):
-            mode_cfg = base.replace(ablation_mode=mode, max_epochs=epochs, seed=seed)
-            result = train(train_set, mode_cfg, seed=seed)
+            mode_cfg = ablation_config(epochs, seed).replace(ablation_mode=mode)
+            result = train(train_set, mode_cfg)
             test_targets = _targets_of(test_set)
             preds = predict(result.params, test_set, mode_cfg)
             test_mae = float(np.mean(np.abs(preds - test_targets)))

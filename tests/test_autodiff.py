@@ -244,11 +244,10 @@ def retained_backward(tape, output, upstream):
     an array of its own; leaf buffers are added into, as ``Tape.backward``
     does."""
     for node in tape.nodes:
-        if node.parents:
-            node.grad = None
+        node.grad = None
     output.grad = upstream.copy()
     for node in reversed(tape.nodes):
-        if node.grad is None or not node.parents:
+        if node.grad is None:
             continue
         for parent, contribution in zip(node.parents, node.vjp(node.grad.copy())):
             if not parent.needs_grad:
@@ -268,14 +267,13 @@ def test_backward_frees_interior_cotangents(tiny_cfg):
     rng = np.random.default_rng(67)
     merged = merge_features([featurize_graph(random_graph(rng, n_atoms=n), tiny_cfg)
                              for n in (4, 5, 6)])
-    upstream = rng.normal(size=3)
+    upstream = rng.normal(size=(3, 1))
     swept, retained = (forward_features(merged, params.clone(), tiny_cfg) for _ in range(2))
-    swept.context.tape.backward(swept.prediction, upstream)
-    retained_backward(retained.context.tape, retained.prediction, upstream)
-    interior = [node for node in swept.context.tape.nodes if node.parents]
-    assert interior and all(node.grad is None for node in interior)
-    for name, leaf in swept.context.leaves.items():
-        assert np.array_equal(leaf.grad, retained.context.leaves[name].grad), name
+    swept.tape.backward(swept.prediction, upstream)
+    retained_backward(retained.tape, retained.prediction, upstream)
+    assert swept.tape.nodes and all(node.grad is None for node in swept.tape.nodes)
+    for name, leaf in swept.leaves.items():
+        assert np.array_equal(leaf.grad, retained.leaves[name].grad), name
     assert np.any(swept.params.flat_grads)
 
 
@@ -285,8 +283,6 @@ def check_vjp_ownership(tape, rng):
     memory with no other returned array and with no node's value."""
     values = [node.value for node in tape.nodes]
     for node in tape.nodes:
-        if not node.parents:
-            continue
         grads = node.vjp(rng.normal(size=node.value.shape))
         assert len(grads) == len(node.parents)
         owned = [(parent, grad) for parent, grad in zip(node.parents, grads)
@@ -303,14 +299,14 @@ def test_vjps_hand_each_parent_its_own_array(tiny_cfg):
     x = tape.leaf(rng.normal(size=(4, 3)))
     y = tape.leaf(rng.normal(size=(4, 2)))
     joined = tape.concat([tape.add(x, x), y, tape.constant(np.ones((4, 1))), x])
-    tape.reshape(tape.mul(joined, joined), (36,))
-    assert len(tape.nodes) == 6
+    tape.mul(joined, joined)
+    assert len(tape.nodes) == 3
     check_vjp_ownership(tape, rng)
 
     merged = merge_features([featurize_graph(random_graph(rng, n_atoms=n), tiny_cfg)
                              for n in (4, 5, 6)])
     cache = forward_features(merged, init_params(tiny_cfg, seed=79), tiny_cfg)
-    check_vjp_ownership(cache.context.tape, rng)
+    check_vjp_ownership(cache.tape, rng)
 
 
 # --- fused pair aggregation ------------------------------------------------------
@@ -468,7 +464,7 @@ def test_dropped_tape_is_freed_without_the_cycle_collector(tiny_cfg):
     try:
         cache = forward_features(features, params, tiny_cfg, workspace=workspace)
         backward(cache, 1.0, accumulate=False)
-        tape = weakref.ref(cache.context.tape)
+        tape = weakref.ref(cache.tape)
         del cache
         assert tape() is None
     finally:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,39 @@ def test_basis_dump(tmp_path):
 def test_basis_dump_invalid_order(tmp_path, capsys):
     assert main(["basis-dump", "--n-shbf", "40",
                  "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("cutoff", ["1e308", "1e-300"])
+def test_basis_dump_cutoff_out_of_float_range_is_usage_error(tmp_path, capsys, cutoff):
+    # Its cube overflows (or underflows to 0) in the basis norms.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["basis-dump", "--cutoff", cutoff, "--out", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert "normalization constants" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoff", ["1e200", "1e-300"])
+@pytest.mark.parametrize("command", ["train", "eval", "export-filters"])
+def test_cutoff_out_of_float_range_is_data_error(tmp_path, torsion_dataset_file, capsys,
+                                                  command, cutoff):
+    # A config line or a checkpoint header reaches the same basis tables.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(small_config_text().replace("cutoff_c: 2.0", f"cutoff_c: {cutoff}"))
+    model = tmp_path / "model.bin"
+    save_model(init_params(load_config(str(cfg_path)), seed=0), str(model))
+    argv = {
+        "train": ["train", "--input", str(torsion_dataset_file), "--config", str(cfg_path),
+                  "--out-model", str(tmp_path / "trained.bin")],
+        "eval": ["eval", "--model", str(model), "--input", str(torsion_dataset_file)],
+        "export-filters": ["export-filters", "--model", str(model),
+                           "--out", str(tmp_path / "filters.csv")],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code == 2
+    assert "normalization constants" in capsys.readouterr().err
 
 
 def test_export_filters_cli(tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
                             merge_features, output_block, save_model)
 
 from smpnet.autodiff import Tape
+from smpnet.train import ablation_config, split_dataset, synthetic_torsion_task
 
 from conftest import per_block_matmul, random_graph, unfused_pair_aggregate
 
@@ -43,6 +45,25 @@ def test_init_params_seed_sensitivity(tiny_cfg):
     a = init_params(tiny_cfg, seed=1)
     b = init_params(tiny_cfg, seed=2)
     assert any(not np.array_equal(a.values[k], b.values[k]) for k in a.names())
+
+
+def test_negative_and_large_seeds_key_their_own_streams(tiny_cfg):
+    # A Philox key given as a list holding an int at or above 2^63 is read as
+    # float64: -1 and -2 then round to 2^64 and wrap to seed 0's key.
+    seeds = (-1, -2, 0, 2**63 + 1, 2**63 + 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drawn = [init_params(tiny_cfg, seed).flat_values for seed in seeds]
+        splits = [split_dataset(100, 0.1, seed)[1] for seed in seeds]
+    for i in range(len(seeds)):
+        for j in range(i):
+            assert not np.array_equal(drawn[i], drawn[j]), (seeds[i], seeds[j])
+            assert not np.array_equal(splits[i], splits[j]), (seeds[i], seeds[j])
+    # Seeds below 2^63 keep the key they always had.
+    for seed in (0, 3, 12345, 2**63 - 1):
+        old = np.random.Philox(key=[seed, (101 << 32) + 7]).random_raw(4)
+        assert np.array_equal(network.philox_generator(seed, 101, 7).bit_generator.random_raw(4),
+                              old)
 
 
 def test_atom_table_row_width_follows_embed_size(tiny_cfg):
@@ -99,9 +120,8 @@ def test_blocks_compose_and_count_layers(tiny_cfg):
     for block in range(tiny_cfg.num_interaction_blocks):
         messages = interaction_block(ctx, messages, block)
         assert messages.value.shape == (feats.n_edges, tiny_cfg.embed_size)
-    nodes, prediction = output_block(ctx, messages)
-    assert nodes.value.shape == (4, tiny_cfg.output_embed_size)
-    assert prediction.value.shape == (1,)
+    prediction = output_block(ctx, messages)
+    assert prediction.value.shape == (1, 1)
 
 
 def test_one_tape_node_per_dense_layer(tiny_cfg, monkeypatch):
@@ -288,9 +308,50 @@ def test_tape_free_forward_matches_taped_forward(tiny_cfg, mode):
     feats = batch_features(cfg, 41)
     taped = forward_features(feats, params, cfg)
     free = forward_features(feats, params, cfg, grad=False)
-    assert len(taped.context.tape.nodes) > 0
-    assert free.context.tape.nodes == []
+    assert len(taped.tape.nodes) > 0
+    assert free.tape.nodes == []
     assert np.array_equal(free.predictions, taped.predictions)
+
+
+@pytest.mark.parametrize("mode", [FULL, NO_ANGLE_TORSION])
+def test_tape_lists_only_the_nodes_its_sweep_visits(tiny_cfg, mode):
+    # Leaves are reached through their consumers' vjps, so none is listed.
+    cfg = tiny_cfg.replace(ablation_mode=mode)
+    ctx = forward_features(batch_features(cfg, 43), init_params(cfg, seed=47), cfg)
+    leaves = {id(leaf) for leaf in ctx.leaves.values()}
+    assert ctx.tape.nodes
+    assert all(node.parents and node.vjp for node in ctx.tape.nodes)
+    assert not any(id(node) in leaves for node in ctx.tape.nodes)
+
+
+@pytest.mark.parametrize("cfg, nodes", [(RunConfig(), 72), (ablation_config(), 34)],
+                         ids=["default", "ablation"])
+def test_tape_nodes_per_forward(cfg, nodes):
+    # One node per dense layer, gather, mul, add, concat, stacked product
+    # view, pair aggregate and segment sum; the counts do not depend on the graph.
+    chain = synthetic_torsion_task(64, seed=0)[0]
+    ctx = forward_features(featurize_graph(chain, cfg), init_params(cfg, seed=0), cfg)
+    assert len(ctx.tape.nodes) == nodes
+
+
+def test_predictions_view_the_prediction_column(tiny_cfg):
+    # backward sweeps the (n_graphs, 1) column from a (n_graphs,) upstream;
+    # one of another length fails the tape's shape check, and a second
+    # sweep adds to the first.
+    params = init_params(tiny_cfg, seed=53)
+    ctx = forward_features(batch_features(tiny_cfg, 59), params, tiny_cfg)
+    assert ctx.predictions.shape == (3,)
+    assert ctx.prediction.value.shape == (3, 1)
+    assert np.shares_memory(ctx.predictions, ctx.prediction.value)
+    for wrong in (np.ones(2), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="upstream gradient shape"):
+            backward(ctx, wrong)
+    upstream = np.array([0.5, -1.0, 2.0])
+    first = copied(backward(ctx, upstream, accumulate=False))
+    assert any(np.any(grad) for grad in first.values())
+    backward(ctx, upstream)
+    for name, grad in first.items():
+        assert np.allclose(params.grads[name], 2.0 * grad, rtol=1e-12, atol=0), name
 
 
 def test_default_config_smoke():
@@ -582,8 +643,8 @@ def test_backward_writes_into_flat_grads(tiny_cfg, mode, monkeypatch):
     leaf = Tape.leaf
     monkeypatch.setattr(Tape, "leaf", lambda tape, value, grad=None: leaf(tape, value))
     unbound = forward_features(feats, params, cfg)
-    unbound.context.tape.backward(unbound.prediction, upstream)
-    for name, node in unbound.context.leaves.items():
+    unbound.tape.backward(unbound.prediction, upstream[:, None])
+    for name, node in unbound.leaves.items():
         assert not np.shares_memory(node.grad, params.flat_grads)
         assert np.array_equal(grads[name], node.grad), name
     unused = {FULL: (), NO_TORSION: ("tbf",), NO_ANGLE_TORSION: ("sbf", "tbf")}[mode]

@@ -1,22 +1,29 @@
-"""W1, the 512-chain ablation training run, pinned to its output bytes.
+"""Two fixed training runs pinned to their output bytes.
 
 W1 trains ``synthetic_torsion_task(512, seed=0)`` with
-``ablation_config(epochs=20)`` (seed 0) and hashes the ``save_model`` bytes
-of the best and the final parameters and the epoch log. A refactor that
-claims bitwise equal training keeps these hashes; a change that only rounds
-differently records new ones here and in ROADMAP.md.
+``ablation_config(epochs=20)`` (seed 0). The default-config runs train the
+3-block default ``RunConfig`` (``batch_size=8``, 2 epochs, seed 0) in each
+ablation mode on perfbench's molecules-train seed-0 molecules and its 29/3
+split. Each test hashes the ``save_model`` bytes of the best and the final
+parameters and the epoch log. A refactor that claims bitwise equal training
+keeps these hashes; a change that only rounds differently records new ones
+here and in ROADMAP.md.
 
-Another numpy or BLAS build may round differently, so the test runs only on
+Another numpy or BLAS build may round differently, so the tests run only on
 the build the hashes were recorded with: numpy 2.4.6 and OpenBLAS
 0.3.31.188.0 running its SkylakeX kernels.
 """
 import ctypes
 import hashlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smpnet.elements import SYMBOL_TO_Z
+from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
 from smpnet.network import save_model
 from smpnet.train import ablation_config, format_epoch_log, synthetic_torsion_task, train
 
@@ -27,6 +34,17 @@ CORE = "SkylakeX"
 BEST = "ddbccc73add345767329b90ce4127794a7334d2bc7d7f7bef893ff0420d58da4"
 FINAL = "0fca811f2cf30ce3e5fb08450125eb88af8717698c892e0cd820c4b02e8826b5"
 LOG = "c078c79689cf8c1c0fbe782bf22fcfc58d6a50960e3c323fdfd529a6465f786d"
+
+# (checkpoint, epoch log) per mode. Best and final are the same parameters:
+# each mode's best epoch is its last.
+DEFAULT_CONFIG = {
+    FULL: ("c4e9405b14d7c199f3c9dc96d7f868e88af0dfcded95535ae7bfc2f0dae9b1f9",
+           "e573b45b12f36e474e782b98b65625ded1a0c309476542cb56b4ecb777f8c68f"),
+    NO_TORSION: ("62fd6c82850cefb254c63aa74e7864d73ef12208708c2087f5b30740270e59e8",
+                 "90750ea2e66975be79e44ca813fa3d05ad9c05d582d93d0bc6ccacb56100e8c4"),
+    NO_ANGLE_TORSION: ("a7eaf9fd33668f32035d452afa710383e6648a6644accdab1a54a0894bc64084",
+                       "0eb2d8febe418b74e95a0fc8d553aff9de48f8fe23cc5beccba050fc3f3cc5c2"),
+}
 
 
 def openblas_core() -> str | None:
@@ -47,15 +65,49 @@ def blas_version() -> str | None:
         return None
 
 
-@pytest.mark.skipif((np.__version__, blas_version(), openblas_core()) != (NUMPY, OPENBLAS, CORE),
-                    reason=f"W1 hashes were recorded with numpy {NUMPY}, OpenBLAS {OPENBLAS} "
-                           f"on {CORE}")
-def test_w1_checkpoints_and_log_are_byte_identical(tmp_path):
-    result = train(synthetic_torsion_task(512, seed=0), ablation_config(epochs=20))
-    digests = []
+recorded_build = pytest.mark.skipif(
+    (np.__version__, blas_version(), openblas_core()) != (NUMPY, OPENBLAS, CORE),
+    reason=f"the hashes were recorded with numpy {NUMPY}, OpenBLAS {OPENBLAS} on {CORE}")
+
+
+def digests(result, tmp_path) -> list[str]:
+    """sha256 of the best and final checkpoint bytes and of the epoch log."""
+    out = []
     for name, params in (("best", result.params), ("final", result.final_params)):
         path = tmp_path / f"{name}.bin"
         save_model(params, str(path))
-        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-    digests.append(hashlib.sha256(format_epoch_log(result.log).encode()).hexdigest())
-    assert digests == [BEST, FINAL, LOG]
+        out.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    out.append(hashlib.sha256(format_epoch_log(result.log).encode()).hexdigest())
+    return out
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py``, imported without writing bytecode under perfbench/."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+@recorded_build
+def test_w1_checkpoints_and_log_are_byte_identical(tmp_path):
+    result = train(synthetic_torsion_task(512, seed=0), ablation_config(epochs=20))
+    assert digests(result, tmp_path) == [BEST, FINAL, LOG]
+
+
+@recorded_build
+@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+def test_default_config_checkpoints_and_log_are_byte_identical(tmp_path, mode):
+    workloads = perfbench_workloads()
+    graphs = [Graph3D(np.array([SYMBOL_TO_Z[s] for s in symbols]), positions,
+                      graph_target=target, id=str(i))
+              for i, (symbols, positions, target) in enumerate(workloads.molecule_frames(0))]
+    cfg = RunConfig(batch_size=8, max_epochs=2, seed=0, ablation_mode=mode)
+    result = train(graphs, cfg, split=workloads.split(len(graphs)))
+    checkpoint, log = DEFAULT_CONFIG[mode]
+    assert digests(result, tmp_path) == [checkpoint, checkpoint, log]
