@@ -23,8 +23,8 @@ intermediate is freed as soon as its consumer has run.
 
 Two operations are fused. ``dense`` is a whole dense layer (product, bias,
 optional SiLU) in one node. ``pair_aggregate`` reduces per-pair gated
-messages to per-edge sums block by block, so no array with one row per
-two-hop pair and one column per message channel outlives a block, in the
+messages to per-edge sums in fixed blocks of pairs, so no array with one row
+per two-hop pair and one column per message channel outlives a block, in the
 forward or in its vector-Jacobian product.
 
 A tape built on a ``Workspace`` writes its forward values (dense, add, mul,
@@ -42,24 +42,29 @@ import math
 
 import numpy as np
 
-# Pairs per block of ``Tape.pair_aggregate``: a block ends at the first
-# segment boundary at or after each multiple of it. On a 66k-pair carbon
-# cluster batch (2 gates, 64 channels) the op's forward and vjp times were
-# flat within 10% from 512 to 2048 pairs and slower at 256 and from 4096 up.
+# Pairs per block of ``Tape.pair_aggregate``. On the 66k-pair clusters-eval
+# batch (2 gates, 64 channels; 2 vCPUs, OpenBLAS with 2 threads) the op's
+# forward took 56-58 ms and its vjp 135-142 ms at 256, 512 and 1024 pairs, and
+# 67 and 154 ms at 2048 (medians of 15 interleaved runs).
 PAIR_BLOCK = 1024
 
 
-def scatter_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
-    """Sum row i of ``values`` into row ``index[i]`` of a zero (rows, ...) array.
+def add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray):
+    """Add row i of ``values`` into row ``index[i]`` of ``out``, in input order.
 
-    One ``np.bincount`` over flat (row, column) keys. It adds its weights in
-    input order, as ``np.add.at`` does, so each output entry is the same
-    left-to-right sum. Indices must lie in [0, rows).
+    One ``np.add.at`` over flat (row, column) keys of C-contiguous ``out``;
+    indices must lie in [0, len(out)).
     """
-    width = math.prod(values.shape[1:])
+    width = math.prod(out.shape[1:])
     keys = (index[:, None] * width + np.arange(width)).ravel()
-    flat = np.bincount(keys, weights=values.reshape(-1), minlength=rows * width)
-    return flat.reshape((rows,) + values.shape[1:])
+    np.add.at(out.reshape(-1), keys, values.reshape(-1))
+
+
+def scatter_rows(index: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """Sum row i of ``values`` into row ``index[i]`` of a zero (rows, ...) array."""
+    out = np.zeros((rows,) + values.shape[1:])
+    add_rows(out, index, values)
+    return out
 
 
 class Node:
@@ -132,16 +137,16 @@ class Tape:
         self.nodes.append(node)
         return node
 
-    def leaf(self, value: np.ndarray, grad: np.ndarray = None) -> Node:
+    def leaf(self, value: np.ndarray, grad: np.ndarray) -> Node:
         """A differentiable input (a parameter) whose gradient is added into ``grad``.
 
-        ``grad`` becomes the leaf's ``.grad`` buffer; without one the tape
-        allocates zeros. ``backward`` adds into the buffer and never resets it,
-        so it holds the sum over every sweep since the caller last zeroed it.
+        ``grad`` becomes the leaf's ``.grad`` buffer. ``backward`` adds into it
+        and never resets it, so it holds the sum over every sweep since the
+        caller last zeroed it.
         """
         value = np.asarray(value, dtype=np.float64)
         node = Node(value, needs_grad=True)
-        node.grad = np.zeros_like(value) if grad is None else grad
+        node.grad = grad
         return node
 
     def constant(self, value: np.ndarray) -> Node:
@@ -189,10 +194,16 @@ class Tape:
         The bias is added in place and the sigmoid built in one buffer; the vjp
         turns the node's own cotangent, in place, into the pre-activation's.
         Products keep the operand order of separate affine and SiLU ops, so
-        values and gradients are bitwise theirs.
+        values and gradients are bitwise theirs. A one-column ``w`` is a
+        row-wise sum instead, as BLAS rounds a one-column product differently
+        as the row count changes.
         """
         shape = (x.value.shape[0], w.value.shape[1])
-        value = pre = np.matmul(x.value, w.value, out=self._empty(shape))
+        if shape[1] == 1:
+            value = pre = np.sum(x.value * w.value[:, 0], axis=1, keepdims=True,
+                                 out=self._empty(shape))
+        else:
+            value = pre = np.matmul(x.value, w.value, out=self._empty(shape))
         if b is not None:
             pre += b.value
         if silu:
@@ -291,23 +302,22 @@ class Tape:
         ``out[k] = sum over pairs p of edge k of
         base[j] + sum over gates of (a[p] @ up + b) * proj[j]``, with
         ``j = pair_neighbor[p]`` and one ``(a, up, b, proj)`` tuple per gate.
-        ``base`` and ``proj`` have one row per edge, ``a`` one row per pair.
+        ``base`` and ``proj`` have one row per edge, ``a`` one row per pair;
+        the pairs may come in any order.
 
-        ``pair_edge`` must be sorted (``build_two_hop_index`` and
-        ``merge_features`` produce it so). The pairs are then walked in blocks
-        of whole edges, each reduced by one ``scatter_rows`` over edge-local
-        keys. Each pair's term is built in the order of the unfused
-        gather/dense/mul/add composition and each edge sums its pairs in pair
-        order, so the value is bitwise that composition's. The vjp walks the
-        pairs sorted by neighbor edge instead, recomputing each block's gates
-        from ``a``.
+        The value and the vjp walk the same blocks of ``PAIR_BLOCK`` pairs,
+        the vjp recomputing each block's gates from ``a``. Each pair's term is
+        built as in the unfused gather/dense/mul/add/segment_sum composition
+        and ``add_rows`` adds each block's rows in pair order, so the value and
+        the gradients of ``base``, ``a`` and ``proj`` are bitwise that
+        composition's; those of ``up`` and ``b`` are summed block by block.
         """
         pair_edge = np.asarray(pair_edge, dtype=np.int64)
         pair_neighbor = np.asarray(pair_neighbor, dtype=np.int64)
-        if np.any(pair_edge[1:] < pair_edge[:-1]):
-            raise ValueError("pair_aggregate needs pair_edge sorted")
+        blocks = _pair_blocks(pair_edge.size)
         value = self._empty((n_edges, base.value.shape[1]))
-        for p0, p1, k0, k1 in _segment_blocks(pair_edge, n_edges):
+        value.fill(0.0)
+        for p0, p1 in blocks:
             j = pair_neighbor[p0:p1]
             term = base.value[j]
             for a, up, b, proj in gates:
@@ -315,29 +325,25 @@ class Tape:
                 gate += b.value
                 gate *= proj.value[j]
                 term += gate
-            value[k0:k1] = scatter_rows(pair_edge[p0:p1] - k0, term, k1 - k0)
+            add_rows(value, pair_edge[p0:p1], term)
 
         def vjp(g):
-            order = np.argsort(pair_neighbor, kind="stable")
-            sorted_j = pair_neighbor[order]
-            d_base = np.empty_like(base.value)
+            d_base = np.zeros(base.value.shape)
             d_gates = [(np.empty_like(a.value), np.zeros_like(up.value),
-                        np.zeros_like(b.value), np.empty_like(proj.value))
+                        np.zeros_like(b.value), np.zeros(proj.value.shape))
                        for a, up, b, proj in gates]
-            for p0, p1, j0, j1 in _segment_blocks(sorted_j, base.value.shape[0]):
-                idx = order[p0:p1]
-                j = sorted_j[p0:p1]
-                local = j - j0
-                g_pair = g[pair_edge[idx]]
-                d_base[j0:j1] = scatter_rows(local, g_pair, j1 - j0)
+            for p0, p1 in blocks:
+                j = pair_neighbor[p0:p1]
+                g_pair = g[pair_edge[p0:p1]]
+                add_rows(d_base, j, g_pair)
                 for (a, up, b, proj), (d_a, d_up, d_b, d_proj) in zip(gates, d_gates):
-                    a_block = a.value[idx]
+                    a_block = a.value[p0:p1]
                     gate = a_block @ up.value
                     gate += b.value
                     gate *= g_pair
-                    d_proj[j0:j1] = scatter_rows(local, gate, j1 - j0)
+                    add_rows(d_proj, j, gate)
                     d_gate = g_pair * proj.value[j]
-                    d_a[idx] = d_gate @ up.value.T
+                    d_a[p0:p1] = d_gate @ up.value.T
                     d_up += a_block.T @ d_gate
                     d_b += d_gate.sum(axis=0)
             return [d_base] + [d for ds in d_gates for d in ds]
@@ -346,20 +352,12 @@ class Tape:
         return self._record(value, parents, vjp)
 
 
-def _segment_blocks(sorted_ids: np.ndarray, n_segments: int):
-    """Cut rows sorted by segment id into blocks of whole segments.
+def _pair_blocks(n_pairs: int) -> list[tuple[int, int]]:
+    """(start, end) of consecutive blocks of ``max(PAIR_BLOCK, 2)`` pairs.
 
-    Returns (row start, row end, first segment, end segment) per block; the
-    blocks cover every segment, empty ones included. A block ends at the
-    first segment boundary at or after each multiple of ``PAIR_BLOCK`` rows.
-    A one-row block joins its neighbor: numpy multiplies a single row through
-    gemv, which rounds differently from the gemm a longer block uses.
+    A one-pair tail joins the block before it: numpy multiplies a single row
+    through gemv, which rounds differently from the gemm a longer block uses.
     """
-    offsets = np.searchsorted(sorted_ids, np.arange(n_segments + 1))
-    targets = np.arange(0, sorted_ids.size, PAIR_BLOCK)
-    cuts = np.unique(np.concatenate((
-        [0], np.searchsorted(offsets, targets), [n_segments])))
-    single = np.flatnonzero(np.diff(offsets[cuts]) == 1)
-    if cuts.size > 2:
-        cuts = np.delete(cuts, np.maximum(single, 1))
-    return [(offsets[s], offsets[e], s, e) for s, e in zip(cuts[:-1], cuts[1:])]
+    size = max(PAIR_BLOCK, 2)
+    ends = [*range(size, n_pairs - 1, size), n_pairs]
+    return list(zip([0] + ends[:-1], ends))

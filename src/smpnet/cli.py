@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed (default: config value)")
+                       help="override the config seed (default: config value); "
+                            "only train reads it")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect "
                             "(everything runs in one thread)")
@@ -221,8 +222,6 @@ def cmd_eval(args) -> int:
     _check_output_paths(args.out)
     expected = load_config(args.config) if args.config else None
     params, cfg = load_model(args.model, expected_cfg=expected)
-    if args.seed is not None:
-        cfg = cfg.replace(seed=args.seed)
     dataset = _load_dataset(args)
     report = evaluate(params, dataset, cfg)
     _write_text(args.out, format_metric_report(report))

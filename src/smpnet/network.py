@@ -158,6 +158,7 @@ class ModelParams:
             offset += size
 
     def names(self) -> list[str]:
+        """Parameter names in ``param_shapes`` order; only the acceptance suite calls it."""
         return list(self.values)
 
     def zero_grads(self):
@@ -391,9 +392,9 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
     ``begin_forward`` computed once per forward for every block.
     ``Tape.pair_aggregate`` applies the up-projection and bias, multiplies by
     the neighbor's projected message, adds the distance term and sums per
-    edge, a block of whole edges at a time. Its value is bitwise that of
-    gathering, gating and summing the pair-wide arrays (``pair_edge`` is
-    sorted, so each edge sums its pairs in the same order).
+    edge, a fixed block of pairs at a time. Each edge adds its pairs in pair
+    order, so the value is bitwise that of gathering, gating and summing the
+    pair-wide arrays.
     """
     tape, feats, cfg = ctx.tape, ctx.features, ctx.cfg
     if messages.value.shape[0] != feats.n_edges:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import smpnet.autodiff as autodiff
-from smpnet.autodiff import Tape, Workspace, scatter_rows
+from smpnet.autodiff import Tape, Workspace, add_rows, scatter_rows
 
 from smpnet.network import (backward, begin_forward, embedding_block, featurize_graph,
                             forward_features, init_params, merge_features)
@@ -32,9 +32,14 @@ def numeric_grad(build, values, h=1e-6):
     return grads
 
 
+def new_leaf(tape, value):
+    """A leaf whose gradient buffer is its own array of zeros."""
+    return tape.leaf(value, np.zeros_like(value))
+
+
 def run_program(program, values):
     tape = Tape()
-    leaves = [tape.leaf(v) for v in values]
+    leaves = [new_leaf(tape, v) for v in values]
     out = program(tape, leaves)
     return tape, leaves, out
 
@@ -83,7 +88,7 @@ def test_dense_matches_affine_and_silu_formulas(shape, silu, bias):
         d_y = g * (s * (1.0 + y * (1.0 - s)))
 
     tape = Tape()
-    leaves = [tape.leaf(v) for v in ((x, w, b) if bias else (x, w))]
+    leaves = [new_leaf(tape, v) for v in ((x, w, b) if bias else (x, w))]
     out = tape.dense(*leaves, silu=silu)
     tape.backward(out, g)
     assert np.array_equal(out.value, expected)
@@ -143,7 +148,7 @@ def test_gather_accumulates_repeats():
 
 def test_segment_sum_and_empty_segments():
     tape = Tape()
-    x = tape.leaf(np.arange(8.0).reshape(4, 2))
+    x = new_leaf(tape, np.arange(8.0).reshape(4, 2))
     out = tape.segment_sum(x, np.array([0, 0, 3, 3]), 5)
     assert np.array_equal(out.value[1], [0.0, 0.0])
     assert np.array_equal(out.value[0], [2.0, 4.0])
@@ -169,14 +174,30 @@ def test_scatter_rows_matches_add_at_bitwise(shape):
     assert np.array_equal(result, add_at_reference(index, values, 7))
 
 
+@pytest.mark.parametrize("shape", [(40,), (40, 2, 3), (0, 4)], ids=["1-D", "3-D", "empty"])
+def test_add_rows_accumulates_onto_contents_in_input_order(shape):
+    # The reference adds one row at a time, in input order, onto the
+    # existing contents; values spanning many magnitudes make any other
+    # order visible.
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    index = rng.integers(0, 5, size=shape[0])
+    out = rng.normal(size=(7,) + shape[1:]) * 1e-3
+    expected = out.copy()
+    for row, value in zip(index, values):
+        expected[row] += value
+    add_rows(out, index, values)
+    assert np.array_equal(out, expected)
+
+
 def test_gather_gradient_from_concat_slice_matches_add_at():
     # concat hands each part a non-contiguous column slice of its gradient.
     rng = np.random.default_rng(6)
     x = rng.normal(size=(6, 3))
     idx = rng.integers(0, 6, size=50)
     tape = Tape()
-    leaf = tape.leaf(x)
-    other = tape.leaf(rng.normal(size=(50, 2)))
+    leaf = new_leaf(tape, x)
+    other = new_leaf(tape, rng.normal(size=(50, 2)))
     out = tape.concat([tape.gather(leaf, idx), other])
     upstream = rng.normal(size=(50, 5)) * 10.0 ** rng.integers(-8, 9, size=(50, 5))
     tape.backward(out, upstream)
@@ -186,7 +207,7 @@ def test_gather_gradient_from_concat_slice_matches_add_at():
 def test_constants_receive_no_gradient_work():
     tape = Tape()
     const = tape.constant(np.ones((2, 2)))
-    leaf = tape.leaf(np.full((2, 2), 3.0))
+    leaf = new_leaf(tape, np.full((2, 2), 3.0))
     out = tape.mul(const, leaf)
     tape.backward(out, np.ones((2, 2)))
     assert const.grad is None
@@ -206,7 +227,7 @@ def test_reused_node_accumulates_from_both_consumers():
 
 def test_backward_shape_mismatch_rejected():
     tape = Tape()
-    leaf = tape.leaf(np.ones((2, 2)))
+    leaf = new_leaf(tape, np.ones((2, 2)))
     out = tape.dense(leaf, tape.constant(np.eye(2)), silu=True)
     with pytest.raises(ValueError, match="shape"):
         tape.backward(out, np.ones(3))
@@ -216,7 +237,7 @@ def test_backward_is_repeatable():
     # A second sweep adds the same gradient into the leaf's buffer; from a
     # zeroed buffer it gives the first sweep's gradient again, bit for bit.
     tape = Tape()
-    leaf = tape.leaf(np.array([[1.0, 2.0]]))
+    leaf = new_leaf(tape, np.array([[1.0, 2.0]]))
     out = tape.dense(leaf, tape.constant(np.eye(2)), silu=True)
     tape.backward(out, np.ones((1, 2)))
     first = leaf.grad.copy()
@@ -296,8 +317,8 @@ def check_vjp_ownership(tape, rng):
 def test_vjps_hand_each_parent_its_own_array(tiny_cfg):
     rng = np.random.default_rng(73)
     tape = Tape()
-    x = tape.leaf(rng.normal(size=(4, 3)))
-    y = tape.leaf(rng.normal(size=(4, 2)))
+    x = new_leaf(tape, rng.normal(size=(4, 3)))
+    y = new_leaf(tape, rng.normal(size=(4, 2)))
     joined = tape.concat([tape.add(x, x), y, tape.constant(np.ones((4, 1))), x])
     tape.mul(joined, joined)
     assert len(tape.nodes) == 3
@@ -311,10 +332,12 @@ def test_vjps_hand_each_parent_its_own_array(tiny_cfg):
 
 # --- fused pair aggregation ------------------------------------------------------
 
-def pair_layout(rng, counts):
-    """Sorted pair_edge with ``counts[k]`` pairs on edge k; random neighbors."""
+def pair_layout(rng, counts, shuffle=False):
+    """``counts[k]`` pairs on edge k, in edge order or shuffled; random neighbors."""
     counts = np.asarray(counts, dtype=np.int64)
     pair_edge = np.repeat(np.arange(counts.size), counts)
+    if shuffle:
+        pair_edge = rng.permutation(pair_edge)
     pair_neighbor = rng.integers(0, counts.size, size=pair_edge.size)
     return pair_edge, pair_neighbor
 
@@ -354,9 +377,12 @@ def layout_counts(rng, layout):
     return counts
 
 
-def check_against_unfused(rng, counts, n_gates):
-    """Value bitwise equal to the unfused composition; gradients to 1e-12."""
-    pair_edge, pair_neighbor = pair_layout(rng, counts)
+def check_against_unfused(rng, counts, n_gates, shuffle=False):
+    """The value and the gradients of base, a and proj are bitwise those of
+    the unfused composition. So are those of up and b when the pairs fit in
+    one block; over several blocks they are summed block by block, so they
+    agree to 1e-12."""
+    pair_edge, pair_neighbor = pair_layout(rng, counts, shuffle)
     values = pair_values(rng, len(counts), pair_edge.size, n_gates)
     upstream = rng.normal(size=values[0].shape)
     runs = []
@@ -367,13 +393,20 @@ def check_against_unfused(rng, counts, n_gates):
         runs.append((out.value, [leaf.grad for leaf in leaves]))
     (value, grads), (expected_value, expected_grads) = runs
     assert np.array_equal(value, expected_value)
-    for grad, expected in zip(grads, expected_grads):
-        scale = np.max(np.abs(expected), initial=1.0)
-        np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12 * scale)
+    one_block = pair_edge.size <= autodiff.PAIR_BLOCK
+    # Leaves are base, then (a, up, b, proj) per gate.
+    for i, (grad, expected) in enumerate(zip(grads, expected_grads)):
+        if one_block or i % 4 in (0, 1):
+            assert np.array_equal(grad, expected), i
+        else:
+            scale = np.max(np.abs(expected), initial=1.0)
+            np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
-@pytest.mark.parametrize("layout", ["no pairs", "edges without pairs", "under one block",
-                                    "several blocks"])
+LAYOUTS = ["no pairs", "edges without pairs", "under one block", "several blocks"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("n_gates", [0, 1, 2])
 def test_pair_aggregate_matches_unfused_composition(layout, n_gates):
     rng = np.random.default_rng(17 + n_gates)
@@ -383,9 +416,18 @@ def test_pair_aggregate_matches_unfused_composition(layout, n_gates):
     check_against_unfused(rng, counts, n_gates)
 
 
-@pytest.mark.parametrize("block", [1, 4])
+@pytest.mark.parametrize("layout", LAYOUTS[1:])
+def test_pair_aggregate_shuffled_pairs_match_unfused(layout):
+    # pair_edge need not be sorted: each edge still adds its pairs in pair order.
+    rng = np.random.default_rng(19)
+    check_against_unfused(rng, layout_counts(rng, layout), 2, shuffle=True)
+
+
+@pytest.mark.parametrize("block", [1, 4, 7])
 def test_pair_aggregate_small_blocks_match_unfused(monkeypatch, block):
-    # Blocks of one or four pairs put a boundary at nearly every edge.
+    # Blocks of one or four pairs put a boundary at nearly every edge. The
+    # 120 pairs leave a one-pair tail after blocks of 7, which must join the
+    # block before it.
     monkeypatch.setattr(autodiff, "PAIR_BLOCK", block)
     rng = np.random.default_rng(23)
     check_against_unfused(rng, rng.integers(0, 9, size=40), 2)
@@ -398,13 +440,6 @@ def test_pair_aggregate_gradients_match_finite_differences(monkeypatch, n_gates)
     pair_edge, pair_neighbor = pair_layout(rng, [2, 0, 3, 1, 2])
     values = pair_values(rng, 5, pair_edge.size, n_gates, width=3, rank=2)
     check_program(pair_program(fused, pair_edge, pair_neighbor, 5), values)
-
-
-def test_pair_aggregate_rejects_unsorted_pair_edge():
-    tape = Tape()
-    base = tape.leaf(np.ones((3, 2)))
-    with pytest.raises(ValueError, match="sorted"):
-        tape.pair_aggregate(base, [], np.array([0, 2, 1]), np.array([1, 0, 2]), 3)
 
 
 def test_constant_inputs_record_no_nodes():

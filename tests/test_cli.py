@@ -166,10 +166,11 @@ def test_eval_config_mismatch_is_data_error(tmp_path, torsion_dataset_file, caps
     assert main(["train", "--input", str(torsion_dataset_file),
                  "--config", str(cfg_path), "--out-model", str(model)]) == 0
     other_cfg = tmp_path / "other.cfg"
-    other_cfg.write_text(small_config_text() + "cutoff_c: 3.0\n")
+    other_cfg.write_text(small_config_text().replace("cutoff_c: 2.0\n", "cutoff_c: 3.0\n"))
     code = main(["eval", "--model", str(model), "--input", str(torsion_dataset_file),
                  "--config", str(other_cfg)])
     assert code == 2
+    assert "disagrees with session config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "train"])

@@ -641,7 +641,8 @@ def test_backward_writes_into_flat_grads(tiny_cfg, mode, monkeypatch):
     assert all(np.shares_memory(grad, params.flat_grads) for grad in grads.values())
 
     leaf = Tape.leaf
-    monkeypatch.setattr(Tape, "leaf", lambda tape, value, grad=None: leaf(tape, value))
+    monkeypatch.setattr(Tape, "leaf",
+                        lambda tape, value, grad: leaf(tape, value, np.zeros_like(value)))
     unbound = forward_features(feats, params, cfg)
     unbound.tape.backward(unbound.prediction, upstream[:, None])
     for name, node in unbound.leaves.items():

@@ -6,11 +6,13 @@ import pytest
 
 import smpnet.train as T
 from smpnet.autodiff import Workspace
+from smpnet.elements import SYMBOL_TO_Z
 from smpnet.geometry import rigid_transform
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
-from smpnet.network import featurize_graph, init_params
+from smpnet.network import featurize_graph, forward_features, init_params, merge_features
 
 from conftest import random_graph
+from test_w1_pin import perfbench_workloads, recorded_build
 
 
 # --- learning-rate schedule -------------------------------------------------------
@@ -231,6 +233,31 @@ def test_chunked_predictions_match_single_chunk(tiny_cfg, monkeypatch, mode):
             assert 1 < len(chunk_sizes) < len(graphs)
     for budget in (40, 1):
         np.testing.assert_allclose(runs[budget], runs[10 ** 9], rtol=1e-12, atol=0)
+
+
+@recorded_build
+def test_predictions_are_bitwise_independent_of_batch_and_chunk(monkeypatch):
+    # A graph's prediction is the same alone, in a merged batch of any size
+    # and in any predict chunk, bit for bit, at the default config. Other
+    # builds are held to 1e-12 by test_prediction_independent_of_batch_mates.
+    graphs = [Graph3D(np.array([SYMBOL_TO_Z[s] for s in symbols]), positions,
+                      graph_target=target, id=str(i))
+              for i, (symbols, positions, target)
+              in enumerate(perfbench_workloads().molecule_frames(5))]
+    cfg = RunConfig()
+    params = init_params(cfg, 1)
+    parts = [featurize_graph(g, cfg) for g in graphs]
+    alone = np.array([forward_features(part, params, cfg, grad=False).predictions[0]
+                      for part in parts])
+    for size in (2, 8, 32):
+        batched = np.concatenate([
+            forward_features(merge_features(parts[i:i + size]), params, cfg,
+                             grad=False).predictions
+            for i in range(0, len(parts), size)])
+        assert np.array_equal(batched, alone), size
+    for budget in (1, 4096, 8192, T.CHUNK_BUDGET):
+        monkeypatch.setattr(T, "CHUNK_BUDGET", budget)
+        assert np.array_equal(T.predict(params, graphs, cfg), alone), budget
 
 
 def test_predict_empty_dataset(tiny_cfg):

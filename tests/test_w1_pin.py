@@ -31,16 +31,16 @@ NUMPY = "2.4.6"
 OPENBLAS = "0.3.31.188.0"
 CORE = "SkylakeX"
 
-BEST = "ddbccc73add345767329b90ce4127794a7334d2bc7d7f7bef893ff0420d58da4"
-FINAL = "0fca811f2cf30ce3e5fb08450125eb88af8717698c892e0cd820c4b02e8826b5"
-LOG = "c078c79689cf8c1c0fbe782bf22fcfc58d6a50960e3c323fdfd529a6465f786d"
+BEST = "3f23c140aabd41e6a06722e43092b2198076463a80c0dd2e98176a8760037c36"
+FINAL = "5cd50e7d70829dcd4e251de1973d238d7ec195ea86a147b6be7452da459c5ea1"
+LOG = "d0e570f88040235386556a34082924f1001cbeffee993c7ba5e967a42e9a94b7"
 
 # (checkpoint, epoch log) per mode. Best and final are the same parameters:
 # each mode's best epoch is its last.
 DEFAULT_CONFIG = {
-    FULL: ("c4e9405b14d7c199f3c9dc96d7f868e88af0dfcded95535ae7bfc2f0dae9b1f9",
+    FULL: ("ed00d11cd98675ce0121f56813cfd0259e58cdbcbac113d9cef97b45cc420a02",
            "e573b45b12f36e474e782b98b65625ded1a0c309476542cb56b4ecb777f8c68f"),
-    NO_TORSION: ("62fd6c82850cefb254c63aa74e7864d73ef12208708c2087f5b30740270e59e8",
+    NO_TORSION: ("3c87bba82686a466a3cf54206b32cf8c787e12b8ab7fe8c5a9115def2690a4a7",
                  "90750ea2e66975be79e44ca813fa3d05ad9c05d582d93d0bc6ccacb56100e8c4"),
     NO_ANGLE_TORSION: ("a7eaf9fd33668f32035d452afa710383e6648a6644accdab1a54a0894bc64084",
                        "0eb2d8febe418b74e95a0fc8d553aff9de48f8fe23cc5beccba050fc3f3cc5c2"),
