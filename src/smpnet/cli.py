@@ -144,7 +144,8 @@ def _write_text(path: Optional[str], text: str):
 
 
 def _check_output_paths(*paths: Optional[str]):
-    """Raise an OSError (exit code 2) if a path's directory is missing or not writable.
+    """Raise an OSError (exit code 2) for a path that is a directory or lies in a
+    missing or unwritable directory.
 
     Every subcommand calls it before any work, so a run that could not save
     its result fails at once rather than after training.
@@ -152,6 +153,8 @@ def _check_output_paths(*paths: Optional[str]):
     for path in paths:
         if path is None:
             continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
             raise FileNotFoundError(errno.ENOENT, "output directory does not exist", directory)

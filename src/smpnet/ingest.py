@@ -16,6 +16,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
+from .basis import MAX_ORDER, MAX_ROOTS
 from .elements import MAX_Z, SYMBOL_TO_Z, z_to_symbol
 
 # Two atoms closer than this (in angstrom) are rejected: downstream angle and
@@ -241,6 +242,8 @@ def load_manifest(path: str | os.PathLike) -> list[tuple[str, float]]:
         if not isinstance(record["file"], str):
             raise IngestError(f"{path}:{lineno}: 'file' must be a string")
         raw = record["target"]
+        if isinstance(raw, bool):
+            raise IngestError(f"{path}:{lineno}: target must be a number, got {raw!r}")
         try:
             target = float(raw) if isinstance(raw, (int, float)) else math.nan
         except OverflowError:  # an integer beyond the float range
@@ -309,10 +312,10 @@ class RunConfig:
                 raise IngestError(f"{name} must be a finite number, got {value!r}")
         if not self.cutoff_c > 0:
             raise IngestError(f"cutoff_c must be positive, got {self.cutoff_c}")
-        if self.n_shbf > 16:
-            raise IngestError(f"n_shbf exceeds supported harmonic order 16: {self.n_shbf}")
-        if self.n_srbf > 64:
-            raise IngestError(f"n_srbf exceeds supported root count 64: {self.n_srbf}")
+        if self.n_shbf > MAX_ORDER:
+            raise IngestError(f"n_shbf exceeds supported harmonic order {MAX_ORDER}: {self.n_shbf}")
+        if self.n_srbf > MAX_ROOTS:
+            raise IngestError(f"n_srbf exceeds supported root count {MAX_ROOTS}: {self.n_srbf}")
         if self.max_z > MAX_Z:
             raise IngestError(f"max_z exceeds element table bound {MAX_Z}: {self.max_z}")
         if not 0 < self.warmup_factor <= 1:

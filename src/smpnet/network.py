@@ -37,7 +37,6 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -260,25 +259,19 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
 def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
     """Disjoint union of featurized graphs, laid out as ``GraphFeatures`` declares.
 
-    Counts add up, arrays are concatenated, and an index field's part is
-    shifted by the sum of its count over the parts before it. Geometry was
-    computed per graph, so no cross-graph edges appear no matter how close
-    the coordinate frames happen to be. A single graph is returned as is.
+    Counts add up and arrays are concatenated. An index field is then shifted
+    once, by one repeat that gives each part's entries the sum of its count
+    over the parts before it. Geometry was computed per graph, so no
+    cross-graph edges appear no matter how close the coordinate frames happen
+    to be. A single graph is returned as is.
     """
     if not parts:
         raise NetworkError("cannot merge an empty feature list")
     if len(parts) == 1 and parts[0].n_graphs == 1:
         return parts[0]
-    starts: dict[str, list[int]] = {}
     merged = {}
     for spec in fields(GraphFeatures):
         values = [getattr(part, spec.name) for part in parts]
-        count = spec.metadata.get("offset_by")
-        if count is not None:
-            if count not in starts:
-                starts[count] = list(accumulate(
-                    (getattr(part, count) for part in parts[:-1]), initial=0))
-            values = [value + start for value, start in zip(values, starts[count])]
         if values[0] is None:
             merged[spec.name] = None
         elif not isinstance(values[0], np.ndarray):
@@ -287,6 +280,11 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
             merged[spec.name] = _concat_column_major(values)
         else:
             merged[spec.name] = np.concatenate(values)
+        count = spec.metadata.get("offset_by")
+        if count is not None:
+            counts = np.array([getattr(part, count) for part in parts], dtype=np.int64)
+            merged[spec.name] += np.repeat(np.cumsum(counts) - counts,
+                                           [value.size for value in values])
     return GraphFeatures(**merged)
 
 

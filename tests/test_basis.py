@@ -4,9 +4,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from smpnet.basis import (BasisError, _radial_table, bessel_roots, build_tables,
-                          rbf_embed, real_sph_harm, sbf_embed, spherical_bessel,
-                          tbf_embed)
+from smpnet.basis import (MAX_ORDER, MAX_ROOTS, BasisError, _radial_table, bessel_roots,
+                          build_tables, rbf_embed, real_sph_harm, sbf_embed,
+                          spherical_bessel, tbf_embed)
 
 mp.mp.dps = 40
 
@@ -50,6 +50,21 @@ def test_bessel_against_oracle_sweep():
         ref = oracle_jl(order, x)
         worst = max(worst, abs(mine - ref) / max(abs(ref), 1e-280))
     assert worst < 1e-9
+
+
+TOP_ARGUMENT = (MAX_ROOTS + MAX_ORDER) * math.pi
+
+
+@pytest.mark.parametrize("x, floor", [(0.5, 0.0), (TOP_ARGUMENT, 1.0 / TOP_ARGUMENT)])
+def test_bessel_every_order_at_the_ends_of_the_internal_range(x, floor):
+    # 0.5 is the smallest argument the recurrence takes (below it the series
+    # runs); no root, table or radial factor needs one above TOP_ARGUMENT.
+    # TOP_ARGUMENT is a root of j_0, so there the error is measured against
+    # the 1/x envelope of j_l, not against the value itself.
+    for order in range(MAX_ORDER + 1):
+        mine = spherical_bessel(order, x)
+        ref = oracle_jl(order, x)
+        assert abs(mine - ref) <= 1e-9 * max(abs(ref), floor), order
 
 
 def test_bessel_vectorized_matches_scalar():
@@ -377,6 +392,7 @@ INF = float("inf")
     lambda t: spherical_bessel(2, NAN),
     lambda t: spherical_bessel(0, INF),
     lambda t: spherical_bessel(3, np.array([1.0, NAN])),
+    lambda t: spherical_bessel(0, 1.0000001e8),
     lambda t: rbf_embed(NAN, t),
     lambda t: sbf_embed(NAN, 0.5, t),
     lambda t: tbf_embed(NAN, 0.5, 0.1, t),
@@ -390,7 +406,8 @@ INF = float("inf")
     lambda t: real_sph_harm(2, 0, INF),
     lambda t: real_sph_harm(2, -1, 0.3, -INF),
     lambda t: real_sph_harm(3, 2, np.array([0.3, NAN]), 0.1),
-], ids=["bessel-nan", "bessel-inf", "bessel-nan-in-array", "rbf-nan-distance", "sbf-nan-distance", "tbf-nan-distance",
+], ids=["bessel-nan", "bessel-inf", "bessel-nan-in-array", "bessel-above-max-argument",
+        "rbf-nan-distance", "sbf-nan-distance", "tbf-nan-distance",
         "sbf-nan-polar", "tbf-nan-polar", "tbf-nan-polar-in-array",
         "tbf-nan-azimuth", "tbf-inf-azimuth", "harmonic-nan-polar",
         "harmonic-nan-azimuth", "harmonic-inf-polar", "harmonic-minus-inf-azimuth",

@@ -351,10 +351,11 @@ def no_work(monkeypatch):
 
 
 @pytest.mark.parametrize("flag", ["--out-model", "--log"])
-@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize("parent", ["missing", "file", "directory"])
 def test_train_checks_output_paths_first(tmp_path, torsion_dataset_file, capsys, no_work,
                                          flag, parent):
     (tmp_path / "file").write_text("")
+    (tmp_path / "directory" / "out").mkdir(parents=True)   # the output path is a directory
     outputs = {"--out-model": str(tmp_path / "model.bin"), "--log": str(tmp_path / "log.csv")}
     outputs[flag] = str(tmp_path / parent / "out")
     argv = ["train", "--input", str(torsion_dataset_file)]
@@ -368,7 +369,7 @@ def test_train_checks_output_paths_first(tmp_path, torsion_dataset_file, capsys,
                                      "export-filters"])
 def test_other_commands_check_output_paths_first(tmp_path, water_file, capsys, no_work,
                                                  command):
-    out = str(tmp_path / "missing" / "out.csv")
+    (tmp_path / "directory").mkdir()
     model = tmp_path / "model.bin"
     save_model(init_params(RunConfig(embed_size=8, output_embed_size=6), seed=0), str(model))
     argv = {
@@ -378,6 +379,8 @@ def test_other_commands_check_output_paths_first(tmp_path, water_file, capsys, n
         "basis-dump": ["basis-dump"],
         "export-filters": ["export-filters", "--model", str(model)],
     }[command]
-    assert main(argv + ["--out", out]) == 2
-    assert no_work == []
-    assert "output directory does not exist" in capsys.readouterr().err
+    for out, message in ((tmp_path / "missing" / "out.csv", "output directory does not exist"),
+                         (tmp_path / "directory", "output path is a directory")):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert no_work == []
+        assert message in capsys.readouterr().err

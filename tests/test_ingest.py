@@ -286,6 +286,7 @@ def test_parse_xyz_huge_atom_count_is_stream_ended(count):
 @pytest.mark.parametrize("line,fragment", [
     ('{"file": 5, "target": 1.0}', "'file' must be a string"),
     ('{"file": "a.xyz", "target": 1%s}' % ("0" * 400), "non-finite target"),
+    ('{"file": "a.xyz", "target": true}', ":1: target must be a number"),
     ("[" * 100000, "invalid record"),
     ('{"file": "a.xyz", "target": 1%s}' % ("0" * 5000), "invalid record"),
 ])
