@@ -10,7 +10,8 @@ condition k = z_ln / c, combined with real spherical harmonics.
 
 with norm(l,n) = sqrt(2 / (c^3 * j_{l+1}(z_ln)^2)). Harmonics are real-form
 (cos/sin in m*phi) without the Condon-Shortley phase and unit-normalized
-over the sphere. All evaluations accept scalars or 1-D arrays and are pure.
+over the sphere. All evaluations are pure. Point arguments are scalars or
+1-D arrays that broadcast together; all scalars give one point's result.
 
 Each ingredient is computed once: the roots z_ln of every order in one
 vectorized solve (cached per table size), the radial factors in one Bessel
@@ -22,8 +23,8 @@ once and passes it to both embeddings as ``radial=``; the network computes
 it once per graph over the edge distances and gathers it to the pairs. A
 point's Bessel values depend only on that point, never on the other points
 evaluated with it, so the shared table is bitwise the one each embedding
-computes on its own. Arguments must be finite and in range; NaN,
-infinity and Bessel arguments above 1e8 raise ``BasisError``.
+computes on its own. Arguments must be finite and in range; NaN, infinity,
+Bessel arguments above 1e8 and an overflowing m*phi raise ``BasisError``.
 
 The pair embeddings are column-major: ``sbf_embed`` and ``tbf_embed`` fill
 (columns, points) buffers and return their transposes, with the documented
@@ -56,6 +57,38 @@ def _check_order(order: int):
         raise BasisError(f"order {order} outside supported range [0, {MAX_ORDER}]")
 
 
+def _points(*args) -> tuple[bool, list[np.ndarray]]:
+    """Whether all point arguments are scalars (only then is a result one
+    point's), and each as a float64 1-D array of one broadcast length;
+    equal-length arrays come back as is. A 2-D argument or lengths that do
+    not broadcast raise ``BasisError``."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in args]
+    shapes = {a.shape for a in arrays}
+    if max(map(len, shapes)) > 1 or len({s[0] for s in shapes if s} - {1}) > 1:
+        raise BasisError(f"point arguments must be scalars or 1-D arrays of lengths that "
+                         f"broadcast, got shapes {', '.join(str(a.shape) for a in arrays)}")
+    if len(shapes) == 1 and shapes != {()}:
+        return False, arrays
+    return shapes == {()}, list(np.broadcast_arrays(*(a.reshape(-1) for a in arrays)))
+
+
+def _check_distance(d: np.ndarray, cutoff: float):
+    # One comparison chain that NaN fails, unlike a search for bad values.
+    if not np.all((d > 0) & (d <= cutoff * (1 + 1e-12))):
+        raise BasisError(f"distance outside (0, {cutoff}]")
+
+
+def _check_polar(theta: np.ndarray):
+    if not np.all((theta >= -1e-9) & (theta <= np.pi + 1e-9)):
+        raise BasisError("polar angle outside [0, pi]")
+
+
+def _check_angle(angle: np.ndarray, top: int = 1):
+    # The harmonics take cos and sin of m * angle for m up to top; NaN fails too.
+    if not math.isfinite(max(top, 1) * float(np.abs(angle).max(initial=0.0))):
+        raise BasisError(f"angle and {max(top, 1)} * angle must be finite")
+
+
 def spherical_bessel(order: int, x) -> np.ndarray | float:
     """First-kind spherical Bessel function j_order(x) for 0 <= x <= MAX_ARGUMENT.
 
@@ -65,12 +98,11 @@ def spherical_bessel(order: int, x) -> np.ndarray | float:
     limit is handled analytically. Other arguments raise ``BasisError``.
     """
     _check_order(order)
-    x_arr = np.asarray(x, dtype=np.float64)
+    scalar, (x_arr,) = _points(x)
     if not np.all((x_arr >= 0) & (x_arr <= MAX_ARGUMENT)):
         raise BasisError(f"spherical Bessel argument must lie in [0, {MAX_ARGUMENT:g}]")
-    table = _bessel_table(order, np.atleast_1d(x_arr))
-    result = table[order]
-    return float(result[0]) if x_arr.ndim == 0 else result
+    result = _bessel_table(order, x_arr)[order]
+    return float(result[0]) if scalar else result
 
 
 # Arguments below this go through the ascending series; its terms decay
@@ -102,7 +134,7 @@ def _bessel_series(l_max: int, x: np.ndarray) -> np.ndarray:
     out = np.empty((l_max + 1, x.size), dtype=np.float64)
     half_sq = -0.5 * x * x
     for ell in range(l_max + 1):
-        term = x ** ell / _double_factorial(2 * ell + 1)
+        term = x ** ell / math.prod(range(2 * ell + 1, 0, -2), start=1.0)
         total = term.copy()
         adding = np.ones(x.size, dtype=bool)
         for k in range(1, 40):
@@ -113,14 +145,6 @@ def _bessel_series(l_max: int, x: np.ndarray) -> np.ndarray:
                 break
         out[ell] = total
     return out
-
-
-def _double_factorial(n: int) -> float:
-    result = 1.0
-    while n > 1:
-        result *= n
-        n -= 2
-    return result
 
 
 def _bessel_miller(l_max: int, xs: np.ndarray) -> np.ndarray:
@@ -171,8 +195,7 @@ def bessel_roots(l_max: int, n_max: int) -> np.ndarray:
     root, then all brackets are bisected at once and polished by two Newton
     steps, which leaves |j_l(z)| of order 1e-16.
     """
-    if not 0 <= l_max <= MAX_ORDER:
-        raise BasisError(f"l_max {l_max} outside supported range [0, {MAX_ORDER}]")
+    _check_order(l_max)
     if not 1 <= n_max <= MAX_ROOTS:
         raise BasisError(f"n_max {n_max} outside supported range [1, {MAX_ROOTS}]")
     roots = np.empty((l_max + 1, n_max), dtype=np.float64)
@@ -218,19 +241,16 @@ def real_sph_harm(order: int, m: int, theta, phi=0.0) -> np.ndarray | float:
     carries cos(m*phi), negative m carries sin(|m|*phi), and no
     Condon-Shortley phase is applied. m = 0 is the zonal harmonic and ignores
     phi. The value is column (order, m) of the sweep the embeddings use.
-    Non-finite angles raise ``BasisError``.
+    Non-finite angles and an overflowing order * phi raise ``BasisError``.
     """
-    if not 0 <= order <= MAX_ORDER:
-        raise BasisError(f"degree {order} outside supported range [0, {MAX_ORDER}]")
+    _check_order(order)
     if abs(m) > order:
         raise BasisError(f"|m| = {abs(m)} exceeds degree {order}")
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=np.float64))
-    if not (np.all(np.isfinite(theta_arr)) and np.all(np.isfinite(phi_arr))):
-        raise BasisError("harmonic angles must be finite")
-    theta_arr, phi_arr = np.broadcast_arrays(theta_arr, phi_arr)
+    scalar, (theta_arr, phi_arr) = _points(theta, phi)
+    _check_angle(theta_arr)
+    _check_angle(phi_arr, order)
     result = _harmonics(order + 1, theta_arr, phi_arr)[:, order * order + order + m]
-    return float(result[0]) if np.asarray(theta).ndim == 0 and np.asarray(phi).ndim == 0 else result
+    return float(result[0]) if scalar else result
 
 
 def _harmonics(degrees: int, theta: np.ndarray, phi) -> np.ndarray:
@@ -347,20 +367,13 @@ def tables_for(cfg) -> BasisTables:
     return build_tables(cfg.cutoff_c, cfg.n_srbf, cfg.n_shbf)
 
 
-def _check_distance(d: np.ndarray, cutoff: float):
-    # One comparison chain that NaN fails, unlike a search for bad values.
-    if not np.all((d > 0) & (d <= cutoff * (1 + 1e-12))):
-        raise BasisError(f"distance outside (0, {cutoff}]")
-
-
 def rbf_embed(d, tables: BasisTables) -> np.ndarray:
     """Distance embedding sqrt(2/c) * sin(n*pi*d/c) / d for n = 1..n_srbf.
 
-    Shape (..., n_srbf). Below d = 1e-8 the analytic d -> 0 limit
-    sqrt(2/c) * n*pi/c is used.
+    Shape (len(d), n_srbf), or (n_srbf,) for a scalar d. Below d = 1e-8
+    the analytic d -> 0 limit sqrt(2/c) * n*pi/c is used.
     """
-    scalar = np.asarray(d).ndim == 0
-    d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
+    scalar, (d_arr,) = _points(d)
     _check_distance(d_arr, tables.cutoff)
     c = tables.cutoff
     n = np.arange(1, tables.n_srbf + 1, dtype=np.float64)
@@ -373,21 +386,18 @@ def rbf_embed(d, tables: BasisTables) -> np.ndarray:
 
 
 def sbf_embed(d, theta, tables: BasisTables, *, radial=None) -> np.ndarray:
-    """Distance-angle embedding, shape (..., n_shbf, n_srbf).
+    """Distance-angle embedding, shape (points, n_shbf, n_srbf).
 
-    Entry (l, n) is norm(l, n) * j_l(z_ln * d / c) * Y_l^0(theta). The array
-    is a transposed view of an (n_shbf, n_srbf, len(d)) buffer: the product
-    runs along the long point axis, and ``reshape(len(d), -1)`` gives the
-    column-major (points, n_shbf * n_srbf) feature without a copy. Only the
-    zonal harmonics are evaluated.
-
-    ``radial`` is the ``_radial_table`` of ``d``, shape (len(d), n_shbf,
-    n_srbf), for a caller that shares one table with ``tbf_embed``; it is
-    computed here when absent.
+    d and theta are scalars or 1-D arrays that broadcast to the points; two
+    scalars give one point's (n_shbf, n_srbf). Entry (l, n) is norm(l, n) *
+    j_l(z_ln * d / c) * Y_l^0(theta). The array is a transposed view of an
+    (n_shbf, n_srbf, points) buffer: the product runs along the point axis,
+    and ``reshape(points, -1)`` gives the column-major feature without a
+    copy. Only the zonal harmonics are evaluated. ``radial`` is the
+    ``_radial_table`` of the broadcast d, shape (points, n_shbf, n_srbf),
+    for a caller that shares one table with ``tbf_embed``.
     """
-    scalar = np.asarray(d).ndim == 0
-    d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    scalar, (d_arr, theta_arr) = _points(d, theta)
     _check_distance(d_arr, tables.cutoff)
     _check_polar(theta_arr)
     radial = _radial_rows(d_arr, tables, radial)
@@ -399,25 +409,21 @@ def sbf_embed(d, theta, tables: BasisTables, *, radial=None) -> np.ndarray:
 def tbf_embed(d, theta, phi, tables: BasisTables, *, radial=None) -> np.ndarray:
     """Full 3D embedding, flattened over (l, m, n) in lexicographic order.
 
-    Entry (l, m, n) is norm(l, n) * j_l(z_ln * d / c) * Y_l^m(theta, phi);
-    the flattened length is n_shbf^2 * n_srbf. phi enters through cos/sin of
-    m*phi only, so the embedding is 2*pi-periodic in phi.
+    Shape (points, n_shbf^2 * n_srbf), with d, theta and phi broadcast as
+    in ``sbf_embed``; three scalars give one point's row. Entry (l, m, n) is
+    norm(l, n) * j_l(z_ln * d / c) * Y_l^m(theta, phi). phi enters through
+    cos/sin of m*phi only, so the embedding is 2*pi-periodic in phi.
 
     The result is column-major, the transpose of an (n_shbf^2 * n_srbf,
-    len(d)) buffer. Each of its rows is one radial row times one harmonic
+    points) buffer. Each of its rows is one radial row times one harmonic
     row, so every product runs along the long point axis, and the
     down-projection ``feature @ down`` reads the columns it needs as
     contiguous runs. ``radial`` is as in ``sbf_embed``.
     """
-    scalar = np.asarray(d).ndim == 0
-    d_arr = np.atleast_1d(np.asarray(d, dtype=np.float64))
-    theta_arr = np.atleast_1d(np.asarray(theta, dtype=np.float64))
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=np.float64))
+    scalar, (d_arr, theta_arr, phi_arr) = _points(d, theta, phi)
     _check_distance(d_arr, tables.cutoff)
     _check_polar(theta_arr)
-    if not np.all(np.isfinite(phi_arr)):
-        raise BasisError("azimuth must be finite")
-    theta_arr, phi_arr = np.broadcast_arrays(theta_arr, phi_arr)
+    _check_angle(phi_arr, tables.n_shbf - 1)
     radial = _radial_rows(d_arr, tables, radial)
     angular = _harmonics(tables.n_shbf, theta_arr, phi_arr).T
     out = np.empty((tables.n_shbf ** 2, tables.n_srbf, d_arr.size), dtype=np.float64)
@@ -464,8 +470,3 @@ def _radial_table(d: np.ndarray, tables: BasisTables, index=None) -> np.ndarray:
         tables.n_shbf, tables.n_shbf, tables.n_srbf, distinct.size)
     out = values[orders, orders] * tables.norms[:, :, None]
     return np.take(out, inverse, axis=2).transpose(2, 0, 1)
-
-
-def _check_polar(theta: np.ndarray):
-    if not np.all((theta >= -1e-9) & (theta <= np.pi + 1e-9)):
-        raise BasisError("polar angle outside [0, pi]")

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .basis import BasisError, build_tables, rbf_embed, sbf_embed, tbf_embed
+from .basis import BasisError, build_tables, rbf_embed, sbf_embed, tables_for, tbf_embed
 from .geometry import GeometryError, build_radius_graph, two_hop_geometry
 from .ingest import (ABLATION_MODES, IngestError, RunConfig, load_config,
                      load_manifest, load_xyz)
@@ -296,20 +296,18 @@ def cmd_export_filters(args) -> int:
         raise UsageError("--d-samples and --theta-samples must be positive")
     if not args.phi:
         raise UsageError("--phi must contain at least one sample")
-    if args.channels == []:
-        raise UsageError("--channels must name at least one channel")
     _check_output_paths(args.out)
     params, cfg = load_model(args.model)
     if cfg.num_interaction_blocks < 1:
         raise ModelIOError(f"{args.model}: filter export needs at least one interaction block")
-    width = params.values["inter0.tbf.b"].size
-    if not all(0 <= ch < width for ch in args.channels or ()):
-        raise UsageError(f"--channels entries must lie in [0, {width})")
+    tables_for(cfg)  # a checkpoint cutoff the tables cannot hold is a data error
     d_values = cfg.cutoff_c * (np.arange(1, args.d_samples + 1) / (args.d_samples + 1))
     theta_values = np.linspace(0.0, math.pi, args.theta_samples)
-    header, rows = export_filters(params, cfg, d_values, theta_values,
-                                  np.asarray(args.phi, dtype=np.float64),
-                                  channels=args.channels)
+    try:  # the checkpoint is sound, so a rejected --channels or --phi is a usage error
+        header, rows = export_filters(params, cfg, d_values, theta_values, args.phi,
+                                      channels=args.channels)
+    except (BasisError, NetworkError) as exc:
+        raise UsageError(str(exc)) from exc
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(value) for value in row))

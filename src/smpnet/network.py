@@ -514,10 +514,8 @@ def export_filters(params: ModelParams, cfg: RunConfig,
     CSV header and one row ``d, theta, phi, c...`` per point, ordered
     lexicographically by (d, theta, phi).
     """
-    d_values = np.atleast_1d(np.asarray(d_values, dtype=np.float64))
-    theta_values = np.atleast_1d(np.asarray(theta_values, dtype=np.float64))
-    phi_values = np.atleast_1d(np.asarray(phi_values, dtype=np.float64))
-    if d_values.size == 0 or theta_values.size == 0 or phi_values.size == 0:
+    grid = np.meshgrid(d_values, theta_values, phi_values, indexing="ij")
+    if grid[0].size == 0:
         raise NetworkError("filter grid must contain at least one sample per axis")
     if cfg.num_interaction_blocks < 1:
         raise NetworkError("filter export needs at least one interaction block")
@@ -532,8 +530,7 @@ def export_filters(params: ModelParams, cfg: RunConfig,
         raise NetworkError("channels must name at least one channel")
     if any(not 0 <= ch < width for ch in channels):
         raise NetworkError(f"channel index outside [0, {width})")
-    grid_d, grid_t, grid_p = np.meshgrid(d_values, theta_values, phi_values, indexing="ij")
-    flat_d, flat_t, flat_p = grid_d.ravel(), grid_t.ravel(), grid_p.ravel()
+    flat_d, flat_t, flat_p = (axis.ravel() for axis in grid)
     embedded = tbf_embed(flat_d, flat_t, flat_p, tables)
     responses = (embedded @ down) @ up + bias
     rows = np.column_stack([flat_d, flat_t, flat_p, responses[:, channels]])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath as mp
@@ -344,6 +345,11 @@ def test_misshaped_radial_table_raises():
             sbf_embed(d, theta, tables, radial=bad)
         with pytest.raises(BasisError):
             tbf_embed(d, theta, 0.4, tables, radial=bad)
+    # A scalar d broadcasts to the angles' length, and so must its table.
+    with pytest.raises(BasisError):
+        sbf_embed(0.5, theta, tables, radial=radial[:1])
+    with pytest.raises(BasisError):
+        tbf_embed(0.5, theta, 0.4, tables, radial=radial[:1])
 
 
 def test_tbf_full_orthonormality_small_tables():
@@ -406,15 +412,59 @@ INF = float("inf")
     lambda t: real_sph_harm(2, 0, INF),
     lambda t: real_sph_harm(2, -1, 0.3, -INF),
     lambda t: real_sph_harm(3, 2, np.array([0.3, NAN]), 0.1),
+    lambda t: sbf_embed([1.0, 2.0], [0.1, 0.2, 0.3], t),
+    lambda t: tbf_embed([1.0, 2.0], [0.1, 0.2, 0.3], 0.0, t),
+    lambda t: tbf_embed([1.0, 2.0], 0.5, [0.0, 1.0, 2.0], t),
+    lambda t: real_sph_harm(2, 1, [0.1, 0.2], [0.1, 0.2, 0.3]),
+    lambda t: spherical_bessel(1, [[1.0, 2.0]]),
+    lambda t: rbf_embed([[1.0, 2.0]], t),
+    lambda t: sbf_embed([[1.0, 2.0]], [0.1, 0.2], t),
+    lambda t: tbf_embed(1.0, [[0.1, 0.2]], 0.0, t),
+    lambda t: real_sph_harm(2, 1, 0.5, [[0.1, 0.2]]),
+    lambda t: tbf_embed(1.0, 0.5, 1e308, t),
+    lambda t: real_sph_harm(2, 2, 0.5, 1e308),
 ], ids=["bessel-nan", "bessel-inf", "bessel-nan-in-array", "bessel-above-max-argument",
         "rbf-nan-distance", "sbf-nan-distance", "tbf-nan-distance",
         "sbf-nan-polar", "tbf-nan-polar", "tbf-nan-polar-in-array",
         "tbf-nan-azimuth", "tbf-inf-azimuth", "harmonic-nan-polar",
         "harmonic-nan-azimuth", "harmonic-inf-polar", "harmonic-minus-inf-azimuth",
-        "harmonic-nan-polar-in-array"])
+        "harmonic-nan-polar-in-array", "sbf-mismatched-lengths",
+        "tbf-mismatched-polar-length", "tbf-mismatched-azimuth-length",
+        "harmonic-mismatched-lengths", "bessel-2d", "rbf-2d", "sbf-2d", "tbf-2d",
+        "harmonic-2d", "tbf-azimuth-overflows-in-sweep",
+        "harmonic-azimuth-overflows-in-sweep"])
 def test_non_finite_and_out_of_range_arguments_raise(call):
     with pytest.raises(BasisError):
         call(build_tables(5.0, 3, 3))
+
+
+def as_bits(values):
+    values = np.asarray(values)
+    return values.shape, values.dtype, values.tobytes()
+
+
+@pytest.mark.parametrize("scalars", list(itertools.product([False, True], repeat=3)),
+                         ids=lambda s: "-".join("scalar" if x else "array" for x in s))
+def test_broadcast_calls_equal_stacked_scalar_calls(scalars):
+    # Each of d, theta, phi is a scalar or an array of 5 points. A call must
+    # give bitwise the stacked per-point scalar calls, or one point's result
+    # when every argument it takes is a scalar.
+    tables = build_tables(5.0, 4, 4)
+    rng = np.random.default_rng(17)
+    columns = [rng.uniform(0.05, 5.0, 5), rng.uniform(0.0, math.pi, 5),
+               rng.uniform(-7.0, 7.0, 5)]
+    args = [float(col[0]) if scalar else col for col, scalar in zip(columns, scalars)]
+
+    def check(call, used):
+        points = [call(*[float(columns[i][0 if scalars[i] else p]) for i in used])
+                  for p in range(5)]
+        expected = points[0] if all(scalars[i] for i in used) else np.stack(points)
+        assert as_bits(call(*[args[i] for i in used])) == as_bits(expected)
+
+    check(lambda d, theta: sbf_embed(d, theta, tables), (0, 1))
+    check(lambda d, theta, phi: tbf_embed(d, theta, phi, tables), (0, 1, 2))
+    for order, m in [(0, 0), (2, -1), (3, 0), (3, 3)]:
+        check(lambda theta, phi: real_sph_harm(order, m, theta, phi), (1, 2))
 
 
 def test_tables_invariants():

@@ -292,7 +292,8 @@ def test_export_filters_cli(tmp_path):
 
 
 def filter_model(tmp_path, blocks=1):
-    cfg = RunConfig(cutoff_c=2.0, n_srbf=3, n_shbf=2, num_interaction_blocks=blocks,
+    # n_shbf 3: the sweep's largest m * phi is 2 * phi, which overflows at --phi 1e308.
+    cfg = RunConfig(cutoff_c=2.0, n_srbf=3, n_shbf=3, num_interaction_blocks=blocks,
                     embed_size=8, lb2_distance_size=3, lb2_angle_size=3,
                     lb2_torsion_size=3, output_embed_size=4, max_z=6)
     model = tmp_path / "model.bin"
@@ -301,14 +302,16 @@ def filter_model(tmp_path, blocks=1):
 
 
 @pytest.mark.parametrize("flag", [("--channels", "99"), ("--channels", "-1"),
-                                  ("--channels", ","), ("--phi", "nan")],
-                         ids=["channel99", "channel-1", "channels-empty", "phi-nan"])
+                                  ("--channels", ","), ("--phi", "nan"), ("--phi", "1e308")],
+                         ids=["channel99", "channel-1", "channels-empty", "phi-nan",
+                              "phi-overflows-in-sweep"])
 def test_export_filters_bad_flag_value_is_usage_error(tmp_path, capsys, flag):
     code = main(["export-filters", "--model", str(filter_model(tmp_path)),
                  "--d-samples", "2", "--theta-samples", "2",
                  *flag, "--out", str(tmp_path / "filters.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "filters.csv").exists()
 
 
 def test_export_filters_zero_block_model_is_data_error(tmp_path, capsys):

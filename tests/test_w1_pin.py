@@ -7,7 +7,9 @@ ablation mode on perfbench's molecules-train seed-0 molecules and its 29/3
 split. Each test hashes the ``save_model`` bytes of the best and the final
 parameters and the epoch log. A refactor that claims bitwise equal training
 keeps these hashes; a change that only rounds differently records new ones
-here and in ROADMAP.md.
+here and in ROADMAP.md. The CLI pins hash the default ``smpnet basis-dump``
+CSV and the default-grid ``smpnet export-filters`` CSV of a small seed-3
+checkpoint.
 
 Another numpy or BLAS build may round differently, so the tests run only on
 the build the hashes were recorded with: numpy 2.4.6 and OpenBLAS
@@ -22,9 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smpnet.cli import main
 from smpnet.elements import SYMBOL_TO_Z
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
-from smpnet.network import save_model
+from smpnet.network import init_params, save_model
 from smpnet.train import ablation_config, format_epoch_log, synthetic_torsion_task, train
 
 NUMPY = "2.4.6"
@@ -45,6 +48,9 @@ DEFAULT_CONFIG = {
     NO_ANGLE_TORSION: ("a7eaf9fd33668f32035d452afa710383e6648a6644accdab1a54a0894bc64084",
                        "0eb2d8febe418b74e95a0fc8d553aff9de48f8fe23cc5beccba050fc3f3cc5c2"),
 }
+
+BASIS_DUMP = "c24a0a72bdc9eb757ca50d0fc13933f4e06439a7b29f361f5d1cab6363fda4c1"
+EXPORT_FILTERS = "8f11cd091045f82827ff8e071ad0fb64873d22aa53d2d41f9f158cfa461b1d6c"
 
 
 def openblas_core() -> str | None:
@@ -111,3 +117,21 @@ def test_default_config_checkpoints_and_log_are_byte_identical(tmp_path, mode):
     result = train(graphs, cfg, split=workloads.split(len(graphs)))
     checkpoint, log = DEFAULT_CONFIG[mode]
     assert digests(result, tmp_path) == [checkpoint, checkpoint, log]
+
+
+@recorded_build
+def test_basis_dump_csv_is_byte_identical(tmp_path):
+    out = tmp_path / "basis.csv"
+    assert main(["basis-dump", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BASIS_DUMP
+
+
+@recorded_build
+def test_export_filters_csv_is_byte_identical(tmp_path):
+    cfg = RunConfig(n_srbf=4, n_shbf=4, num_interaction_blocks=1, embed_size=8,
+                    lb2_distance_size=3, lb2_angle_size=3, lb2_torsion_size=3,
+                    output_embed_size=4, max_z=6)
+    model, out = tmp_path / "model.bin", tmp_path / "filters.csv"
+    save_model(init_params(cfg, seed=3), str(model))
+    assert main(["export-filters", "--model", str(model), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPORT_FILTERS
