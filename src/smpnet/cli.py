@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize", help="emit per-pair geometry (d, theta, phi) as CSV")
     p.add_argument("--input", required=True, help="XYZ file, one or more frames")
-    p.add_argument("--cutoff", type=float, default=5.0, help="radius-graph cutoff in angstrom")
+    p.add_argument("--cutoff", type=float, default=RunConfig.cutoff_c,
+                   help="radius-graph cutoff in angstrom")
     p.add_argument("--out", required=True, help="output CSV path")
     common(p)
 
@@ -109,9 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("basis-dump", help="sample basis values as CSV for cross-checks")
-    p.add_argument("--cutoff", type=float, default=5.0)
-    p.add_argument("--n-srbf", type=int, default=6)
-    p.add_argument("--n-shbf", type=int, default=7)
+    p.add_argument("--cutoff", type=float, default=RunConfig.cutoff_c)
+    p.add_argument("--n-srbf", type=int, default=RunConfig.n_srbf)
+    p.add_argument("--n-shbf", type=int, default=RunConfig.n_shbf)
     p.add_argument("--samples", type=int, default=8, help="radial sample count")
     p.add_argument("--out", required=True)
     common(p)

@@ -251,6 +251,21 @@ def split_dataset(n: int, valid_fraction: float, seed: int
     return np.sort(order[n_valid:]), np.sort(order[:n_valid])
 
 
+def _split_part(part, name: str, n: int) -> np.ndarray:
+    """One part of an explicit split as int64 indices into n graphs. An empty
+    part is accepted whatever its dtype; otherwise every index must be an
+    integer in [0, n)."""
+    indices = np.asarray(part)
+    if indices.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
+        raise TrainError(f"{name} split must be a list of integer indices, "
+                         f"got {indices.dtype} of shape {indices.shape}")
+    if indices.min() < 0 or indices.max() >= n:
+        raise TrainError(f"{name} split has an index outside [0, {n})")
+    return indices.astype(np.int64)
+
+
 def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None,
           split: Optional[tuple[Sequence[int], Sequence[int]]] = None,
           threads: int = 1, valid_fraction: float = 0.1) -> TrainResult:
@@ -259,22 +274,27 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
     Shuffling is keyed to (seed, epoch); the best checkpoint by validation
     MAE (train MAE when the validation split is empty) is retained. A
     non-finite loss aborts with the offending step index. Validation runs in
-    the chunks of ``predict``. ``threads`` has no effect.
+    the chunks of ``predict``. ``threads`` has no effect. A ``split`` index
+    that is not an integer in [0, len(dataset)), or a ``valid_fraction``
+    outside [0, 1) when no split is given, raises ``TrainError`` before any
+    graph is featurized.
     """
     if not dataset:
         raise TrainError("cannot train on an empty dataset")
     seed = cfg.seed if seed is None else seed
-    targets = _targets_of(dataset)
-    features = [featurize_graph(g, cfg) for g in dataset]
     if split is None:
+        if not 0.0 <= valid_fraction < 1.0:
+            raise TrainError(f"valid_fraction must lie in [0, 1), got {valid_fraction}")
         train_idx, valid_idx = split_dataset(len(dataset), valid_fraction, seed)
         if train_idx.size == 0:
             train_idx, valid_idx = valid_idx, train_idx
     else:
-        train_idx = np.asarray(split[0], dtype=np.int64)
-        valid_idx = np.asarray(split[1], dtype=np.int64)
+        train_idx = _split_part(split[0], "training", len(dataset))
+        valid_idx = _split_part(split[1], "validation", len(dataset))
         if train_idx.size == 0:
             raise TrainError("training split is empty")
+    targets = _targets_of(dataset)
+    features = [featurize_graph(g, cfg) for g in dataset]
     valid_features = [features[i] for i in valid_idx]
     valid_targets = targets[valid_idx]
 

@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from smpnet.basis import (MAX_ORDER, MAX_ROOTS, BasisError, _radial_table, bessel_roots,
+from smpnet.basis import (MAX_ARGUMENT, MAX_ORDER, BasisError, _radial_table, bessel_roots,
                           build_tables, rbf_embed, real_sph_harm, sbf_embed,
                           spherical_bessel, tbf_embed)
 
@@ -53,14 +53,11 @@ def test_bessel_against_oracle_sweep():
     assert worst < 1e-9
 
 
-TOP_ARGUMENT = (MAX_ROOTS + MAX_ORDER) * math.pi
-
-
-@pytest.mark.parametrize("x, floor", [(0.5, 0.0), (TOP_ARGUMENT, 1.0 / TOP_ARGUMENT)])
+@pytest.mark.parametrize("x, floor", [(0.5, 0.0), (MAX_ARGUMENT, 1.0 / MAX_ARGUMENT)])
 def test_bessel_every_order_at_the_ends_of_the_internal_range(x, floor):
     # 0.5 is the smallest argument the recurrence takes (below it the series
-    # runs); no root, table or radial factor needs one above TOP_ARGUMENT.
-    # TOP_ARGUMENT is a root of j_0, so there the error is measured against
+    # runs); no root, table or radial factor needs one above MAX_ARGUMENT.
+    # MAX_ARGUMENT is a root of j_0, so there the error is measured against
     # the 1/x envelope of j_l, not against the value itself.
     for order in range(MAX_ORDER + 1):
         mine = spherical_bessel(order, x)
@@ -69,9 +66,10 @@ def test_bessel_every_order_at_the_ends_of_the_internal_range(x, floor):
 
 
 def test_bessel_vectorized_matches_scalar():
-    # Each point runs its own recurrence start order and its own series
-    # length, so batched and scalar evaluations agree bitwise.
-    xs = np.array([0.0, 1e-9, 0.3, 0.5, 2.0, 40.0, 1e-300, 0.49])
+    # Each point runs its own recurrence start order, and every point sums
+    # the same series terms, so batched and scalar evaluations agree bitwise.
+    xs = np.array([0.0, 1e-9, 0.3, 0.5, 2.0, 40.0, 1e-300, 0.49,
+                   np.nextafter(0.5, 0.0), 0.5 - 1e-12, 0.4999])
     for order in (0, 3, 16):
         batch = spherical_bessel(order, xs)
         singles = [spherical_bessel(order, float(x)) for x in xs]
@@ -399,6 +397,8 @@ INF = float("inf")
     lambda t: spherical_bessel(0, INF),
     lambda t: spherical_bessel(3, np.array([1.0, NAN])),
     lambda t: spherical_bessel(0, 1.0000001e8),
+    lambda t: spherical_bessel(0, np.nextafter(MAX_ARGUMENT, np.inf)),
+    lambda t: spherical_bessel(0, 1e4),
     lambda t: rbf_embed(NAN, t),
     lambda t: sbf_embed(NAN, 0.5, t),
     lambda t: tbf_embed(NAN, 0.5, 0.1, t),
@@ -424,6 +424,7 @@ INF = float("inf")
     lambda t: tbf_embed(1.0, 0.5, 1e308, t),
     lambda t: real_sph_harm(2, 2, 0.5, 1e308),
 ], ids=["bessel-nan", "bessel-inf", "bessel-nan-in-array", "bessel-above-max-argument",
+        "bessel-just-above-max-argument", "bessel-far-above-max-argument",
         "rbf-nan-distance", "sbf-nan-distance", "tbf-nan-distance",
         "sbf-nan-polar", "tbf-nan-polar", "tbf-nan-polar-in-array",
         "tbf-nan-azimuth", "tbf-inf-azimuth", "harmonic-nan-polar",

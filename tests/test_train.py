@@ -359,6 +359,27 @@ def test_explicit_split_overfits_small_set(tiny_cfg):
     assert result.best_epoch >= 0
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"split": ([0, -1], [2])},
+    {"split": ([0.7, 1.9], [3])},
+    {"split": ([True, False], [2])},
+    {"split": ([0, 99], [])},
+    {"split": ([0, 1], [10])},
+    {"valid_fraction": 1.5},
+    {"valid_fraction": 1.0},
+    {"valid_fraction": -0.5},
+], ids=["negative-index", "float-index", "bool-index", "index-past-end",
+        "valid-index-at-length", "valid-fraction-above-one", "valid-fraction-one",
+        "negative-valid-fraction"])
+def test_malformed_split_raises_before_featurizing(monkeypatch, kwargs):
+    def featurize(*args):
+        raise AssertionError("featurized before the split was checked")
+
+    monkeypatch.setattr(T, "featurize_graph", featurize)
+    with pytest.raises(T.TrainError, match="split|valid_fraction"):
+        T.train(T.synthetic_torsion_task(64, seed=0)[:10], T.ablation_config(epochs=1), **kwargs)
+
+
 def test_training_steps_never_hold_two_tapes(tiny_cfg):
     # Each step's forward overwrites the previous step's values in the
     # training workspace, and the previous tape is gone before it starts, so

@@ -9,13 +9,16 @@ parameters and the epoch log. A refactor that claims bitwise equal training
 keeps these hashes; a change that only rounds differently records new ones
 here and in ROADMAP.md. The CLI pins hash the default ``smpnet basis-dump``
 CSV and the default-grid ``smpnet export-filters`` CSV of a small seed-3
-checkpoint.
+checkpoint. The featurization pins hash every ``GraphFeatures`` field of the
+seed-0 perfbench inputs in each ablation mode, and the Bessel pin hashes one
+``_bessel_table`` over both of its branches.
 
 Another numpy or BLAS build may round differently, so the tests run only on
 the build the hashes were recorded with: numpy 2.4.6 and OpenBLAS
 0.3.31.188.0 running its SkylakeX kernels.
 """
 import ctypes
+import dataclasses
 import hashlib
 import importlib.util
 import sys
@@ -24,10 +27,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smpnet.basis import MAX_ARGUMENT, MAX_ORDER, _bessel_table
 from smpnet.cli import main
 from smpnet.elements import SYMBOL_TO_Z
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
-from smpnet.network import init_params, save_model
+from smpnet.network import (GraphFeatures, featurize_graph, init_params, merge_features,
+                            save_model)
 from smpnet.train import ablation_config, format_epoch_log, synthetic_torsion_task, train
 
 NUMPY = "2.4.6"
@@ -48,6 +53,24 @@ DEFAULT_CONFIG = {
     NO_ANGLE_TORSION: ("a7eaf9fd33668f32035d452afa710383e6648a6644accdab1a54a0894bc64084",
                        "0eb2d8febe418b74e95a0fc8d553aff9de48f8fe23cc5beccba050fc3f3cc5c2"),
 }
+
+# sha256 per mode over every featurized graph of a workload's seed-0 inputs,
+# then over their merge (the clusters are not merged: about 155 MB of tbf).
+FEATURES = {
+    "chains-train": {
+        FULL: "59e771670cc6f415a595f176712dc266a8bc354451c941abc523996317153337",
+        NO_TORSION: "9f2c439d2869161ba4291e77aa64961be78bd969b3041c678d6c848b42bce913",
+        NO_ANGLE_TORSION: "8fca3f178c97f52e87e7a35934d05197410389231d24670e7e4602163655c8c4"},
+    "molecules-train": {
+        FULL: "69259132d532516382224776e27be6e38fbad2f1ffa296fdd0bc5a802bb628b9",
+        NO_TORSION: "9e4728e02f2a4193ea02e6101e08acef4c79611ff79b6deb396d40af96c4cacb",
+        NO_ANGLE_TORSION: "9fe3a10eeaee554a54d64faa1feaacd34a274362bf1dcb69fed222b71e27561f"},
+    "clusters-eval": {
+        FULL: "cb8e30bf083e0d88488a2b64537635c04e61c8bce6b5e1c786ea733d3bc24674",
+        NO_TORSION: "9f7eca19b978f90b834937ca1aa830ece1f3f0b9cf38bfbaf97883ebaec8e7e7",
+        NO_ANGLE_TORSION: "768e8c468e799a47d7e661fc57198d6f98f3c6f0ad90bdac2e6e5729fa3072d8"},
+}
+BESSEL_TABLE = "29313a4e49f9b66939bb9a527f877c7397fa9b501e602caae2bf875e58b23b1f"
 
 BASIS_DUMP = "c24a0a72bdc9eb757ca50d0fc13933f4e06439a7b29f361f5d1cab6363fda4c1"
 EXPORT_FILTERS = "8f11cd091045f82827ff8e071ad0fb64873d22aa53d2d41f9f158cfa461b1d6c"
@@ -100,6 +123,25 @@ def perfbench_workloads():
     return module
 
 
+def workload_graphs(workloads, name: str) -> list[Graph3D]:
+    """The seed-0 frames of a perfbench workload as graphs."""
+    return [Graph3D(np.array([SYMBOL_TO_Z[s] for s in symbols]), positions,
+                    graph_target=target, id=str(i))
+            for i, (symbols, positions, target) in enumerate(workloads.frames_for(name, 0))]
+
+
+def hash_features(digest, features: GraphFeatures):
+    """Feed every field's values, dtype, shape and memory order to ``digest``."""
+    for spec in dataclasses.fields(GraphFeatures):
+        value = getattr(features, spec.name)
+        if isinstance(value, np.ndarray):
+            digest.update(f"{spec.name} {value.dtype.str} {value.shape} "
+                          f"{value.flags.c_contiguous} {value.flags.f_contiguous}".encode())
+            digest.update(value.tobytes())
+        else:
+            digest.update(f"{spec.name} {value!r}".encode())
+
+
 @recorded_build
 def test_w1_checkpoints_and_log_are_byte_identical(tmp_path):
     result = train(synthetic_torsion_task(512, seed=0), ablation_config(epochs=20))
@@ -110,13 +152,46 @@ def test_w1_checkpoints_and_log_are_byte_identical(tmp_path):
 @pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
 def test_default_config_checkpoints_and_log_are_byte_identical(tmp_path, mode):
     workloads = perfbench_workloads()
-    graphs = [Graph3D(np.array([SYMBOL_TO_Z[s] for s in symbols]), positions,
-                      graph_target=target, id=str(i))
-              for i, (symbols, positions, target) in enumerate(workloads.molecule_frames(0))]
+    graphs = workload_graphs(workloads, "molecules-train")
     cfg = RunConfig(batch_size=8, max_epochs=2, seed=0, ablation_mode=mode)
     result = train(graphs, cfg, split=workloads.split(len(graphs)))
     checkpoint, log = DEFAULT_CONFIG[mode]
     assert digests(result, tmp_path) == [checkpoint, checkpoint, log]
+
+
+@recorded_build
+@pytest.mark.parametrize("workload", list(FEATURES))
+def test_featurized_inputs_are_byte_identical(workload):
+    workloads = perfbench_workloads()
+    graphs = workload_graphs(workloads, workload)
+    found = {}
+    for mode in FEATURES[workload]:
+        cfg = dataclasses.replace(workloads.run_config(workload, 0), ablation_mode=mode)
+        digest = hashlib.sha256()
+        parts = []
+        for graph in graphs:
+            features = featurize_graph(graph, cfg)
+            hash_features(digest, features)
+            if workload != "clusters-eval":
+                parts.append(features)
+        if parts:
+            hash_features(digest, merge_features(parts))
+        found[mode] = digest.hexdigest()
+    assert found == FEATURES[workload]
+
+
+@recorded_build
+def test_bessel_table_is_byte_identical():
+    # Both branches at every order: the series on [0, 0.5), log-spaced down to
+    # subnormals, and the recurrence on [0.5, MAX_ARGUMENT].
+    rng = np.random.default_rng(20)
+    xs = np.concatenate([
+        [0.0, 5e-324, 1e-310, np.nextafter(0.5, 0.0), 0.5, MAX_ARGUMENT],
+        np.geomspace(1e-300, 0.5, 300, endpoint=False),
+        rng.uniform(0.0, 0.5, 2000), 0.5 - rng.uniform(0.0, 1e-3, 200),
+        rng.uniform(0.5, MAX_ARGUMENT, 2000)])
+    table = _bessel_table(MAX_ORDER, xs)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == BESSEL_TABLE
 
 
 @recorded_build
