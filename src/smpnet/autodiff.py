@@ -21,14 +21,16 @@ no vjp and are not kept either, so the sweep never spends work on them. A
 forward whose parameters enter as constants therefore records nothing: each
 intermediate is freed as soon as its consumer has run.
 
-Two operations are fused. ``dense`` is a whole dense layer (product, bias,
-optional SiLU) in one node. ``pair_aggregate`` reduces per-pair gated
-messages to per-edge sums in fixed blocks of pairs, so no array with one row
-per two-hop pair and one column per message channel outlives a block, in the
-forward or in its vector-Jacobian product.
+Three operations are fused. ``dense`` is a whole dense layer (product, bias,
+optional SiLU) in one node. ``blocked_matmul`` multiplies a constant that
+its caller builds one block of rows at a time by several weights at once,
+and ``pair_aggregate`` reduces per-pair gated messages to per-edge sums in
+fixed blocks of pairs. So no array with one row per two-hop pair and one
+column per basis entry or message channel outlives a block, in the forward
+or in its vector-Jacobian product.
 
 A tape built on a ``Workspace`` writes its forward values (dense, add, mul,
-concat, gather, stacked_matmul and pair_aggregate outputs) into the
+concat, gather, blocked_matmul and pair_aggregate outputs) into the
 workspace's buffers with ``out=``, so successive training steps reuse one
 set of buffers instead of allocating them afresh. A forward's values are
 therefore valid only until the next forward on the same workspace.
@@ -226,31 +228,50 @@ class Tape:
 
         return self._record(value, (x, w) if b is None else (x, w, b), vjp)
 
-    def stacked_matmul(self, a: Node, bs: list[Node]) -> list[Node]:
-        """``dense(a, b)`` for every b of ``bs`` through one product.
+    def blocked_matmul(self, rows, n_rows: int, bs: list[Node]) -> list[Node]:
+        """``dense(A, b)`` for every b of ``bs``, with A built one block of rows at a time.
 
-        ``a`` is multiplied once by the column-stacked ``[b0 | b1 | ...]``, and
-        node i holds the column view of ``b_i`` with the vjp of
-        ``dense(a, b_i)``. One wide product reads ``a`` once where separate
-        narrow ones read it once each. On OpenBLAS, column views 8 or 16 wide
-        (the shipped bottleneck width is 8) were bitwise the separate
+        A is a constant (n_rows, k) array that is never held whole:
+        ``rows(start, stop)`` returns its rows start:stop. Each block of
+        ``_pair_blocks(n_rows)`` is built once and multiplied by the
+        column-stacked ``[b0 | b1 | ...]`` into its rows of one stacked node;
+        node i of the result is the view of ``b_i``'s columns, whose vjp puts
+        its cotangent into those columns of a zero array. The stacked node's
+        vjp builds each block once more and multiplies its transpose by the
+        block's rows of the stacked cotangent, so every weight's gradient is
+        summed block by block from one product per block. On OpenBLAS a row
+        block of the product was bitwise the whole product, and column views
+        8 or 16 wide (the shipped bottleneck width is 8) bitwise the separate
         products; views 1 to 4 wide can round differently in the last bit.
         """
         if not bs:
             return []
         stacked = np.concatenate([b.value for b in bs], axis=1)
-        value = np.matmul(a.value, stacked,
-                          out=self._empty((a.value.shape[0], stacked.shape[1])))
-        nodes = []
-        offset = 0
-        for b in bs:
-            width = b.value.shape[1]
-            nodes.append(self._record(
-                value[:, offset:offset + width], (a, b),
-                lambda g, bv=b.value, db=b.needs_grad: (
-                    g @ bv.T if a.needs_grad else None, a.value.T @ g if db else None)))
-            offset += width
-        return nodes
+        blocks = _pair_blocks(n_rows)
+        value = self._empty((n_rows, stacked.shape[1]))
+        for start, stop in blocks:
+            np.matmul(rows(start, stop), stacked, out=value[start:stop])
+        ends = np.cumsum([b.value.shape[1] for b in bs])
+
+        def vjp(g):
+            d_stacked = np.zeros(stacked.shape)
+            for start, stop in blocks:
+                d_stacked += rows(start, stop).T @ g[start:stop]
+            # Column blocks of one array: no two parents share an element.
+            return np.split(d_stacked, ends[:-1], axis=1)
+
+        product = self._record(value, bs, vjp)
+        return [self._columns(product, end - b.value.shape[1], end)
+                for b, end in zip(bs, ends)]
+
+    def _columns(self, x: Node, start: int, stop: int) -> Node:
+        """The view of columns start:stop of ``x``."""
+        def vjp(g):
+            full = np.zeros(x.value.shape)
+            full[:, start:stop] = g
+            return (full,)
+
+        return self._record(x.value[:, start:stop], (x,), vjp)
 
     def add(self, a: Node, b: Node) -> Node:
         if a.value.shape != b.value.shape:

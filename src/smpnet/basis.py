@@ -17,15 +17,17 @@ Each ingredient is computed once: the roots z_ln of every order in one
 vectorized solve (cached per table size), the radial factors in one Bessel
 recurrence over every distinct distance and order, and the harmonics in one
 sweep that yields every Y_l^m column (the zonal Y_l^0 alone for the
-distance-angle embedding). The radial factors depend only on the distance,
-so a caller that embeds the same distances twice computes ``_radial_table``
-once and passes it to both embeddings as ``radial=``; the network computes
-it once per graph over the edge distances and gathers it to the pairs. A
-point's Bessel values depend only on that point, never on the other points
-evaluated with it, so the shared table is bitwise the one each embedding
-computes on its own. Arguments must be finite and in range; NaN, infinity,
-Bessel arguments above ``MAX_ARGUMENT`` and an overflowing m*phi raise
-``BasisError``.
+distance-angle embedding). The pair embeddings are products of these two
+factors, so a caller that holds them computes each once and passes them to
+``sbf_embed`` and ``tbf_embed`` as ``radial=`` (the ``_radial_table`` of the
+distances) and ``angular=`` (the harmonic columns of the angles). The
+network keeps the radial table per edge and the harmonics per pair, and
+rebuilds the embeddings from them a block of pairs at a time. A point's
+Bessel values depend only on that point, never on the other points
+evaluated with it, so a shared or gathered table is bitwise the one each
+embedding computes on its own. Arguments must be finite and in range; NaN,
+infinity, Bessel arguments above ``MAX_ARGUMENT`` and an overflowing m*phi
+raise ``BasisError``, with or without the factors given.
 
 The pair embeddings are column-major: ``sbf_embed`` and ``tbf_embed`` fill
 (columns, points) buffers and return their transposes, with the documented
@@ -283,15 +285,16 @@ def _harmonics(degrees: int, theta: np.ndarray, phi) -> np.ndarray:
 
 
 def _zonal_harmonics(degrees: int, theta: np.ndarray) -> np.ndarray:
-    """Y_l^0(theta) for l < degrees; shape (degrees, len(theta)).
+    """Y_l^0(theta) for l < degrees; shape (len(theta), degrees).
 
-    One Legendre recurrence, bitwise the m = 0 columns of ``_harmonics``.
+    One Legendre recurrence, bitwise the m = 0 columns of ``_harmonics``
+    (columns l*l + l there). The result is a transposed view.
     """
     u = np.cos(theta)
     out = np.empty((degrees, theta.size), dtype=np.float64)
     for ell, row in _legendre_rows(0, degrees, u, np.ones_like(u)):
         out[ell] = row
-    return out
+    return out.T
 
 
 def _legendre_rows(m: int, degrees: int, u: np.ndarray, pmm: np.ndarray):
@@ -387,7 +390,7 @@ def rbf_embed(d, tables: BasisTables) -> np.ndarray:
     return values[0] if scalar else values
 
 
-def sbf_embed(d, theta, tables: BasisTables, *, radial=None) -> np.ndarray:
+def sbf_embed(d, theta, tables: BasisTables, *, radial=None, angular=None) -> np.ndarray:
     """Distance-angle embedding, shape (points, n_shbf, n_srbf).
 
     d and theta are scalars or 1-D arrays that broadcast to the points; two
@@ -395,20 +398,28 @@ def sbf_embed(d, theta, tables: BasisTables, *, radial=None) -> np.ndarray:
     j_l(z_ln * d / c) * Y_l^0(theta). The array is a transposed view of an
     (n_shbf, n_srbf, points) buffer: the product runs along the point axis,
     and ``reshape(points, -1)`` gives the column-major feature without a
-    copy. Only the zonal harmonics are evaluated. ``radial`` is the
-    ``_radial_table`` of the broadcast d, shape (points, n_shbf, n_srbf),
-    for a caller that shares one table with ``tbf_embed``.
+    copy. Only the zonal harmonics are evaluated.
+
+    A caller that holds the factors passes them instead of having them
+    computed: ``radial`` is the ``_radial_table`` of the broadcast d, shape
+    (points, n_shbf, n_srbf), and ``angular`` the zonal harmonics Y_l^0 of
+    the broadcast theta, shape (points, n_shbf). Either of another shape
+    raises ``BasisError``; d and theta are range-checked all the same.
     """
     scalar, (d_arr, theta_arr) = _points(d, theta)
     _check_distance(d_arr, tables.cutoff)
     _check_polar(theta_arr)
-    radial = _radial_rows(d_arr, tables, radial)
-    zonal = _zonal_harmonics(tables.n_shbf, theta_arr)
+    radial = _point_axis_last(
+        _radial_table(d_arr, tables) if radial is None else radial,
+        (d_arr.size, tables.n_shbf, tables.n_srbf), "radial")
+    zonal = _point_axis_last(
+        _zonal_harmonics(tables.n_shbf, theta_arr) if angular is None else angular,
+        (d_arr.size, tables.n_shbf), "angular")
     out = (radial * zonal[:, None, :]).transpose(2, 0, 1)
     return out[0] if scalar else out
 
 
-def tbf_embed(d, theta, phi, tables: BasisTables, *, radial=None) -> np.ndarray:
+def tbf_embed(d, theta, phi, tables: BasisTables, *, radial=None, angular=None) -> np.ndarray:
     """Full 3D embedding, flattened over (l, m, n) in lexicographic order.
 
     Shape (points, n_shbf^2 * n_srbf), with d, theta and phi broadcast as
@@ -420,14 +431,20 @@ def tbf_embed(d, theta, phi, tables: BasisTables, *, radial=None) -> np.ndarray:
     points) buffer. Each of its rows is one radial row times one harmonic
     row, so every product runs along the long point axis, and the
     down-projection ``feature @ down`` reads the columns it needs as
-    contiguous runs. ``radial`` is as in ``sbf_embed``.
+    contiguous runs. ``radial`` is as in ``sbf_embed``; ``angular`` holds
+    every harmonic Y_l^m of the broadcast angles in ``_harmonics``' column
+    order, shape (points, n_shbf^2).
     """
     scalar, (d_arr, theta_arr, phi_arr) = _points(d, theta, phi)
     _check_distance(d_arr, tables.cutoff)
     _check_polar(theta_arr)
     _check_angle(phi_arr, tables.n_shbf - 1)
-    radial = _radial_rows(d_arr, tables, radial)
-    angular = _harmonics(tables.n_shbf, theta_arr, phi_arr).T
+    radial = _point_axis_last(
+        _radial_table(d_arr, tables) if radial is None else radial,
+        (d_arr.size, tables.n_shbf, tables.n_srbf), "radial")
+    angular = _point_axis_last(
+        _harmonics(tables.n_shbf, theta_arr, phi_arr) if angular is None else angular,
+        (d_arr.size, tables.n_shbf ** 2), "angular")
     out = np.empty((tables.n_shbf ** 2, tables.n_srbf, d_arr.size), dtype=np.float64)
     for ell in range(tables.n_shbf):
         block = slice(ell * ell, (ell + 1) ** 2)
@@ -436,25 +453,22 @@ def tbf_embed(d, theta, phi, tables: BasisTables, *, radial=None) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def _radial_rows(d: np.ndarray, tables: BasisTables, radial) -> np.ndarray:
-    """The (l, n, len(d)) radial rows: ``radial`` transposed, or computed."""
-    if radial is None:
-        return _radial_table(d, tables).transpose(1, 2, 0)
-    radial = np.asarray(radial, dtype=np.float64)
-    if radial.shape != (d.size, tables.n_shbf, tables.n_srbf):
-        raise BasisError(f"radial table of shape {radial.shape} does not match "
-                         f"{d.size} points and tables ({tables.n_shbf}, {tables.n_srbf})")
-    return radial.transpose(1, 2, 0)
+def _point_axis_last(table, shape: tuple, name: str) -> np.ndarray:
+    """A factor table of ``shape`` (points first) with its point axis moved
+    last; any other shape raises ``BasisError``."""
+    table = np.asarray(table, dtype=np.float64)
+    if table.shape != shape:
+        raise BasisError(f"{name} table of shape {table.shape} does not match "
+                         f"the expected {shape}")
+    return table.transpose(*range(1, table.ndim), 0)
 
 
-def _radial_table(d: np.ndarray, tables: BasisTables, index=None) -> np.ndarray:
+def _radial_table(d: np.ndarray, tables: BasisTables) -> np.ndarray:
     """norm(l, n) * j_l(z_ln * d / c) for all (l, n); shape (len(d), l, n).
 
-    With ``index``, the rows are those of ``d[index]`` (shape (len(index), l,
-    n)), computed from ``d`` alone: ``featurize_graph`` passes the edge
-    distances and each pair's neighbor edge, so one table per graph serves
-    both pair embeddings. The shape is a transposed view of an (l, n, rows)
-    buffer, so the embeddings multiply whole rows along the point axis.
+    The shape is a transposed view of an (l, n, len(d)) buffer, so the
+    embeddings multiply whole rows along the point axis; ``featurize_graph``
+    keeps that buffer per edge and gathers its columns to the pairs.
 
     The table is evaluated once per distinct value of ``d`` and gathered by
     one ``np.take``. One Bessel recurrence up to order n_shbf - 1 runs over
@@ -464,8 +478,6 @@ def _radial_table(d: np.ndarray, tables: BasisTables, index=None) -> np.ndarray:
     in the last bits from evaluating order l on its own, which starts lower.
     """
     distinct, inverse = np.unique(d, return_inverse=True)
-    if index is not None:
-        inverse = inverse[index]
     orders = np.arange(tables.n_shbf)
     x = (tables.roots / tables.cutoff)[:, :, None] * distinct
     values = _bessel_table(tables.n_shbf - 1, x.ravel()).reshape(

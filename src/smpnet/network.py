@@ -8,16 +8,19 @@ depending on the ablation mode); an output block pools messages into node
 features and sums a per-node readout into the graph scalar.
 
 Two-hop pairs outnumber edges many times over, so everything that depends
-only on the neighbor edge is computed once per edge: the message projections
-and the distance term. Only the narrow down-projections of the angle and
-torsion embeddings are evaluated per pair, and they do not depend on the
-messages: ``begin_forward`` computes them once per forward, one product per
-geometry kind against every block's down-projection stacked side by side.
-The column-major pair bases are read once by that product instead of once
-per block. The rest of the pair path (gate up-projection, gating, summing
-per edge) is one fused tape op, ``Tape.pair_aggregate``, that works through
-the pairs in blocks, so no message-wide array per pair is kept, in the
-forward or for the backward.
+only on the neighbor edge is computed once per edge: the message projections,
+the distance term and the radial factors of the angle and torsion
+embeddings. Those embeddings are never stored whole. Featurization keeps
+their factors, the radial rows per edge and the harmonics per pair, and
+``begin_forward`` rebuilds the basis rows one fixed block of pairs at a
+time (``pair_basis_rows``) and multiplies each block by every interaction
+block's down-projection stacked side by side, one fused tape op
+(``Tape.blocked_matmul``) per geometry kind, once per forward; its vjp
+rebuilds each block once more. The rest of the pair path (gate
+up-projection, gating, summing per edge) is one fused tape op,
+``Tape.pair_aggregate``, that works through the pairs in blocks too. So no
+array with one row per pair and one column per basis entry or message
+channel outlives a block, in the forward or for the backward.
 
 Inference (``forward_features(..., grad=False)``) enters the parameters as
 constants, so the tape records nothing and every intermediate is freed once
@@ -42,7 +45,8 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Node, Tape, Workspace
-from .basis import _radial_table, rbf_embed, sbf_embed, tbf_embed, tables_for
+from .basis import (BasisTables, _harmonics, _radial_table, _zonal_harmonics, rbf_embed,
+                    sbf_embed, tables_for, tbf_embed)
 from .geometry import build_radius_graph, two_hop_geometry
 from .ingest import FULL, NO_TORSION, Graph3D, IngestError, RunConfig
 
@@ -193,8 +197,18 @@ class GraphFeatures:
     All arrays are plain numpy; the network treats them as constants.
     Merged batches keep per-graph node segments via ``graph_ids``. The field
     metadata is the layout ``merge_features`` reads: the count each index
-    field is offset by, and the pair bases ``pair_sbf`` and ``pair_tbf``
-    being column-major, as the basis functions build them.
+    field is offset by, and the axis along which the factor fields run over
+    the edges or pairs.
+
+    The angle and torsion bases are kept as their two factors, not as their
+    product. ``edge_radial`` holds the radial rows norm(l, n) * j_l(z_ln *
+    d / c) of every edge, shape (n_shbf, n_srbf, edges); ``pair_harmonics``
+    holds the harmonics of every pair, shape (columns, pairs): all n_shbf²
+    Y_l^m in FULL, the n_shbf zonal Y_l^0 in NO_TORSION. Both keep the edge
+    or pair axis last, so each of their rows is one contiguous run.
+    ``pair_basis_rows`` rebuilds the basis rows of a block of pairs from
+    them, the edge distances and the pair angles. Fields of a basis that the
+    ablation mode does not use are None.
     """
 
     n_atoms: int
@@ -203,11 +217,14 @@ class GraphFeatures:
     graph_ids: np.ndarray = field(metadata={"offset_by": "n_graphs"})
     edge_sender: np.ndarray = field(metadata={"offset_by": "n_atoms"})
     edge_receiver: np.ndarray = field(metadata={"offset_by": "n_atoms"})
+    edge_distance: np.ndarray
     edge_rbf: np.ndarray
+    edge_radial: Optional[np.ndarray] = field(metadata={"axis": -1})
     pair_edge: np.ndarray = field(metadata={"offset_by": "n_edges"})
     pair_neighbor: np.ndarray = field(metadata={"offset_by": "n_edges"})
-    pair_sbf: Optional[np.ndarray] = field(metadata={"column_major": True})
-    pair_tbf: Optional[np.ndarray] = field(metadata={"column_major": True})
+    pair_theta: Optional[np.ndarray]
+    pair_phi: Optional[np.ndarray]
+    pair_harmonics: Optional[np.ndarray] = field(metadata={"axis": -1})
 
     @property
     def n_edges(self) -> int:
@@ -219,12 +236,13 @@ class GraphFeatures:
 
 
 def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
-    """Radius graph, two-hop geometry, and basis embeddings for one graph.
+    """Radius graph, two-hop geometry, and basis factors for one graph.
 
-    Angle and torsion embeddings are computed only when the ablation mode
-    consumes them. Both depend on the neighbor edge's distance through the
-    same radial Bessel table, so it is computed once, over the edge
-    distances, gathered to the pairs, and passed to both as ``radial=``.
+    The distance embedding is stored per edge. The angle and torsion
+    embeddings are stored as their factors, and only when the ablation mode
+    consumes them: one radial Bessel table over the edge distances and one
+    harmonic sweep over the pair angles (the zonal columns alone in
+    NO_TORSION).
     """
     if np.any(graph.atomic_numbers > cfg.max_z):
         raise IngestError(
@@ -233,14 +251,15 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
     tables = tables_for(cfg)
     edges = build_radius_graph(graph, cfg.cutoff_c)
     hops = two_hop_geometry(graph, edges)
-    pair_sbf = pair_tbf = None
+    edge_radial = theta = phi = harmonics = None
     if cfg.ablation_mode in (FULL, NO_TORSION):
-        pair_d = edges.distances[hops.pair_neighbor]
-        radial = _radial_table(edges.distances, tables, hops.pair_neighbor)
-        pair_sbf = sbf_embed(pair_d, hops.theta, tables,
-                             radial=radial).reshape(hops.n_pairs, tables.sbf_size)
+        edge_radial = _radial_table(edges.distances, tables).transpose(1, 2, 0)
+        theta = hops.theta
         if cfg.ablation_mode == FULL:
-            pair_tbf = tbf_embed(pair_d, hops.theta, hops.phi, tables, radial=radial)
+            phi = hops.phi
+            harmonics = _harmonics(tables.n_shbf, theta, phi).T
+        else:
+            harmonics = _zonal_harmonics(tables.n_shbf, theta).T
     return GraphFeatures(
         n_atoms=graph.n_atoms,
         n_graphs=1,
@@ -248,22 +267,26 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
         graph_ids=np.zeros(graph.n_atoms, dtype=np.int64),
         edge_sender=edges.senders,
         edge_receiver=edges.receivers,
+        edge_distance=edges.distances,
         edge_rbf=rbf_embed(edges.distances, tables),
+        edge_radial=edge_radial,
         pair_edge=hops.pair_edge,
         pair_neighbor=hops.pair_neighbor,
-        pair_sbf=pair_sbf,
-        pair_tbf=pair_tbf,
+        pair_theta=theta,
+        pair_phi=phi,
+        pair_harmonics=harmonics,
     )
 
 
 def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
     """Disjoint union of featurized graphs, laid out as ``GraphFeatures`` declares.
 
-    Counts add up and arrays are concatenated. An index field is then shifted
-    once, by one repeat that gives each part's entries the sum of its count
-    over the parts before it. Geometry was computed per graph, so no
-    cross-graph edges appear no matter how close the coordinate frames happen
-    to be. A single graph is returned as is.
+    Counts add up and arrays are concatenated, the factor fields along their
+    last axis. An index field is then shifted once, by one repeat that gives
+    each part's entries the sum of its count over the parts before it.
+    Geometry was computed per graph, so no cross-graph edges appear no
+    matter how close the coordinate frames happen to be. A single graph is
+    returned as is.
     """
     if not parts:
         raise NetworkError("cannot merge an empty feature list")
@@ -276,10 +299,8 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
             merged[spec.name] = None
         elif not isinstance(values[0], np.ndarray):
             merged[spec.name] = sum(values)
-        elif spec.metadata.get("column_major"):
-            merged[spec.name] = _concat_column_major(values)
         else:
-            merged[spec.name] = np.concatenate(values)
+            merged[spec.name] = np.concatenate(values, axis=spec.metadata.get("axis", 0))
         count = spec.metadata.get("offset_by")
         if count is not None:
             counts = np.array([getattr(part, count) for part in parts], dtype=np.int64)
@@ -288,14 +309,37 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
     return GraphFeatures(**merged)
 
 
-def _concat_column_major(arrays: list[np.ndarray]) -> np.ndarray:
-    """Rows of ``arrays`` stacked into one column-major array.
+def pair_basis_rows(features: GraphFeatures, kind: str, tables: BasisTables):
+    """The pair basis ``kind`` ("sbf" or "tbf") of ``features``, built on demand.
 
-    ``np.concatenate`` picks its output order from the inputs' strides, and a
-    part with no pairs (or one) would turn it row-major; concatenating the
-    transposes fixes the order whatever the parts.
+    Returns ``rows(start, stop)``: rows start:stop of the (pairs, size)
+    angle or torsion basis, column-major and bitwise what ``sbf_embed`` or
+    ``tbf_embed`` computes from the pairs' neighbor-edge distances and
+    angles alone. Each call gathers the radial rows of its pairs' neighbor
+    edges and slices their harmonics, both contiguous along the pairs, and
+    passes them to the embedding as ``radial=`` and ``angular=``; the
+    embedding still range-checks the distances and angles. The features
+    must carry the factors of ``kind``.
     """
-    return np.concatenate([a.T for a in arrays], axis=1).T
+    harmonics = features.pair_harmonics
+    columns = slice(None)
+    if kind == "sbf" and harmonics.shape[0] == tables.n_shbf ** 2:
+        orders = np.arange(tables.n_shbf)
+        columns = orders * orders + orders     # the zonal Y_l^0 of the full sweep
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        neighbor = features.pair_neighbor[start:stop]
+        d = features.edge_distance[neighbor]
+        radial = np.take(features.edge_radial, neighbor, axis=2).transpose(2, 0, 1)
+        angular = harmonics[columns, start:stop].T
+        theta = features.pair_theta[start:stop]
+        if kind == "sbf":
+            return sbf_embed(d, theta, tables, radial=radial,
+                             angular=angular).reshape(stop - start, tables.sbf_size)
+        return tbf_embed(d, theta, features.pair_phi[start:stop], tables,
+                         radial=radial, angular=angular)
+
+    return rows
 
 
 @dataclass
@@ -335,14 +379,16 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
     A taped forward writes its values into ``workspace`` when one is given;
     a forward with ``grad=False`` never uses it.
 
-    The gate inputs ``feature @ inter{b}.{kind}.down`` do not depend on the
-    messages, so they are computed here, once per forward: one product per
-    geometry kind against every block's down-projection stacked side by
-    side (``Tape.stacked_matmul``), one node per block. At the shipped
-    bottleneck width each node's value and gradient are bitwise those of the
-    block's own product. Blocks called one by one on this context pick up
-    theirs. Features built for a mode without a basis that ``cfg``'s mode
-    needs raise ``NetworkError``.
+    The gate inputs ``basis @ inter{b}.{kind}.down`` do not depend on the
+    messages, so they are computed here, once per forward: one
+    ``Tape.blocked_matmul`` per geometry kind multiplies each block of the
+    basis rows, rebuilt by ``pair_basis_rows``, by every interaction block's
+    down-projection stacked side by side. Its vjp rebuilds each block of
+    rows once for all interaction blocks. It returns one column-view node
+    per interaction block; blocks called one by one on this context pick up
+    theirs. At the shipped bottleneck width each node's value is bitwise the
+    product of the whole materialized basis. Features built for a mode
+    without a basis that ``cfg``'s mode needs raise ``NetworkError``.
     """
     tape = Tape(workspace if grad else None)
     if grad:
@@ -352,12 +398,12 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
         leaves = {name: tape.constant(value) for name, value in params.values.items()}
     gate_inputs = {}
     for kind in {FULL: ("sbf", "tbf"), NO_TORSION: ("sbf",)}.get(cfg.ablation_mode, ()):
-        feature = getattr(features, "pair_" + kind)
-        if feature is None:
+        if features.pair_harmonics is None or (kind == "tbf" and features.pair_phi is None):
             raise NetworkError(f"ablation mode {cfg.ablation_mode} needs the {kind} basis, "
                                f"which the features do not carry")
-        gate_inputs[kind] = tape.stacked_matmul(tape.constant(feature), [
-            leaves[f"inter{b}.{kind}.down"] for b in range(cfg.num_interaction_blocks)])
+        gate_inputs[kind] = tape.blocked_matmul(
+            pair_basis_rows(features, kind, tables_for(cfg)), features.n_pairs,
+            [leaves[f"inter{b}.{kind}.down"] for b in range(cfg.num_interaction_blocks)])
     return ForwardContext(tape=tape, params=params, leaves=leaves, features=features,
                           cfg=cfg, gate_inputs=gate_inputs)
 

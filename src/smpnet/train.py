@@ -17,6 +17,7 @@ the ``threads`` arguments are accepted for compatibility and have no effect.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -42,12 +43,13 @@ SYNTHETIC_TASKS = ("torsion", "angles", "lengths")
 
 # Pairs plus edges at which an inference chunk closes: graphs join a chunk
 # until their sum reaches it. Inference memory follows the pairs of the
-# largest chunk (one row of n_shbf² · n_srbf torsion features per pair), not
-# the dataset. On perfbench's clusters-eval clusters (2.7k, 7.3k, 11.6k and
-# 45k pairs plus edges, default config) every budget from 2048 to 16384 gave
-# a 260-270 MB peak RSS and 0.74-1.0 s per evaluate, the largest cluster
-# being a chunk of its own; 32768 and up, one chunk, gave 503-512 MB. The
-# largest budget of the flat range keeps small graphs in long batches.
+# largest chunk (n_shbf² harmonics per pair), not the dataset. On perfbench's
+# seed-7 clusters-eval clusters (2.8k, 6.6k, 13.8k and 45.8k pairs plus
+# edges, default config; one process per budget, 2-vCPU VM) budgets 2048,
+# 8192 and 16384 gave a 123 MB peak RSS and 0.49-0.65 s per evaluate, the
+# largest cluster being a chunk of its own; 32768 and 65536, one chunk, gave
+# 197 MB. The largest budget of the flat range keeps small graphs in long
+# batches.
 CHUNK_BUDGET = 16384
 
 
@@ -254,7 +256,7 @@ def split_dataset(n: int, valid_fraction: float, seed: int
 def _split_part(part, name: str, n: int) -> np.ndarray:
     """One part of an explicit split as int64 indices into n graphs. An empty
     part is accepted whatever its dtype; otherwise every index must be an
-    integer in [0, n)."""
+    integer in [0, n), and none may repeat."""
     indices = np.asarray(part)
     if indices.size == 0:
         return np.zeros(0, dtype=np.int64)
@@ -263,6 +265,8 @@ def _split_part(part, name: str, n: int) -> np.ndarray:
                          f"got {indices.dtype} of shape {indices.shape}")
     if indices.min() < 0 or indices.max() >= n:
         raise TrainError(f"{name} split has an index outside [0, {n})")
+    if np.unique(indices).size != indices.size:
+        raise TrainError(f"{name} split repeats an index")
     return indices.astype(np.int64)
 
 
@@ -274,25 +278,30 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
     Shuffling is keyed to (seed, epoch); the best checkpoint by validation
     MAE (train MAE when the validation split is empty) is retained. A
     non-finite loss aborts with the offending step index. Validation runs in
-    the chunks of ``predict``. ``threads`` has no effect. A ``split`` index
-    that is not an integer in [0, len(dataset)), or a ``valid_fraction``
-    outside [0, 1) when no split is given, raises ``TrainError`` before any
-    graph is featurized.
+    the chunks of ``predict``. ``threads`` has no effect. A ``split`` that
+    is not two parts of distinct integers in [0, len(dataset)) with no index
+    in both, or a ``valid_fraction`` that is not a number in [0, 1) when no
+    split is given, raises ``TrainError`` before any graph is featurized.
     """
     if not dataset:
         raise TrainError("cannot train on an empty dataset")
     seed = cfg.seed if seed is None else seed
     if split is None:
-        if not 0.0 <= valid_fraction < 1.0:
-            raise TrainError(f"valid_fraction must lie in [0, 1), got {valid_fraction}")
+        if not isinstance(valid_fraction, numbers.Real) or not 0.0 <= valid_fraction < 1.0:
+            raise TrainError(f"valid_fraction must be a number in [0, 1), "
+                             f"got {valid_fraction!r}")
         train_idx, valid_idx = split_dataset(len(dataset), valid_fraction, seed)
         if train_idx.size == 0:
             train_idx, valid_idx = valid_idx, train_idx
     else:
+        if not isinstance(split, (tuple, list)) or len(split) != 2:
+            raise TrainError("split must be two parts: (training, validation) indices")
         train_idx = _split_part(split[0], "training", len(dataset))
         valid_idx = _split_part(split[1], "validation", len(dataset))
         if train_idx.size == 0:
             raise TrainError("training split is empty")
+        if np.intersect1d(train_idx, valid_idx).size:
+            raise TrainError("training and validation split share an index")
     targets = _targets_of(dataset)
     features = [featurize_graph(g, cfg) for g in dataset]
     valid_features = [features[i] for i in valid_idx]

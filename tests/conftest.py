@@ -51,6 +51,8 @@ def unfused_pair_aggregate(tape, base, gates, pair_edge, pair_neighbor, n_edges)
     return tape.segment_sum(term, pair_edge, n_edges)
 
 
-def per_block_matmul(tape, a, bs):
-    """Oracle for ``Tape.stacked_matmul``: one ``dense`` per weight."""
+def per_block_matmul(tape, rows, n_rows, bs):
+    """Oracle for ``Tape.blocked_matmul``: the rows built whole, then one
+    ``dense`` per weight."""
+    a = tape.constant(rows(0, n_rows))
     return [tape.dense(a, b) for b in bs]

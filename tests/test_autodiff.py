@@ -108,27 +108,68 @@ def test_mul_add_concat():
     check_program(program, values)
 
 
+def counted_rows(a):
+    """``rows(start, stop)`` of the column-major ``a``, and the list of the
+    blocks it was asked for."""
+    calls = []
+
+    def rows(start, stop):
+        calls.append((start, stop))
+        return np.asfortranarray(a[start:stop])
+
+    return rows, calls
+
+
 @pytest.mark.parametrize("widths", [(8,), (8, 8, 8)], ids=["one", "three"])
 def test_stacked_matmul_matches_per_block_matmul(widths):
-    # Both inputs differentiable: the product and every gradient must be
-    # bitwise those of one matmul per weight. Widths are the shipped
-    # bottleneck width; OpenBLAS rounds narrower ones differently.
+    # Three blocks of rows. The product is bitwise that of the materialized
+    # rows and one matmul per weight, at the shipped bottleneck width (8;
+    # OpenBLAS rounds narrower ones differently). Weight gradients are summed
+    # block by block, so they match the oracle's to rounding; each pass
+    # builds each block of rows once, for all the weights.
     rng = np.random.default_rng(2)
-    values = [rng.normal(size=(300, 40))] + [rng.normal(size=(40, w)) for w in widths]
+    n_rows = 2 * autodiff.PAIR_BLOCK + 300
+    a = rng.normal(size=(n_rows, 40))
+    values = [rng.normal(size=(40, w)) for w in widths]
     runs = []
-    for op in (Tape.stacked_matmul, per_block_matmul):
-        tape, leaves, out = run_program(lambda t, l: t.concat(op(t, l[0], l[1:])), values)
+    for op in (Tape.blocked_matmul, per_block_matmul):
+        rows, calls = counted_rows(a)
+        tape, leaves, out = run_program(lambda t, l: t.concat(op(t, rows, n_rows, l)), values)
+        forward_calls = list(calls)
         tape.backward(out, np.cos(np.arange(out.value.size)).reshape(out.value.shape))
-        runs.append((out.value, [leaf.grad for leaf in leaves]))
-    (value, grads), (expected, expected_grads) = runs
+        runs.append((out.value, [leaf.grad for leaf in leaves], forward_calls, calls))
+    (value, grads, forward_calls, calls), (expected, expected_grads, _, _) = runs
     assert np.array_equal(value, expected)
-    assert all(np.array_equal(g, e) for g, e in zip(grads, expected_grads))
+    for grad, expected_grad in zip(grads, expected_grads):
+        np.testing.assert_allclose(grad, expected_grad, rtol=1e-12, atol=1e-12)
+    assert forward_calls == autodiff._pair_blocks(n_rows)
+    assert calls == 2 * forward_calls
 
 
-def test_stacked_matmul_gradients_match_finite_differences():
+def test_stacked_matmul_gradients_match_finite_differences(monkeypatch):
+    # Blocks of two rows: five rows are blocks (0, 2) and (2, 5).
+    monkeypatch.setattr(autodiff, "PAIR_BLOCK", 2)
     rng = np.random.default_rng(3)
-    values = [rng.normal(size=(5, 4)), rng.normal(size=(4, 2)), rng.normal(size=(4, 3))]
-    check_program(lambda t, l: t.concat(t.stacked_matmul(l[0], l[1:])), values)
+    for n_rows in (0, 1, 5):
+        rows, _ = counted_rows(rng.normal(size=(n_rows, 4)))
+        values = [rng.normal(size=(4, 2)), rng.normal(size=(4, 3))]
+        check_program(lambda t, l: t.concat(t.blocked_matmul(rows, n_rows, l)), values)
+
+
+def test_blocked_matmul_views_take_their_columns_of_one_node():
+    # One stacked node holds the product; each weight's node is a view of
+    # its columns, and the views' cotangents reach the stacked node's vjp.
+    rng = np.random.default_rng(4)
+    rows, _ = counted_rows(rng.normal(size=(6, 4)))
+    tape = Tape()
+    leaves = [new_leaf(tape, rng.normal(size=(4, w))) for w in (2, 3)]
+    views = tape.blocked_matmul(rows, 6, leaves)
+    stacked = tape.nodes[0]
+    assert tape.nodes == [stacked] + views
+    assert all(view.parents == (stacked,) for view in views)
+    assert np.shares_memory(views[0].value, stacked.value)
+    assert np.array_equal(np.hstack([view.value for view in views]), stacked.value)
+    assert Tape().blocked_matmul(rows, 6, []) == []
 
 
 def test_gather_accumulates_repeats():

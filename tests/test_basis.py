@@ -5,9 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from smpnet.basis import (MAX_ARGUMENT, MAX_ORDER, BasisError, _radial_table, bessel_roots,
-                          build_tables, rbf_embed, real_sph_harm, sbf_embed,
-                          spherical_bessel, tbf_embed)
+from smpnet.basis import (MAX_ARGUMENT, MAX_ORDER, BasisError, _harmonics, _radial_table,
+                          _zonal_harmonics, bessel_roots, build_tables, rbf_embed,
+                          real_sph_harm, sbf_embed, spherical_bessel, tbf_embed)
 
 mp.mp.dps = 40
 
@@ -309,8 +309,9 @@ def test_repeated_distances_give_rows_of_distinct_call():
 
 
 def test_shared_radial_table_gives_standalone_embeddings():
-    # The network computes one table over edge distances and gathers it to
-    # the pairs; both embeddings must be bitwise their standalone values.
+    # The network keeps one table over edge distances, gathers it to the
+    # pairs and passes it with the pairs' stored harmonics; both embeddings
+    # must be bitwise their standalone values, whichever factors are given.
     tables = build_tables(5.0, 6, 7)
     rng = np.random.default_rng(43)
     edge_d = np.concatenate([[0.02, 5.0], rng.uniform(0.1, 5.0, size=10)])
@@ -318,16 +319,23 @@ def test_shared_radial_table_gives_standalone_embeddings():
     d = edge_d[neighbor]
     theta = rng.uniform(0.0, math.pi, size=d.size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=d.size)
-    radial = _radial_table(edge_d, tables, neighbor)
+    radial = _radial_table(edge_d, tables)[neighbor]
     assert np.array_equal(radial, _radial_table(d, tables))
-    assert np.array_equal(sbf_embed(d, theta, tables, radial=radial),
-                          sbf_embed(d, theta, tables))
-    assert np.array_equal(tbf_embed(d, theta, phi, tables, radial=radial),
-                          tbf_embed(d, theta, phi, tables))
+    zonal = _zonal_harmonics(tables.n_shbf, theta)
+    angular = _harmonics(tables.n_shbf, theta, phi)
+    for factors in ({"radial": radial}, {"angular": zonal}, {"radial": radial, "angular": zonal}):
+        assert np.array_equal(sbf_embed(d, theta, tables, **factors),
+                              sbf_embed(d, theta, tables))
+    for factors in ({"radial": radial}, {"angular": angular},
+                    {"radial": radial, "angular": angular}):
+        assert np.array_equal(tbf_embed(d, theta, phi, tables, **factors),
+                              tbf_embed(d, theta, phi, tables))
     single = _radial_table(np.array([2.5]), tables)
-    assert np.array_equal(sbf_embed(2.5, 0.3, tables, radial=single),
+    assert np.array_equal(sbf_embed(2.5, 0.3, tables, radial=single,
+                                    angular=_zonal_harmonics(tables.n_shbf, np.array([0.3]))),
                           sbf_embed(2.5, 0.3, tables))
-    assert np.array_equal(tbf_embed(2.5, 0.3, 1.0, tables, radial=single),
+    assert np.array_equal(tbf_embed(2.5, 0.3, 1.0, tables, radial=single,
+                                    angular=_harmonics(tables.n_shbf, np.array([0.3]), 1.0)),
                           tbf_embed(2.5, 0.3, 1.0, tables))
 
 
@@ -348,6 +356,35 @@ def test_misshaped_radial_table_raises():
         sbf_embed(0.5, theta, tables, radial=radial[:1])
     with pytest.raises(BasisError):
         tbf_embed(0.5, theta, 0.4, tables, radial=radial[:1])
+
+
+def test_misshaped_angular_table_raises():
+    tables = build_tables(5.0, 4, 3)
+    d = np.array([0.5, 1.5, 2.5, 3.5])
+    theta = np.array([0.2, 1.0, 2.0, 3.0])
+    zonal = _zonal_harmonics(tables.n_shbf, theta)
+    angular = _harmonics(tables.n_shbf, theta, 0.4 + 0.0 * theta)
+    # Too few points or columns, points last, the other basis's harmonics,
+    # and another degree count.
+    for bad in (zonal[:-1], zonal[:, :-1], zonal.T, angular,
+                _zonal_harmonics(tables.n_shbf + 1, theta)):
+        with pytest.raises(BasisError, match="angular"):
+            sbf_embed(d, theta, tables, angular=bad)
+    for bad in (angular[:-1], angular[:, :-1], angular.T, zonal,
+                _harmonics(tables.n_shbf + 1, theta, 0.4 + 0.0 * theta),
+                angular.reshape(d.size, tables.n_shbf, tables.n_shbf)):
+        with pytest.raises(BasisError, match="angular"):
+            tbf_embed(d, theta, 0.4, tables, angular=bad)
+    # A scalar theta broadcasts to the distances' length, and so must its table.
+    with pytest.raises(BasisError, match="angular"):
+        sbf_embed(d, 0.2, tables, angular=zonal[:1])
+    with pytest.raises(BasisError, match="angular"):
+        tbf_embed(d, 0.2, 0.4, tables, angular=angular[:1])
+    # The angles are range-checked even when their harmonics are given.
+    with pytest.raises(BasisError, match="polar"):
+        sbf_embed(d, theta + 4.0, tables, angular=zonal)
+    with pytest.raises(BasisError, match="finite"):
+        tbf_embed(d, theta, np.inf, tables, angular=angular)
 
 
 def test_tbf_full_orthonormality_small_tables():

@@ -22,7 +22,7 @@ from smpnet.geometry import (COLLINEAR_PROJECTION_EPS, build_radius_graph,
                              build_two_hop_index, compute_torsions,
                              two_hop_geometry)
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
-from smpnet.network import featurize_graph, merge_features
+from smpnet.network import featurize_graph, merge_features, pair_basis_rows
 from smpnet.train import ablation_config
 
 from conftest import random_graph
@@ -329,9 +329,10 @@ def pendant_graph(cutoff):
 @pytest.mark.parametrize("cfg", [RunConfig(), ablation_config()],
                          ids=["default", "ablation"])
 def test_featurized_pair_bases_are_column_major_references(cfg):
-    # One graph without pairs among the parts: merging must keep the
-    # column-major order all the same. The pendant chain has edges whose
-    # rows of the shared radial table no pair reads.
+    # The basis rows rebuilt from the stored factors, per graph and merged.
+    # One graph without pairs among the parts: the merged rows must be
+    # column-major all the same. The pendant chain has edges whose rows of
+    # the per-edge radial table no pair reads.
     tables = tables_for(cfg)
     rng = np.random.default_rng(31)
     graphs = [random_graph(rng, n_atoms=n, box=1.5) for n in (6, 2, 8)]
@@ -352,11 +353,12 @@ def test_featurized_pair_bases_are_column_major_references(cfg):
         merged = merge_features(parts)
         for feats, sbf, tbf in zip(parts + [merged], sbf_rows + [np.concatenate(sbf_rows)],
                                    tbf_rows + [np.concatenate(tbf_rows)]):
-            expected = ((feats.pair_sbf, sbf), (feats.pair_tbf, tbf))
+            expected = (("sbf", sbf), ("tbf", tbf))
             if mode == NO_TORSION:
-                assert feats.pair_tbf is None
+                assert feats.pair_phi is None
                 expected = expected[:1]
-            for value, reference in expected:
+            for kind, reference in expected:
+                value = pair_basis_rows(feats, kind, tables)(0, feats.n_pairs)
                 assert value.flags.f_contiguous
                 assert np.array_equal(value, reference)
 
@@ -387,4 +389,4 @@ def test_zonal_pass_matches_sweep_columns():
         orders = np.arange(degrees)
         sweep = _harmonics(degrees, theta, rng.uniform(0.0, 2.0 * np.pi, theta.size))
         assert np.array_equal(_zonal_harmonics(degrees, theta),
-                              sweep[:, orders * orders + orders].T)
+                              sweep[:, orders * orders + orders])

@@ -13,14 +13,16 @@ import math
 import numpy as np
 import pytest
 
+from smpnet.basis import tables_for
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D
-from smpnet.network import featurize_graph, forward_features, init_params, merge_features
+from smpnet.network import (featurize_graph, forward_features, init_params, merge_features,
+                            pair_basis_rows)
 from smpnet.train import ablation_config, synthetic_torsion_task
 
 from conftest import random_graph
 
-FEATURE_FIELDS = ("edge_sender", "edge_receiver", "edge_rbf",
-                  "pair_edge", "pair_neighbor", "pair_sbf", "pair_tbf")
+FEATURE_FIELDS = ("edge_sender", "edge_receiver", "edge_distance", "edge_rbf", "edge_radial",
+                  "pair_edge", "pair_neighbor", "pair_theta", "pair_phi", "pair_harmonics")
 
 
 def mirrored(graph: Graph3D) -> Graph3D:
@@ -56,6 +58,11 @@ def ablation_chains():
     return chains[:3]
 
 
+def pair_basis(feats, kind, cfg):
+    """Every row of a pair basis, rebuilt from the factors in ``feats``."""
+    return pair_basis_rows(feats, kind, tables_for(cfg))(0, feats.n_pairs)
+
+
 def features_and_predictions(graphs, cfg):
     features = merge_features([featurize_graph(g, cfg) for g in graphs])
     predictions = forward_features(features, init_params(cfg, seed=0), cfg,
@@ -77,13 +84,17 @@ def test_mirror_images_split_only_with_torsions(tiny_cfg, case):
             value, mirror_value = getattr(feats, field), getattr(mirror_feats, field)
             assert (value is None and mirror_value is None) or np.array_equal(
                 value, mirror_value), (mode, field)
+        if mode == NO_TORSION:
+            assert np.array_equal(pair_basis(feats, "sbf", cfg),
+                                  pair_basis(mirror_feats, "sbf", cfg))
         assert np.array_equal(preds, mirror_preds), mode
     cfg = base_cfg.replace(ablation_mode=FULL)
     (feats, preds), (mirror_feats, mirror_preds) = (
         features_and_predictions(gs, cfg) for gs in (graphs, mirrors))
-    assert np.array_equal(feats.pair_sbf, mirror_feats.pair_sbf)
+    assert np.array_equal(pair_basis(feats, "sbf", cfg), pair_basis(mirror_feats, "sbf", cfg))
+    tbf, mirror_tbf = pair_basis(feats, "tbf", cfg), pair_basis(mirror_feats, "tbf", cfg)
     for g in range(len(graphs)):
         rows = np.isin(feats.pair_edge, np.flatnonzero(
             feats.graph_ids[feats.edge_sender] == g))
-        assert not np.array_equal(feats.pair_tbf[rows], mirror_feats.pair_tbf[rows])
+        assert not np.array_equal(tbf[rows], mirror_tbf[rows])
         assert preds[g] != mirror_preds[g]

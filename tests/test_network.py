@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 import smpnet.network as network
 from smpnet.geometry import random_rotation, rigid_transform
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, IngestError, RunConfig
+from smpnet.basis import tables_for
 from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
                             begin_forward, embedding_block, export_filters,
                             featurize_graph, forward, forward_features,
                             init_params, interaction_block, load_model,
-                            merge_features, output_block, save_model)
+                            merge_features, output_block, pair_basis_rows, save_model)
 
 from smpnet.autodiff import Tape
 from smpnet.train import ablation_config, split_dataset, synthetic_torsion_task
@@ -27,6 +28,11 @@ def copied(grads):
     """``backward`` returns views into ``flat_grads``, which the next call
     overwrites; a result that must outlive it is copied."""
     return {name: grad.copy() for name, grad in grads.items()}
+
+
+def pair_basis(feats, kind, cfg):
+    """Every row of a pair basis, rebuilt from the factors in ``feats``."""
+    return pair_basis_rows(feats, kind, tables_for(cfg))(0, feats.n_pairs)
 
 
 def two_atom_graph():
@@ -189,9 +195,11 @@ def reference_interaction(feats, values, messages, block, cfg):
     neighbor = messages[feats.pair_neighbor]
     term = bottleneck("rbf", feats.edge_rbf[feats.pair_neighbor]) * dense("proj_rbf", neighbor)
     if cfg.ablation_mode in (FULL, NO_TORSION):
-        term = term + bottleneck("sbf", feats.pair_sbf) * dense("proj_sbf", neighbor)
+        sbf = pair_basis(feats, "sbf", cfg)
+        term = term + bottleneck("sbf", sbf) * dense("proj_sbf", neighbor)
     if cfg.ablation_mode == FULL:
-        term = term + bottleneck("tbf", feats.pair_tbf) * dense("proj_tbf", neighbor)
+        tbf = pair_basis(feats, "tbf", cfg)
+        term = term + bottleneck("tbf", tbf) * dense("proj_tbf", neighbor)
     aggregated = np.zeros((feats.n_edges, term.shape[1]))
     np.add.at(aggregated, feats.pair_edge, term)
     branch = messages
@@ -270,7 +278,7 @@ def test_gate_inputs_are_each_blocks_down_projection(mode):
     kinds = {FULL: ["sbf", "tbf"], NO_TORSION: ["sbf"], NO_ANGLE_TORSION: []}[mode]
     assert list(ctx.gate_inputs) == kinds
     for kind, inputs in ctx.gate_inputs.items():
-        feature = getattr(feats, f"pair_{kind}")
+        feature = pair_basis(feats, kind, cfg)
         assert len(inputs) == cfg.num_interaction_blocks
         for block, node in enumerate(inputs):
             assert np.array_equal(node.value,
@@ -288,8 +296,8 @@ def test_stacked_gate_projection_matches_per_block_matmul(mode, blocks, with_pai
     assert (feats.n_pairs > 0) == with_pairs
     upstream = np.random.default_rng(59).normal(size=feats.n_graphs)
     runs = []
-    for stacked in (Tape.stacked_matmul, per_block_matmul):
-        monkeypatch.setattr(Tape, "stacked_matmul", stacked)
+    for stacked in (Tape.blocked_matmul, per_block_matmul):
+        monkeypatch.setattr(Tape, "blocked_matmul", stacked)
         cache = forward_features(feats, params, cfg)
         runs.append((cache.predictions, copied(backward(cache, upstream, accumulate=False))))
     (predictions, grads), (expected, expected_grads) = runs
@@ -324,11 +332,13 @@ def test_tape_lists_only_the_nodes_its_sweep_visits(tiny_cfg, mode):
     assert not any(id(node) in leaves for node in ctx.tape.nodes)
 
 
-@pytest.mark.parametrize("cfg, nodes", [(RunConfig(), 72), (ablation_config(), 34)],
+@pytest.mark.parametrize("cfg, nodes", [(RunConfig(), 74), (ablation_config(), 36)],
                          ids=["default", "ablation"])
 def test_tape_nodes_per_forward(cfg, nodes):
     # One node per dense layer, gather, mul, add, concat, stacked product
-    # view, pair aggregate and segment sum; the counts do not depend on the graph.
+    # and its per-block views, pair aggregate and segment sum; the counts do
+    # not depend on the graph. A change that moves them records the old and
+    # new counts.
     chain = synthetic_torsion_task(64, seed=0)[0]
     ctx = forward_features(featurize_graph(chain, cfg), init_params(cfg, seed=0), cfg)
     assert len(ctx.tape.nodes) == nodes
@@ -404,8 +414,8 @@ def layout_parts(cfg):
     """Featurized parts with many pairs, none (a bond, a lone atom) and one.
 
     Pairs come two by two from featurization, so the one-pair part keeps the
-    first pair of a three-atom chain; its bases are one row, which is C- and
-    F-contiguous at once.
+    first pair of a three-atom chain; its harmonics are one column, which is
+    C- and F-contiguous at once.
     """
     rng = np.random.default_rng(53)
     many = featurize_graph(random_graph(rng, n_atoms=6, box=1.5), cfg)
@@ -413,8 +423,9 @@ def layout_parts(cfg):
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.5, 0.9, 0.0]]), id="chain"), cfg)
     one_pair = dataclasses.replace(
         chain, pair_edge=chain.pair_edge[:1], pair_neighbor=chain.pair_neighbor[:1],
-        **{name: np.asfortranarray(getattr(chain, name)[:1])
-           for name in ("pair_sbf", "pair_tbf") if getattr(chain, name) is not None})
+        **{name: np.ascontiguousarray(getattr(chain, name)[..., :1])
+           for name in ("pair_theta", "pair_phi", "pair_harmonics")
+           if getattr(chain, name) is not None})
     lone = featurize_graph(Graph3D(np.array([6]), np.zeros((1, 3)), id="atom"), cfg)
     parts = [many, featurize_graph(two_atom_graph(), cfg), one_pair, lone, many]
     assert [part.n_pairs for part in parts] == [many.n_pairs, 0, 1, 0, many.n_pairs]
@@ -443,17 +454,25 @@ def test_merge_layout_matches_an_explicit_oracle(mode):
         value = getattr(merged, name)
         assert value.dtype == np.int64
         assert np.array_equal(value, np.concatenate(chunks))
-    for name in ("atomic_numbers", "edge_rbf", "pair_sbf", "pair_tbf"):
+    # The factor fields run along their last axis, which stays contiguous.
+    axes = {"atomic_numbers": 0, "edge_distance": 0, "edge_rbf": 0, "edge_radial": -1,
+            "pair_theta": 0, "pair_phi": 0, "pair_harmonics": -1}
+    for name, axis in axes.items():
         value = getattr(merged, name)
         if getattr(parts[0], name) is None:
             assert value is None
             continue
-        assert np.array_equal(value, np.concatenate([getattr(p, name) for p in parts]))
-        if name.startswith("pair_"):
-            assert value.flags.f_contiguous and not value.flags.c_contiguous
-    assert merged.edge_rbf.flags.c_contiguous and not merged.edge_rbf.flags.f_contiguous
-    assert (merged.pair_sbf is None) == (mode == NO_ANGLE_TORSION)
-    assert (merged.pair_tbf is None) == (mode != FULL)
+        assert np.array_equal(value, np.concatenate([getattr(p, name) for p in parts],
+                                                    axis=axis))
+        assert value.flags.c_contiguous
+    assert not merged.edge_rbf.flags.f_contiguous
+    assert (merged.pair_harmonics is None) == (mode == NO_ANGLE_TORSION)
+    assert (merged.pair_phi is None) == (mode != FULL)
+    kinds = {FULL: ("sbf", "tbf"), NO_TORSION: ("sbf",), NO_ANGLE_TORSION: ()}[mode]
+    for kind in kinds:
+        rows = pair_basis(merged, kind, cfg)
+        assert np.array_equal(rows, np.concatenate([pair_basis(p, kind, cfg) for p in parts]))
+        assert rows.flags.f_contiguous and not rows.flags.c_contiguous
     assert all(merge_features([part]) is part for part in parts)
 
 

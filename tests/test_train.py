@@ -287,6 +287,32 @@ def test_predict_memory_does_not_grow_with_dataset(tiny_cfg):
     assert peak(8) <= 1.2 * peak(2)
 
 
+# The traced peak of predicting the largest seed-7 clusters-eval cluster (64
+# atoms, 44k pairs) at the default config: 159.0 MB while the angle and
+# torsion bases were stored whole, 63.5 MB with their factors. The bound
+# leaves 26% over the measured peak; a change that moves the peak records
+# the old and new values, and none raises the bound to let a regression pass.
+PREDICT_PEAK_MB = 80.0
+
+
+def test_predict_peak_on_the_largest_cluster():
+    workloads = perfbench_workloads()
+    symbols, positions, target = max(workloads.frames_for("clusters-eval", 7),
+                                     key=lambda frame: len(frame[0]))
+    graph = Graph3D(np.array([SYMBOL_TO_Z[s] for s in symbols]), positions,
+                    graph_target=target, id="largest")
+    cfg = workloads.run_config("clusters-eval", 7)
+    params = init_params(cfg, seed=7)
+    T.predict(params, [graph], cfg)   # builds the cached basis tables
+    tracemalloc.start()
+    try:
+        T.predict(params, [graph], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= PREDICT_PEAK_MB
+
+
 # --- training loop -----------------------------------------------------------------
 
 def quick_cfg(tiny_cfg, **extra):
@@ -365,12 +391,19 @@ def test_explicit_split_overfits_small_set(tiny_cfg):
     {"split": ([True, False], [2])},
     {"split": ([0, 99], [])},
     {"split": ([0, 1], [10])},
+    {"split": ([0, 0, 0, 1], [2])},
+    {"split": ([0, 1, 2], [2])},
+    {"split": ([0, 1],)},
+    {"split": ([0, 1], [2], [3])},
     {"valid_fraction": 1.5},
     {"valid_fraction": 1.0},
     {"valid_fraction": -0.5},
+    {"valid_fraction": "0.1"},
+    {"valid_fraction": None},
 ], ids=["negative-index", "float-index", "bool-index", "index-past-end",
-        "valid-index-at-length", "valid-fraction-above-one", "valid-fraction-one",
-        "negative-valid-fraction"])
+        "valid-index-at-length", "repeated-index", "overlapping-parts", "one-part",
+        "three-parts", "valid-fraction-above-one", "valid-fraction-one",
+        "negative-valid-fraction", "string-valid-fraction", "none-valid-fraction"])
 def test_malformed_split_raises_before_featurizing(monkeypatch, kwargs):
     def featurize(*args):
         raise AssertionError("featurized before the split was checked")

@@ -39,36 +39,36 @@ NUMPY = "2.4.6"
 OPENBLAS = "0.3.31.188.0"
 CORE = "SkylakeX"
 
-BEST = "3f23c140aabd41e6a06722e43092b2198076463a80c0dd2e98176a8760037c36"
-FINAL = "5cd50e7d70829dcd4e251de1973d238d7ec195ea86a147b6be7452da459c5ea1"
-LOG = "d0e570f88040235386556a34082924f1001cbeffee993c7ba5e967a42e9a94b7"
+BEST = "8bd4d430f8862da36347e6eb16f1e17d03c1d9767651fb4188d4489e1b26a530"
+FINAL = "d074f64c6fc32d607ff290f7f7266f3675fc6256154eef1a6093798b1e81d2a6"
+LOG = "77f6da400a761d966c6938c4315476aaedac21c1a4e985bf33d68dc6143837e0"
 
 # (checkpoint, epoch log) per mode. Best and final are the same parameters:
 # each mode's best epoch is its last.
 DEFAULT_CONFIG = {
-    FULL: ("ed00d11cd98675ce0121f56813cfd0259e58cdbcbac113d9cef97b45cc420a02",
+    FULL: ("cbd6d4bb8f47742bed1756184f765b3c7faace2fcae8c86bdb878500d9912316",
            "e573b45b12f36e474e782b98b65625ded1a0c309476542cb56b4ecb777f8c68f"),
-    NO_TORSION: ("3c87bba82686a466a3cf54206b32cf8c787e12b8ab7fe8c5a9115def2690a4a7",
+    NO_TORSION: ("fa30d3d11008a74db9225d949d118538bc85b4bace28fb867ab1b95909dea488",
                  "90750ea2e66975be79e44ca813fa3d05ad9c05d582d93d0bc6ccacb56100e8c4"),
     NO_ANGLE_TORSION: ("a7eaf9fd33668f32035d452afa710383e6648a6644accdab1a54a0894bc64084",
                        "0eb2d8febe418b74e95a0fc8d553aff9de48f8fe23cc5beccba050fc3f3cc5c2"),
 }
 
 # sha256 per mode over every featurized graph of a workload's seed-0 inputs,
-# then over their merge (the clusters are not merged: about 155 MB of tbf).
+# then over their merge (the clusters are not merged).
 FEATURES = {
     "chains-train": {
-        FULL: "59e771670cc6f415a595f176712dc266a8bc354451c941abc523996317153337",
-        NO_TORSION: "9f2c439d2869161ba4291e77aa64961be78bd969b3041c678d6c848b42bce913",
-        NO_ANGLE_TORSION: "8fca3f178c97f52e87e7a35934d05197410389231d24670e7e4602163655c8c4"},
+        FULL: "d4a853ccea69689c56feda7d7d7cab3d2fc87c9af550a5006f7772cfaebf719f",
+        NO_TORSION: "4b163b61a2546d2fc67f2338c157e6f9a42d4a5e7789509ac655150301a6f36d",
+        NO_ANGLE_TORSION: "2c9af29a106f4b6112b77ada6f019f8f67cea88118c491f5d6d51afa383a5846"},
     "molecules-train": {
-        FULL: "69259132d532516382224776e27be6e38fbad2f1ffa296fdd0bc5a802bb628b9",
-        NO_TORSION: "9e4728e02f2a4193ea02e6101e08acef4c79611ff79b6deb396d40af96c4cacb",
-        NO_ANGLE_TORSION: "9fe3a10eeaee554a54d64faa1feaacd34a274362bf1dcb69fed222b71e27561f"},
+        FULL: "671cff55b980543bef23879d010c2a1e526ae49988b0dec2fb43f51bbff23c74",
+        NO_TORSION: "7649543b8ebe5a04f85347dc27afa5c6d485d5a53df413d3a902117595bc2e2f",
+        NO_ANGLE_TORSION: "044e4f094cf0ce086898b45898b09d6f7cb1a9a9fa933c255ac0194283191ac2"},
     "clusters-eval": {
-        FULL: "cb8e30bf083e0d88488a2b64537635c04e61c8bce6b5e1c786ea733d3bc24674",
-        NO_TORSION: "9f7eca19b978f90b834937ca1aa830ece1f3f0b9cf38bfbaf97883ebaec8e7e7",
-        NO_ANGLE_TORSION: "768e8c468e799a47d7e661fc57198d6f98f3c6f0ad90bdac2e6e5729fa3072d8"},
+        FULL: "863e25e3858a6566f4ad8b35ed15fa34c886b6159b6bf10dd9e2291e2f926f0f",
+        NO_TORSION: "8068a176c944ea44e22440d112181bbefd5a87c3722ec5b930575b186e1e8dc4",
+        NO_ANGLE_TORSION: "67fcbd08797e6561693d3ad0c640e8ffc0bb8257fc1e1f1b0b90d224368a9cd1"},
 }
 BESSEL_TABLE = "29313a4e49f9b66939bb9a527f877c7397fa9b501e602caae2bf875e58b23b1f"
 
