@@ -16,12 +16,13 @@ over the sphere. All evaluations are pure. Point arguments are scalars or
 Each ingredient is computed once: the roots z_ln of every order in one
 vectorized solve (cached per table size), the radial factors in one Bessel
 recurrence over every distinct distance and order, and the harmonics in one
-sweep that yields every Y_l^m column (the zonal Y_l^0 alone for the
-distance-angle embedding). The pair embeddings are products of these two
-factors, so a caller that holds them computes each once and passes them to
-``sbf_embed`` and ``tbf_embed`` as ``radial=`` (the ``_radial_table`` of the
-distances) and ``angular=`` (the harmonic columns of the angles). The
-network keeps the radial table per edge and the harmonics per pair, and
+sweep, ``_harmonics``, that yields every Y_l^m column. The pair embeddings
+are products of these two factors, so a caller that holds them computes each
+once and passes them to ``sbf_embed`` and ``tbf_embed`` as ``radial=`` (the
+``_radial_table`` of the distances) and ``angular=`` (the sweep of the
+angles). Both embeddings take the same sweep; the distance-angle embedding
+reads its zonal Y_l^0 columns l*l + l, which only this module names. The
+network keeps the radial table per edge and the sweep per pair, and
 rebuilds the embeddings from them a block of pairs at a time. A point's
 Bessel values depend only on that point, never on the other points
 evaluated with it, so a shared or gathered table is bitwise the one each
@@ -284,19 +285,6 @@ def _harmonics(degrees: int, theta: np.ndarray, phi) -> np.ndarray:
     return out.T
 
 
-def _zonal_harmonics(degrees: int, theta: np.ndarray) -> np.ndarray:
-    """Y_l^0(theta) for l < degrees; shape (len(theta), degrees).
-
-    One Legendre recurrence, bitwise the m = 0 columns of ``_harmonics``
-    (columns l*l + l there). The result is a transposed view.
-    """
-    u = np.cos(theta)
-    out = np.empty((degrees, theta.size), dtype=np.float64)
-    for ell, row in _legendre_rows(0, degrees, u, np.ones_like(u)):
-        out[ell] = row
-    return out.T
-
-
 def _legendre_rows(m: int, degrees: int, u: np.ndarray, pmm: np.ndarray):
     """Yield (l, c_lm * P_l^m(u)) for l = m..degrees-1, starting from P_m^m.
 
@@ -398,13 +386,15 @@ def sbf_embed(d, theta, tables: BasisTables, *, radial=None, angular=None) -> np
     j_l(z_ln * d / c) * Y_l^0(theta). The array is a transposed view of an
     (n_shbf, n_srbf, points) buffer: the product runs along the point axis,
     and ``reshape(points, -1)`` gives the column-major feature without a
-    copy. Only the zonal harmonics are evaluated.
+    copy.
 
     A caller that holds the factors passes them instead of having them
     computed: ``radial`` is the ``_radial_table`` of the broadcast d, shape
-    (points, n_shbf, n_srbf), and ``angular`` the zonal harmonics Y_l^0 of
-    the broadcast theta, shape (points, n_shbf). Either of another shape
-    raises ``BasisError``; d and theta are range-checked all the same.
+    (points, n_shbf, n_srbf), and ``angular`` the harmonic sweep of the
+    broadcast angles, shape (points, n_shbf^2), as ``tbf_embed`` takes it; only
+    its zonal columns Y_l^0 are read, so any phi may have made it. Either of
+    another shape raises ``BasisError``; d and theta are range-checked all the
+    same.
     """
     scalar, (d_arr, theta_arr) = _points(d, theta)
     _check_distance(d_arr, tables.cutoff)
@@ -412,9 +402,11 @@ def sbf_embed(d, theta, tables: BasisTables, *, radial=None, angular=None) -> np
     radial = _point_axis_last(
         _radial_table(d_arr, tables) if radial is None else radial,
         (d_arr.size, tables.n_shbf, tables.n_srbf), "radial")
-    zonal = _point_axis_last(
-        _zonal_harmonics(tables.n_shbf, theta_arr) if angular is None else angular,
-        (d_arr.size, tables.n_shbf), "angular")
+    angular = _point_axis_last(
+        _harmonics(tables.n_shbf, theta_arr, 0.0) if angular is None else angular,
+        (d_arr.size, tables.n_shbf ** 2), "angular")
+    orders = np.arange(tables.n_shbf)
+    zonal = angular[orders * orders + orders]
     out = (radial * zonal[:, None, :]).transpose(2, 0, 1)
     return out[0] if scalar else out
 

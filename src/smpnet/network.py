@@ -3,9 +3,15 @@
 Messages live on directed edges. An embedding block builds initial messages
 from atom embeddings and the distance embedding of each edge; interaction
 blocks update them by aggregating neighbor messages gated by encoded
-geometry (distance, distance-angle, and distance-angle-torsion embeddings,
-depending on the ablation mode); an output block pools messages into node
-features and sums a per-node readout into the graph scalar.
+geometry (distance, distance-angle, and distance-angle-torsion embeddings);
+an output block pools messages into node features and sums a per-node
+readout into the graph scalar.
+
+Featurization is the same in every ablation mode: each graph carries the
+complete (d, theta, phi) description. The mode only chooses which gates a
+forward runs: all three in FULL (SphereNet), distance and angle in
+NO_TORSION (DimeNet-like), distance alone in NO_ANGLE_TORSION (SchNet-like).
+So features built once serve every mode, and parts of any modes merge.
 
 Two-hop pairs outnumber edges many times over, so everything that depends
 only on the neighbor edge is computed once per edge: the message projections,
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -45,8 +52,8 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Node, Tape, Workspace
-from .basis import (BasisTables, _harmonics, _radial_table, _zonal_harmonics, rbf_embed,
-                    sbf_embed, tables_for, tbf_embed)
+from .basis import (BasisTables, _harmonics, _radial_table, rbf_embed, sbf_embed, tables_for,
+                    tbf_embed)
 from .geometry import build_radius_graph, two_hop_geometry
 from .ingest import FULL, NO_TORSION, Graph3D, IngestError, RunConfig
 
@@ -67,8 +74,14 @@ def philox_generator(seed: int, tag: int = 0, extra: int = 0) -> np.random.Gener
 
     The Philox key is two uint64 words: the seed modulo 2^64 and a fold of the
     stream tag with a per-use counter such as the epoch. (Given as a list, an
-    int at or above 2^63 would be read as float64 and could collide.)
+    int at or above 2^63 would be read as float64 and could collide.) The
+    seed is any integer, numpy's included, read through ``operator.index``;
+    anything else, a float too, raises ``NetworkError``.
     """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise NetworkError(f"seed must be an integer, got {seed!r}") from None
     key = np.array([seed % (1 << 64), ((tag % (1 << 32)) << 32) + extra % (1 << 32)], np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -200,15 +213,15 @@ class GraphFeatures:
     field is offset by, and the axis along which the factor fields run over
     the edges or pairs.
 
-    The angle and torsion bases are kept as their two factors, not as their
-    product. ``edge_radial`` holds the radial rows norm(l, n) * j_l(z_ln *
-    d / c) of every edge, shape (n_shbf, n_srbf, edges); ``pair_harmonics``
-    holds the harmonics of every pair, shape (columns, pairs): all n_shbf²
-    Y_l^m in FULL, the n_shbf zonal Y_l^0 in NO_TORSION. Both keep the edge
-    or pair axis last, so each of their rows is one contiguous run.
-    ``pair_basis_rows`` rebuilds the basis rows of a block of pairs from
-    them, the edge distances and the pair angles. Fields of a basis that the
-    ablation mode does not use are None.
+    The layout is the same in every ablation mode. The angle and torsion
+    bases are kept as their two factors, not as their product.
+    ``edge_radial`` holds the radial rows norm(l, n) * j_l(z_ln * d / c) of
+    every edge, shape (n_shbf, n_srbf, edges); ``pair_harmonics`` holds all
+    n_shbf² Y_l^m of every pair in ``_harmonics``' column order, shape
+    (n_shbf², pairs), of which the angle basis reads the zonal Y_l^0. Both
+    keep the edge or pair axis last, so each of their rows is one contiguous
+    run. ``pair_basis_rows`` rebuilds the basis rows of a block of pairs
+    from them, the edge distances and the pair angles.
     """
 
     n_atoms: int
@@ -219,12 +232,12 @@ class GraphFeatures:
     edge_receiver: np.ndarray = field(metadata={"offset_by": "n_atoms"})
     edge_distance: np.ndarray
     edge_rbf: np.ndarray
-    edge_radial: Optional[np.ndarray] = field(metadata={"axis": -1})
+    edge_radial: np.ndarray = field(metadata={"axis": -1})
     pair_edge: np.ndarray = field(metadata={"offset_by": "n_edges"})
     pair_neighbor: np.ndarray = field(metadata={"offset_by": "n_edges"})
-    pair_theta: Optional[np.ndarray]
-    pair_phi: Optional[np.ndarray]
-    pair_harmonics: Optional[np.ndarray] = field(metadata={"axis": -1})
+    pair_theta: np.ndarray
+    pair_phi: np.ndarray
+    pair_harmonics: np.ndarray = field(metadata={"axis": -1})
 
     @property
     def n_edges(self) -> int:
@@ -239,10 +252,10 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
     """Radius graph, two-hop geometry, and basis factors for one graph.
 
     The distance embedding is stored per edge. The angle and torsion
-    embeddings are stored as their factors, and only when the ablation mode
-    consumes them: one radial Bessel table over the edge distances and one
-    harmonic sweep over the pair angles (the zonal columns alone in
-    NO_TORSION).
+    embeddings are stored as their factors: one radial Bessel table over the
+    edge distances and one harmonic sweep over the pair angles. The result
+    does not depend on ``cfg.ablation_mode``; the mode only picks which of
+    them a forward reads.
     """
     if np.any(graph.atomic_numbers > cfg.max_z):
         raise IngestError(
@@ -251,15 +264,6 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
     tables = tables_for(cfg)
     edges = build_radius_graph(graph, cfg.cutoff_c)
     hops = two_hop_geometry(graph, edges)
-    edge_radial = theta = phi = harmonics = None
-    if cfg.ablation_mode in (FULL, NO_TORSION):
-        edge_radial = _radial_table(edges.distances, tables).transpose(1, 2, 0)
-        theta = hops.theta
-        if cfg.ablation_mode == FULL:
-            phi = hops.phi
-            harmonics = _harmonics(tables.n_shbf, theta, phi).T
-        else:
-            harmonics = _zonal_harmonics(tables.n_shbf, theta).T
     return GraphFeatures(
         n_atoms=graph.n_atoms,
         n_graphs=1,
@@ -269,12 +273,12 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
         edge_receiver=edges.receivers,
         edge_distance=edges.distances,
         edge_rbf=rbf_embed(edges.distances, tables),
-        edge_radial=edge_radial,
+        edge_radial=_radial_table(edges.distances, tables).transpose(1, 2, 0),
         pair_edge=hops.pair_edge,
         pair_neighbor=hops.pair_neighbor,
-        pair_theta=theta,
-        pair_phi=phi,
-        pair_harmonics=harmonics,
+        pair_theta=hops.theta,
+        pair_phi=hops.phi,
+        pair_harmonics=_harmonics(tables.n_shbf, hops.theta, hops.phi).T,
     )
 
 
@@ -295,9 +299,7 @@ def merge_features(parts: list[GraphFeatures]) -> GraphFeatures:
     merged = {}
     for spec in fields(GraphFeatures):
         values = [getattr(part, spec.name) for part in parts]
-        if values[0] is None:
-            merged[spec.name] = None
-        elif not isinstance(values[0], np.ndarray):
+        if not isinstance(values[0], np.ndarray):
             merged[spec.name] = sum(values)
         else:
             merged[spec.name] = np.concatenate(values, axis=spec.metadata.get("axis", 0))
@@ -316,22 +318,16 @@ def pair_basis_rows(features: GraphFeatures, kind: str, tables: BasisTables):
     angle or torsion basis, column-major and bitwise what ``sbf_embed`` or
     ``tbf_embed`` computes from the pairs' neighbor-edge distances and
     angles alone. Each call gathers the radial rows of its pairs' neighbor
-    edges and slices their harmonics, both contiguous along the pairs, and
-    passes them to the embedding as ``radial=`` and ``angular=``; the
-    embedding still range-checks the distances and angles. The features
-    must carry the factors of ``kind``.
+    edges and slices their harmonic sweep, both contiguous along the pairs,
+    and passes them to the embedding as ``radial=`` and ``angular=`` (for
+    either kind the whole sweep: ``sbf_embed`` reads its zonal columns); the
+    embedding still range-checks the distances and angles.
     """
-    harmonics = features.pair_harmonics
-    columns = slice(None)
-    if kind == "sbf" and harmonics.shape[0] == tables.n_shbf ** 2:
-        orders = np.arange(tables.n_shbf)
-        columns = orders * orders + orders     # the zonal Y_l^0 of the full sweep
-
     def rows(start: int, stop: int) -> np.ndarray:
         neighbor = features.pair_neighbor[start:stop]
         d = features.edge_distance[neighbor]
         radial = np.take(features.edge_radial, neighbor, axis=2).transpose(2, 0, 1)
-        angular = harmonics[columns, start:stop].T
+        angular = features.pair_harmonics[:, start:stop].T
         theta = features.pair_theta[start:stop]
         if kind == "sbf":
             return sbf_embed(d, theta, tables, radial=radial,
@@ -387,8 +383,7 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
     rows once for all interaction blocks. It returns one column-view node
     per interaction block; blocks called one by one on this context pick up
     theirs. At the shipped bottleneck width each node's value is bitwise the
-    product of the whole materialized basis. Features built for a mode
-    without a basis that ``cfg``'s mode needs raise ``NetworkError``.
+    product of the whole materialized basis.
     """
     tape = Tape(workspace if grad else None)
     if grad:
@@ -398,9 +393,6 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
         leaves = {name: tape.constant(value) for name, value in params.values.items()}
     gate_inputs = {}
     for kind in {FULL: ("sbf", "tbf"), NO_TORSION: ("sbf",)}.get(cfg.ablation_mode, ()):
-        if features.pair_harmonics is None or (kind == "tbf" and features.pair_phi is None):
-            raise NetworkError(f"ablation mode {cfg.ablation_mode} needs the {kind} basis, "
-                               f"which the features do not carry")
         gate_inputs[kind] = tape.blocked_matmul(
             pair_basis_rows(features, kind, tables_for(cfg)), features.n_pairs,
             [leaves[f"inter{b}.{kind}.down"] for b in range(cfg.num_interaction_blocks)])

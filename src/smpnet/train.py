@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -280,12 +281,17 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
     non-finite loss aborts with the offending step index. Validation runs in
     the chunks of ``predict``. ``threads`` has no effect. A ``split`` that
     is not two parts of distinct integers in [0, len(dataset)) with no index
-    in both, or a ``valid_fraction`` that is not a number in [0, 1) when no
-    split is given, raises ``TrainError`` before any graph is featurized.
+    in both, a ``valid_fraction`` that is not a number in [0, 1) when no
+    split is given, or a seed that is not an integer raises ``TrainError``
+    before any graph is featurized.
     """
     if not dataset:
         raise TrainError("cannot train on an empty dataset")
     seed = cfg.seed if seed is None else seed
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise TrainError(f"seed must be an integer, got {seed!r}") from None
     if split is None:
         if not isinstance(valid_fraction, numbers.Real) or not 0.0 <= valid_fraction < 1.0:
             raise TrainError(f"valid_fraction must be a number in [0, 1), "

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from smpnet.basis import (MAX_ARGUMENT, MAX_ORDER, BasisError, _harmonics, _radial_table,
-                          _zonal_harmonics, bessel_roots, build_tables, rbf_embed,
-                          real_sph_harm, sbf_embed, spherical_bessel, tbf_embed)
+                          bessel_roots, build_tables, rbf_embed, real_sph_harm, sbf_embed,
+                          spherical_bessel, tbf_embed)
 
 mp.mp.dps = 40
 
@@ -310,8 +310,10 @@ def test_repeated_distances_give_rows_of_distinct_call():
 
 def test_shared_radial_table_gives_standalone_embeddings():
     # The network keeps one table over edge distances, gathers it to the
-    # pairs and passes it with the pairs' stored harmonics; both embeddings
-    # must be bitwise their standalone values, whichever factors are given.
+    # pairs and passes it with the pairs' stored harmonic sweep; both
+    # embeddings must be bitwise their standalone values, whichever factors
+    # are given. The angle embedding reads the sweep's zonal columns, which
+    # do not depend on phi.
     tables = build_tables(5.0, 6, 7)
     rng = np.random.default_rng(43)
     edge_d = np.concatenate([[0.02, 5.0], rng.uniform(0.1, 5.0, size=10)])
@@ -321,21 +323,18 @@ def test_shared_radial_table_gives_standalone_embeddings():
     phi = rng.uniform(0.0, 2.0 * math.pi, size=d.size)
     radial = _radial_table(edge_d, tables)[neighbor]
     assert np.array_equal(radial, _radial_table(d, tables))
-    zonal = _zonal_harmonics(tables.n_shbf, theta)
     angular = _harmonics(tables.n_shbf, theta, phi)
-    for factors in ({"radial": radial}, {"angular": zonal}, {"radial": radial, "angular": zonal}):
-        assert np.array_equal(sbf_embed(d, theta, tables, **factors),
-                              sbf_embed(d, theta, tables))
     for factors in ({"radial": radial}, {"angular": angular},
                     {"radial": radial, "angular": angular}):
+        assert np.array_equal(sbf_embed(d, theta, tables, **factors),
+                              sbf_embed(d, theta, tables))
         assert np.array_equal(tbf_embed(d, theta, phi, tables, **factors),
                               tbf_embed(d, theta, phi, tables))
     single = _radial_table(np.array([2.5]), tables)
-    assert np.array_equal(sbf_embed(2.5, 0.3, tables, radial=single,
-                                    angular=_zonal_harmonics(tables.n_shbf, np.array([0.3]))),
+    one = _harmonics(tables.n_shbf, np.array([0.3]), 1.0)
+    assert np.array_equal(sbf_embed(2.5, 0.3, tables, radial=single, angular=one),
                           sbf_embed(2.5, 0.3, tables))
-    assert np.array_equal(tbf_embed(2.5, 0.3, 1.0, tables, radial=single,
-                                    angular=_harmonics(tables.n_shbf, np.array([0.3]), 1.0)),
+    assert np.array_equal(tbf_embed(2.5, 0.3, 1.0, tables, radial=single, angular=one),
                           tbf_embed(2.5, 0.3, 1.0, tables))
 
 
@@ -362,27 +361,26 @@ def test_misshaped_angular_table_raises():
     tables = build_tables(5.0, 4, 3)
     d = np.array([0.5, 1.5, 2.5, 3.5])
     theta = np.array([0.2, 1.0, 2.0, 3.0])
-    zonal = _zonal_harmonics(tables.n_shbf, theta)
     angular = _harmonics(tables.n_shbf, theta, 0.4 + 0.0 * theta)
-    # Too few points or columns, points last, the other basis's harmonics,
-    # and another degree count.
-    for bad in (zonal[:-1], zonal[:, :-1], zonal.T, angular,
-                _zonal_harmonics(tables.n_shbf + 1, theta)):
-        with pytest.raises(BasisError, match="angular"):
-            sbf_embed(d, theta, tables, angular=bad)
-    for bad in (angular[:-1], angular[:, :-1], angular.T, zonal,
+    orders = np.arange(tables.n_shbf)
+    # Too few points or columns, points last, the zonal columns alone, another
+    # degree count, and the sweep split by degree: both embeddings take the
+    # whole sweep.
+    for bad in (angular[:-1], angular[:, :-1], angular.T, angular[:, orders * orders + orders],
                 _harmonics(tables.n_shbf + 1, theta, 0.4 + 0.0 * theta),
                 angular.reshape(d.size, tables.n_shbf, tables.n_shbf)):
+        with pytest.raises(BasisError, match="angular"):
+            sbf_embed(d, theta, tables, angular=bad)
         with pytest.raises(BasisError, match="angular"):
             tbf_embed(d, theta, 0.4, tables, angular=bad)
     # A scalar theta broadcasts to the distances' length, and so must its table.
     with pytest.raises(BasisError, match="angular"):
-        sbf_embed(d, 0.2, tables, angular=zonal[:1])
+        sbf_embed(d, 0.2, tables, angular=angular[:1])
     with pytest.raises(BasisError, match="angular"):
         tbf_embed(d, 0.2, 0.4, tables, angular=angular[:1])
     # The angles are range-checked even when their harmonics are given.
     with pytest.raises(BasisError, match="polar"):
-        sbf_embed(d, theta + 4.0, tables, angular=zonal)
+        sbf_embed(d, theta + 4.0, tables, angular=angular)
     with pytest.raises(BasisError, match="finite"):
         tbf_embed(d, theta, np.inf, tables, angular=angular)
 

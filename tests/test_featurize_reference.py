@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 from smpnet import basis
-from smpnet.basis import (MAX_ORDER, _bessel_table, _harmonics, _radial_table,
-                          _zonal_harmonics, bessel_roots, build_tables, sbf_embed,
-                          spherical_bessel, tables_for, tbf_embed)
+from smpnet.basis import (MAX_ORDER, _bessel_table, _harmonics, _radial_table, bessel_roots,
+                          build_tables, sbf_embed, spherical_bessel, tables_for, tbf_embed)
 from smpnet.geometry import (COLLINEAR_PROJECTION_EPS, build_radius_graph,
                              build_two_hop_index, compute_torsions,
                              two_hop_geometry)
@@ -344,7 +343,7 @@ def test_featurized_pair_bases_are_column_major_references(cfg):
         d = edges.distances[hops.pair_neighbor]
         sbf_rows.append(reference_sbf(d, hops.theta, tables).reshape(d.size, tables.sbf_size))
         tbf_rows.append(reference_tbf(d, hops.theta, hops.phi, tables))
-    for mode in (FULL, NO_TORSION):
+    for mode in (FULL, NO_TORSION, NO_ANGLE_TORSION):
         parts = [featurize_graph(g, cfg.replace(ablation_mode=mode)) for g in graphs]
         assert parts[1].n_pairs == 0 and parts[1].n_edges
         assert all(part.n_pairs for part in parts[:1] + parts[2:])
@@ -353,18 +352,14 @@ def test_featurized_pair_bases_are_column_major_references(cfg):
         merged = merge_features(parts)
         for feats, sbf, tbf in zip(parts + [merged], sbf_rows + [np.concatenate(sbf_rows)],
                                    tbf_rows + [np.concatenate(tbf_rows)]):
-            expected = (("sbf", sbf), ("tbf", tbf))
-            if mode == NO_TORSION:
-                assert feats.pair_phi is None
-                expected = expected[:1]
-            for kind, reference in expected:
+            for kind, reference in (("sbf", sbf), ("tbf", tbf)):
                 value = pair_basis_rows(feats, kind, tables)(0, feats.n_pairs)
                 assert value.flags.f_contiguous
                 assert np.array_equal(value, reference)
 
 
 @pytest.mark.parametrize("mode, tables_built", [(FULL, 1), (NO_TORSION, 1),
-                                                (NO_ANGLE_TORSION, 0)])
+                                                (NO_ANGLE_TORSION, 1)])
 def test_featurize_builds_one_radial_table_per_graph(monkeypatch, mode, tables_built):
     cfg = RunConfig(ablation_mode=mode)
     tables_for(cfg)   # fills the table cache, whose normalization calls _bessel_table too
@@ -381,12 +376,3 @@ def test_featurize_builds_one_radial_table_per_graph(monkeypatch, mode, tables_b
     assert features.n_pairs
     assert len(calls) == tables_built
 
-
-def test_zonal_pass_matches_sweep_columns():
-    rng = np.random.default_rng(41)
-    theta = np.concatenate([[0.0, np.pi, 0.5 * np.pi], rng.uniform(0.0, np.pi, 200)])
-    for degrees in (1, 2, 7, MAX_ORDER + 1):
-        orders = np.arange(degrees)
-        sweep = _harmonics(degrees, theta, rng.uniform(0.0, 2.0 * np.pi, theta.size))
-        assert np.array_equal(_zonal_harmonics(degrees, theta),
-                              sweep[:, orders * orders + orders])

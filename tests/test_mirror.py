@@ -1,12 +1,17 @@
 """The paper's completeness claim, checked on mirror images.
 
 A graph and its mirror image (x -> -x) have the same distances and the same
-angles; only the torsions tell them apart. So the distance-only mode
+angles; only the torsions tell them apart. Every mode featurizes the whole
+(d, theta, phi) description, so the features of a mirror pair differ in
+their torsions. But the fields that the distance-only mode
 (NO_ANGLE_TORSION, SchNet-like) and the distance-angle mode (NO_TORSION,
-DimeNet-like) must featurize and predict the two bitwise alike, and the full
-spherical representation must not. This pins the torsion convention (gaps to
-the azimuthal predecessor) against a change that would make it
-reflection-blind.
+DimeNet-like) read must be bitwise alike, and so must their predictions;
+the full spherical representation must tell the two apart. This pins the
+torsion convention (gaps to the azimuthal predecessor) against a change that
+would make it reflection-blind.
+
+The convention also has a limit, pinned below as a documented property: one
+edge's pair features do not fix its neighborhood up to congruence.
 """
 import math
 
@@ -14,15 +19,18 @@ import numpy as np
 import pytest
 
 from smpnet.basis import tables_for
-from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D
+from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
 from smpnet.network import (featurize_graph, forward_features, init_params, merge_features,
                             pair_basis_rows)
 from smpnet.train import ablation_config, synthetic_torsion_task
 
 from conftest import random_graph
 
-FEATURE_FIELDS = ("edge_sender", "edge_receiver", "edge_distance", "edge_rbf", "edge_radial",
-                  "pair_edge", "pair_neighbor", "pair_theta", "pair_phi", "pair_harmonics")
+# The fields each mode's forward reads, besides the atoms and graph ids. The
+# distance-angle mode also reads the zonal columns of ``pair_harmonics``.
+DISTANCE_FIELDS = ("edge_sender", "edge_receiver", "edge_rbf", "pair_edge", "pair_neighbor")
+READS = {NO_ANGLE_TORSION: DISTANCE_FIELDS,
+         NO_TORSION: DISTANCE_FIELDS + ("edge_distance", "edge_radial", "pair_theta")}
 
 
 def mirrored(graph: Graph3D) -> Graph3D:
@@ -80,11 +88,14 @@ def test_mirror_images_split_only_with_torsions(tiny_cfg, case):
         cfg = base_cfg.replace(ablation_mode=mode)
         (feats, preds), (mirror_feats, mirror_preds) = (
             features_and_predictions(gs, cfg) for gs in (graphs, mirrors))
-        for field in FEATURE_FIELDS:
-            value, mirror_value = getattr(feats, field), getattr(mirror_feats, field)
-            assert (value is None and mirror_value is None) or np.array_equal(
-                value, mirror_value), (mode, field)
+        for field in READS[mode]:
+            assert np.array_equal(getattr(feats, field), getattr(mirror_feats, field)), (
+                mode, field)
         if mode == NO_TORSION:
+            orders = np.arange(cfg.n_shbf)
+            zonal = orders * orders + orders
+            assert np.array_equal(feats.pair_harmonics[zonal],
+                                  mirror_feats.pair_harmonics[zonal])
             assert np.array_equal(pair_basis(feats, "sbf", cfg),
                                   pair_basis(mirror_feats, "sbf", cfg))
         assert np.array_equal(preds, mirror_preds), mode
@@ -98,3 +109,51 @@ def test_mirror_images_split_only_with_torsions(tiny_cfg, case):
             feats.graph_ids[feats.edge_sender] == g))
         assert not np.array_equal(tbf[rows], mirror_tbf[rows])
         assert preds[g] != mirror_preds[g]
+
+
+def star(azimuths) -> Graph3D:
+    """Carbon S at the origin with R 1 A up the z axis and three more
+    neighbors at 1.00, 1.05 and 1.10 A, each at polar angle 110 degrees from
+    S->R and at the given azimuths (degrees) about it."""
+    polar = math.radians(110.0)
+    positions = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    for radius, azimuth in zip((1.00, 1.05, 1.10), np.radians(azimuths)):
+        positions.append([radius * math.sin(polar) * math.cos(azimuth),
+                          radius * math.sin(polar) * math.sin(azimuth),
+                          radius * math.cos(polar)])
+    return Graph3D(np.full(5, 6), np.array(positions), id="star")
+
+
+def pair_coordinates(graph: Graph3D, cfg):
+    """(d, theta, phi) per pair, and the pairs of edge S->R (atoms 0 and 1)."""
+    feats = featurize_graph(graph, cfg)
+    coords = np.column_stack([feats.edge_distance[feats.pair_neighbor], feats.pair_theta,
+                              feats.pair_phi])
+    edge = np.flatnonzero((feats.edge_sender == 0) & (feats.edge_receiver == 1))
+    return coords, feats.pair_edge == edge
+
+
+def test_one_edges_pairs_do_not_fix_its_neighborhood():
+    # phi is each neighbor's gap to its azimuthal predecessor, and which
+    # neighbor that is is no feature. Azimuths 0/100/220 and 0/220/120 give
+    # the 1.00, 1.05 and 1.10 A neighbors the gaps 140, 100 and 120 degrees
+    # in both, yet the two neighborhoods are not congruent. The rest of the
+    # graph tells them apart: the other edges' pairs see the difference.
+    cfg = RunConfig(cutoff_c=1.2)
+    first, second = star([0.0, 100.0, 220.0]), star([0.0, 220.0, 120.0])
+    (coords, on_edge), (other, other_on_edge) = (pair_coordinates(g, cfg)
+                                                  for g in (first, second))
+    assert np.array_equal(on_edge, other_on_edge) and on_edge.sum() == 3
+    # d and theta bitwise; phi up to the rounding of azimuth differences.
+    assert np.array_equal(coords[on_edge, :2], other[on_edge, :2])
+    np.testing.assert_allclose(coords[on_edge, 2], other[on_edge, 2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.degrees(coords[on_edge, 2]), [140.0, 100.0, 120.0])
+
+    gaps = [float(np.linalg.norm(g.positions[2] - g.positions[3])) for g in (first, second)]
+    np.testing.assert_allclose(gaps, [1.476, 1.810], atol=5e-4)
+
+    def multiset(rows):
+        return rows[np.lexsort(np.round(rows, 9).T[::-1])]
+
+    assert coords.shape == other.shape
+    assert np.max(np.abs(multiset(coords) - multiset(other))) > 0.1

@@ -72,6 +72,24 @@ def test_negative_and_large_seeds_key_their_own_streams(tiny_cfg):
                               old)
 
 
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint8(3), np.int32(-1), np.uint64(2**63 + 1)],
+                         ids=repr)
+def test_numpy_integer_seeds_draw_the_int_streams(tiny_cfg, seed):
+    assert np.array_equal(init_params(tiny_cfg, seed).flat_values,
+                          init_params(tiny_cfg, int(seed)).flat_values)
+    assert np.array_equal(network.philox_generator(seed, 101, 7).random(8),
+                          network.philox_generator(int(seed), 101, 7).random(8))
+
+
+@pytest.mark.parametrize("seed", [2.5, 2.0, np.float64(2.0), "2", None], ids=repr)
+def test_non_integral_seeds_raise(tiny_cfg, seed):
+    # A float must not be truncated to the stream of a neighboring seed.
+    with pytest.raises(NetworkError, match="seed must be an integer"):
+        network.philox_generator(seed)
+    with pytest.raises(NetworkError, match="seed must be an integer"):
+        init_params(tiny_cfg, seed)
+
 def test_atom_table_row_width_follows_embed_size(tiny_cfg):
     cfg = tiny_cfg.replace(embed_size=256)
     params = init_params(cfg, seed=0)
@@ -396,18 +414,6 @@ def test_max_z_enforced(tiny_cfg):
         forward(g, params, tiny_cfg)
 
 
-@pytest.mark.parametrize("built, run, missing", [(NO_TORSION, FULL, "tbf"),
-                                                  (NO_ANGLE_TORSION, NO_TORSION, "sbf")])
-def test_forward_names_the_basis_its_mode_lacks(tiny_cfg, built, run, missing):
-    features = featurize_graph(random_graph(np.random.default_rng(3), n_atoms=5),
-                               tiny_cfg.replace(ablation_mode=built))
-    cfg = tiny_cfg.replace(ablation_mode=run)
-    params = init_params(cfg, seed=1)
-    for grad in (True, False):
-        with pytest.raises(NetworkError, match=f"{run} needs the {missing} basis"):
-            forward_features(features, params, cfg, grad=grad)
-
-
 # --- merging ------------------------------------------------------------------------
 
 def layout_parts(cfg):
@@ -424,8 +430,7 @@ def layout_parts(cfg):
     one_pair = dataclasses.replace(
         chain, pair_edge=chain.pair_edge[:1], pair_neighbor=chain.pair_neighbor[:1],
         **{name: np.ascontiguousarray(getattr(chain, name)[..., :1])
-           for name in ("pair_theta", "pair_phi", "pair_harmonics")
-           if getattr(chain, name) is not None})
+           for name in ("pair_theta", "pair_phi", "pair_harmonics")})
     lone = featurize_graph(Graph3D(np.array([6]), np.zeros((1, 3)), id="atom"), cfg)
     parts = [many, featurize_graph(two_atom_graph(), cfg), one_pair, lone, many]
     assert [part.n_pairs for part in parts] == [many.n_pairs, 0, 1, 0, many.n_pairs]
@@ -459,21 +464,57 @@ def test_merge_layout_matches_an_explicit_oracle(mode):
             "pair_theta": 0, "pair_phi": 0, "pair_harmonics": -1}
     for name, axis in axes.items():
         value = getattr(merged, name)
-        if getattr(parts[0], name) is None:
-            assert value is None
-            continue
         assert np.array_equal(value, np.concatenate([getattr(p, name) for p in parts],
                                                     axis=axis))
         assert value.flags.c_contiguous
     assert not merged.edge_rbf.flags.f_contiguous
-    assert (merged.pair_harmonics is None) == (mode == NO_ANGLE_TORSION)
-    assert (merged.pair_phi is None) == (mode != FULL)
-    kinds = {FULL: ("sbf", "tbf"), NO_TORSION: ("sbf",), NO_ANGLE_TORSION: ()}[mode]
-    for kind in kinds:
+    # Every mode's features carry both pair bases.
+    for kind in ("sbf", "tbf"):
         rows = pair_basis(merged, kind, cfg)
         assert np.array_equal(rows, np.concatenate([pair_basis(p, kind, cfg) for p in parts]))
         assert rows.flags.f_contiguous and not rows.flags.c_contiguous
     assert all(merge_features([part]) is part for part in parts)
+
+
+MODES = (FULL, NO_TORSION, NO_ANGLE_TORSION)
+
+
+def mode_graphs():
+    """Random graphs, a lone atom and a bond: a graph with edges but no pairs."""
+    rng = np.random.default_rng(61)
+    graphs = [random_graph(rng, n_atoms=n, box=1.5) for n in (6, 4, 8)]
+    return graphs + [Graph3D(np.array([6]), np.zeros((1, 3)), id="atom"), two_atom_graph()]
+
+
+def assert_same_features(found, expected):
+    for spec in dataclasses.fields(network.GraphFeatures):
+        value, reference = getattr(found, spec.name), getattr(expected, spec.name)
+        assert type(value) is type(reference), spec.name
+        assert np.array_equal(value, reference), spec.name
+        if isinstance(value, np.ndarray):
+            assert value.dtype == reference.dtype, spec.name
+
+
+def test_every_mode_featurizes_alike(tiny_cfg):
+    graphs = mode_graphs()
+    full = [featurize_graph(g, tiny_cfg) for g in graphs]
+    assert [part.n_pairs > 0 for part in full] == [True, True, True, False, False]
+    assert [part.n_edges > 0 for part in full] == [True, True, True, False, True]
+    for mode in MODES[1:]:
+        for graph, expected in zip(graphs, full):
+            assert_same_features(featurize_graph(graph, tiny_cfg.replace(ablation_mode=mode)),
+                                 expected)
+
+
+def test_parts_of_different_modes_merge_as_full(tiny_cfg):
+    # Features built under any modes are one layout, so a batch may mix them.
+    graphs = mode_graphs()
+    full = merge_features([featurize_graph(g, tiny_cfg) for g in graphs])
+    for shift in range(len(MODES)):
+        mixed = merge_features([
+            featurize_graph(g, tiny_cfg.replace(ablation_mode=MODES[(i + shift) % len(MODES)]))
+            for i, g in enumerate(graphs)])
+        assert_same_features(mixed, full)
 
 
 # --- whole-model properties -------------------------------------------------------

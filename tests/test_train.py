@@ -9,7 +9,8 @@ from smpnet.autodiff import Workspace
 from smpnet.elements import SYMBOL_TO_Z
 from smpnet.geometry import rigid_transform
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
-from smpnet.network import featurize_graph, forward_features, init_params, merge_features
+from smpnet.network import (NetworkError, featurize_graph, forward_features, init_params,
+                            merge_features)
 
 from conftest import random_graph
 from test_w1_pin import perfbench_workloads, recorded_build
@@ -411,6 +412,34 @@ def test_malformed_split_raises_before_featurizing(monkeypatch, kwargs):
     monkeypatch.setattr(T, "featurize_graph", featurize)
     with pytest.raises(T.TrainError, match="split|valid_fraction"):
         T.train(T.synthetic_torsion_task(64, seed=0)[:10], T.ablation_config(epochs=1), **kwargs)
+
+
+@pytest.mark.parametrize("seed", [2.5, 3.0, "3"], ids=repr)
+def test_non_integral_seed_raises_before_featurizing(monkeypatch, seed):
+    data = T.synthetic_torsion_task(64, seed=0)[:10]
+    with pytest.raises(NetworkError, match="seed must be an integer"):
+        T.synthetic_torsion_task(64, seed)
+
+    def featurize(*args):
+        raise AssertionError("featurized before the seed was checked")
+
+    monkeypatch.setattr(T, "featurize_graph", featurize)
+    for split in (None, ([0, 1], [2])):
+        with pytest.raises(T.TrainError, match="seed must be an integer"):
+            T.train(data, T.ablation_config(epochs=1), seed=seed, split=split)
+
+
+def test_numpy_integer_seed_trains_like_the_int(tiny_cfg):
+    cfg = quick_cfg(tiny_cfg, max_epochs=2)
+    data = T.synthetic_torsion_task(64, seed=np.int64(1))
+    reference = T.synthetic_torsion_task(64, seed=1)
+    assert [(g.id, g.graph_target) for g in data] == [(g.id, g.graph_target) for g in reference]
+    assert all(np.array_equal(a.positions, b.positions) for a, b in zip(data, reference))
+    numpy_seeded, int_seeded = T.train(data, cfg, seed=np.int64(3)), T.train(data, cfg, seed=3)
+    assert T.format_epoch_log(numpy_seeded.log) == T.format_epoch_log(int_seeded.log)
+    assert np.array_equal(numpy_seeded.params.flat_values, int_seeded.params.flat_values)
+    assert np.array_equal(numpy_seeded.final_params.flat_values,
+                          int_seeded.final_params.flat_values)
 
 
 def test_training_steps_never_hold_two_tapes(tiny_cfg):

@@ -10,8 +10,8 @@ keeps these hashes; a change that only rounds differently records new ones
 here and in ROADMAP.md. The CLI pins hash the default ``smpnet basis-dump``
 CSV and the default-grid ``smpnet export-filters`` CSV of a small seed-3
 checkpoint. The featurization pins hash every ``GraphFeatures`` field of the
-seed-0 perfbench inputs in each ablation mode, and the Bessel pin hashes one
-``_bessel_table`` over both of its branches.
+seed-0 perfbench inputs, which every ablation mode featurizes alike, and the
+Bessel pin hashes one ``_bessel_table`` over both of its branches.
 
 Another numpy or BLAS build may round differently, so the tests run only on
 the build the hashes were recorded with: numpy 2.4.6 and OpenBLAS
@@ -54,22 +54,14 @@ DEFAULT_CONFIG = {
                        "0eb2d8febe418b74e95a0fc8d553aff9de48f8fe23cc5beccba050fc3f3cc5c2"),
 }
 
-# sha256 per mode over every featurized graph of a workload's seed-0 inputs,
-# then over their merge (the clusters are not merged).
+# sha256 over every featurized graph of a workload's seed-0 inputs, then over
+# their merge (the clusters are not merged); the same in every ablation mode.
 FEATURES = {
-    "chains-train": {
-        FULL: "d4a853ccea69689c56feda7d7d7cab3d2fc87c9af550a5006f7772cfaebf719f",
-        NO_TORSION: "4b163b61a2546d2fc67f2338c157e6f9a42d4a5e7789509ac655150301a6f36d",
-        NO_ANGLE_TORSION: "2c9af29a106f4b6112b77ada6f019f8f67cea88118c491f5d6d51afa383a5846"},
-    "molecules-train": {
-        FULL: "671cff55b980543bef23879d010c2a1e526ae49988b0dec2fb43f51bbff23c74",
-        NO_TORSION: "7649543b8ebe5a04f85347dc27afa5c6d485d5a53df413d3a902117595bc2e2f",
-        NO_ANGLE_TORSION: "044e4f094cf0ce086898b45898b09d6f7cb1a9a9fa933c255ac0194283191ac2"},
-    "clusters-eval": {
-        FULL: "863e25e3858a6566f4ad8b35ed15fa34c886b6159b6bf10dd9e2291e2f926f0f",
-        NO_TORSION: "8068a176c944ea44e22440d112181bbefd5a87c3722ec5b930575b186e1e8dc4",
-        NO_ANGLE_TORSION: "67fcbd08797e6561693d3ad0c640e8ffc0bb8257fc1e1f1b0b90d224368a9cd1"},
+    "chains-train": "d4a853ccea69689c56feda7d7d7cab3d2fc87c9af550a5006f7772cfaebf719f",
+    "molecules-train": "671cff55b980543bef23879d010c2a1e526ae49988b0dec2fb43f51bbff23c74",
+    "clusters-eval": "863e25e3858a6566f4ad8b35ed15fa34c886b6159b6bf10dd9e2291e2f926f0f",
 }
+MODES = (FULL, NO_TORSION, NO_ANGLE_TORSION)
 BESSEL_TABLE = "29313a4e49f9b66939bb9a527f877c7397fa9b501e602caae2bf875e58b23b1f"
 
 BASIS_DUMP = "c24a0a72bdc9eb757ca50d0fc13933f4e06439a7b29f361f5d1cab6363fda4c1"
@@ -94,9 +86,11 @@ def blas_version() -> str | None:
         return None
 
 
+BUILD = (np.__version__, blas_version(), openblas_core())
 recorded_build = pytest.mark.skipif(
-    (np.__version__, blas_version(), openblas_core()) != (NUMPY, OPENBLAS, CORE),
-    reason=f"the hashes were recorded with numpy {NUMPY}, OpenBLAS {OPENBLAS} on {CORE}")
+    BUILD != (NUMPY, OPENBLAS, CORE),
+    reason=f"the hashes were recorded with numpy {NUMPY}, OpenBLAS {OPENBLAS} on {CORE}; "
+           f"found numpy {BUILD[0]}, OpenBLAS {BUILD[1]} on {BUILD[2]}")
 
 
 def digests(result, tmp_path) -> list[str]:
@@ -149,7 +143,7 @@ def test_w1_checkpoints_and_log_are_byte_identical(tmp_path):
 
 
 @recorded_build
-@pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
+@pytest.mark.parametrize("mode", MODES)
 def test_default_config_checkpoints_and_log_are_byte_identical(tmp_path, mode):
     workloads = perfbench_workloads()
     graphs = workload_graphs(workloads, "molecules-train")
@@ -165,7 +159,7 @@ def test_featurized_inputs_are_byte_identical(workload):
     workloads = perfbench_workloads()
     graphs = workload_graphs(workloads, workload)
     found = {}
-    for mode in FEATURES[workload]:
+    for mode in MODES:
         cfg = dataclasses.replace(workloads.run_config(workload, 0), ablation_mode=mode)
         digest = hashlib.sha256()
         parts = []
@@ -177,7 +171,7 @@ def test_featurized_inputs_are_byte_identical(workload):
         if parts:
             hash_features(digest, merge_features(parts))
         found[mode] = digest.hexdigest()
-    assert found == FEATURES[workload]
+    assert found == dict.fromkeys(MODES, FEATURES[workload])
 
 
 @recorded_build
