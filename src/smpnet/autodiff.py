@@ -22,18 +22,19 @@ forward whose parameters enter as constants therefore records nothing: each
 intermediate is freed as soon as its consumer has run.
 
 Three operations are fused. ``dense`` is a whole dense layer (product, bias,
-optional SiLU) in one node. ``blocked_matmul`` multiplies a constant that
-its caller builds one block of rows at a time by several weights at once,
-and ``pair_aggregate`` reduces per-pair gated messages to per-edge sums in
-fixed blocks of pairs. So no array with one row per two-hop pair and one
-column per basis entry or message channel outlives a block, in the forward
-or in its vector-Jacobian product.
+optional SiLU, optional residual add) in one node, which keeps only the SiLU
+slope for its vjp. ``blocked_matmul`` multiplies a constant that its caller
+builds one block of rows at a time by several weights at once, and
+``pair_aggregate`` reduces per-pair gated messages to per-edge sums in fixed
+blocks of pairs. So no array with one row per two-hop pair and one column per
+basis entry or message channel outlives a block, in the forward or in its
+vector-Jacobian product.
 
-A tape built on a ``Workspace`` writes its forward values (dense, add, mul,
-concat, gather, blocked_matmul and pair_aggregate outputs) into the
-workspace's buffers with ``out=``, so successive training steps reuse one
-set of buffers instead of allocating them afresh. A forward's values are
-therefore valid only until the next forward on the same workspace.
+A tape built on a ``Workspace`` writes its forward values (dense outputs and
+SiLU slopes, add, mul, concat, gather, blocked_matmul and pair_aggregate
+outputs) into the workspace's buffers with ``out=``, so successive training
+steps reuse one set of buffers instead of allocating them afresh. A forward's
+values are therefore valid only until the next forward on the same workspace.
 Cotangents are not pooled: they are allocated by the vjps and freed by the
 sweep. No vjp refers to its tape, so dropping the last reference to a tape
 frees it at once, without waiting for the cyclic garbage collector.
@@ -190,43 +191,61 @@ class Tape:
 
     # --- operations ------------------------------------------------------
 
-    def dense(self, x: Node, w: Node, b: Node = None, silu: bool = False) -> Node:
-        """``x @ w``, plus the bias row ``b`` if given, then SiLU if ``silu``.
+    def dense(self, x: Node, w: Node, b: Node = None, silu: bool = False,
+              residual: Node = None) -> Node:
+        """``x @ w``, plus the bias row ``b`` if given, then SiLU if ``silu``,
+        then plus ``residual`` (of the output's shape) if given.
 
-        The bias is added in place and the sigmoid built in one buffer; the vjp
-        turns the node's own cotangent, in place, into the pre-activation's.
-        Products keep the operand order of separate affine and SiLU ops, so
-        values and gradients are bitwise theirs. A one-column ``w`` is a
-        row-wise sum instead, as BLAS rounds a one-column product differently
-        as the row count changes.
+        The value is built in one buffer, the bias, SiLU and residual applied
+        in place; the sigmoid lives only during the call. A recorded node
+        keeps only what its vjp reads: with SiLU, the slope, computed in one
+        more buffer with the ops of the derivative; a node no gradient flows
+        through computes no slope. The vjp hands ``residual`` the cotangent
+        (a copy, if SiLU), then turns it in place into the pre-activation's.
+        Products keep the operand order of separate affine, SiLU and add ops,
+        and an IEEE sum does not depend on its operand order, so values and
+        gradients are bitwise theirs. A one-column ``w`` is a row-wise sum
+        instead, as BLAS rounds a one-column product differently as the row
+        count changes.
         """
+        parents = tuple(node for node in (x, w, b, residual) if node is not None)
+        recorded = any(parent.needs_grad for parent in parents)
         shape = (x.value.shape[0], w.value.shape[1])
+        if residual is not None and residual.value.shape != shape:
+            raise ValueError(f"residual shape {residual.value.shape} does not match "
+                             f"dense output shape {shape}")
         if shape[1] == 1:
-            value = pre = np.sum(x.value * w.value[:, 0], axis=1, keepdims=True,
-                                 out=self._empty(shape))
+            value = np.sum(x.value * w.value[:, 0], axis=1, keepdims=True,
+                           out=self._empty(shape))
         else:
-            value = pre = np.matmul(x.value, w.value, out=self._empty(shape))
+            value = np.matmul(x.value, w.value, out=self._empty(shape))
         if b is not None:
-            pre += b.value
+            value += b.value
+        slope = None
         if silu:
             # exp(-pre) overflows to inf below pre = -709: sigmoid's right limit 0.
-            sig = np.negative(pre, out=self._empty(shape))
+            sig = np.negative(value)
             with np.errstate(over="ignore"):
                 np.exp(sig, out=sig)
             sig += 1.0
-            value = np.multiply(pre, np.divide(1.0, sig, out=sig), out=self._empty(shape))
-
-        def vjp(g, xv=x.value, wv=w.value):
-            if silu:
-                slope = np.subtract(1.0, sig)
-                slope *= pre
+            np.divide(1.0, sig, out=sig)
+            if recorded:
+                slope = np.subtract(1.0, sig, out=self._empty(shape))
+                slope *= value
                 slope += 1.0
                 slope *= sig
+            value *= sig
+        if residual is not None:
+            value += residual.value
+
+        def vjp(g, xv=x.value, wv=w.value):
+            d_residual = (g.copy() if silu else g,) if residual is not None else ()
+            if silu:
                 g *= slope
             grads = (g @ wv.T if x.needs_grad else None, xv.T @ g if w.needs_grad else None)
-            return grads if b is None else grads + (g.sum(axis=0),)
+            return grads + ((g.sum(axis=0),) if b is not None else ()) + d_residual
 
-        return self._record(value, (x, w) if b is None else (x, w, b), vjp)
+        return self._record(value, parents, vjp)
 
     def blocked_matmul(self, rows, n_rows: int, bs: list[Node]) -> list[Node]:
         """``dense(A, b)`` for every b of ``bs``, with A built one block of rows at a time.
@@ -274,6 +293,8 @@ class Tape:
         return self._record(x.value[:, start:stop], (x,), vjp)
 
     def add(self, a: Node, b: Node) -> Node:
+        """``a + b``. The network does not call it: each of its residual adds
+        is the ``residual`` of the dense layer before it."""
         if a.value.shape != b.value.shape:
             raise ValueError(f"add needs equal shapes, got {a.value.shape} and {b.value.shape}")
         # Each parent owns its cotangent, so the second one gets a copy.

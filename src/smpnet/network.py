@@ -357,8 +357,10 @@ class ForwardContext:
         return self.prediction.value[:, 0]
 
 
-def _dense(ctx: ForwardContext, name: str, x: Node, activation: bool = False) -> Node:
-    return ctx.tape.dense(x, ctx.leaves[name + ".w"], ctx.leaves[name + ".b"], silu=activation)
+def _dense(ctx: ForwardContext, name: str, x: Node, activation: bool = False,
+           residual: Optional[Node] = None) -> Node:
+    return ctx.tape.dense(x, ctx.leaves[name + ".w"], ctx.leaves[name + ".b"],
+                          silu=activation, residual=residual)
 
 
 def _bottleneck(ctx: ForwardContext, name: str, x: Node) -> Node:
@@ -431,6 +433,11 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
     edge, a fixed block of pairs at a time. Each edge adds its pairs in pair
     order, so the value is bitwise that of gathering, gating and summing the
     pair-wide arrays.
+
+    Each residual add is the ``residual`` of the dense layer that computes
+    its other operand: the last message layer takes the mapped-back sum (the
+    up-projection takes the old message when there is no message layer),
+    and each residual block's second layer takes its input.
     """
     tape, feats, cfg = ctx.tape, ctx.features, ctx.cfg
     if messages.value.shape[0] != feats.n_edges:
@@ -451,16 +458,18 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
         _dense(ctx, prefix + f"proj_{kind}", messages),
     ) for kind, inputs in ctx.gate_inputs.items()],
         feats.pair_edge, feats.pair_neighbor, feats.n_edges)
-    aggregated = _dense(ctx, prefix + "up", aggregated)
-
-    branch = messages
-    for j in range(cfg.num_message_layers):
-        branch = _dense(ctx, prefix + f"msg{j}", branch, activation=True)
-    updated = tape.add(branch, aggregated)
+    layers = cfg.num_message_layers
+    if layers:
+        aggregated = _dense(ctx, prefix + "up", aggregated)
+        updated = messages
+        for j in range(layers):
+            updated = _dense(ctx, prefix + f"msg{j}", updated, activation=True,
+                             residual=aggregated if j == layers - 1 else None)
+    else:
+        updated = _dense(ctx, prefix + "up", aggregated, residual=messages)
     for r in range(cfg.num_residual_blocks):
         inner = _dense(ctx, prefix + f"res{r}.a", updated, activation=True)
-        inner = _dense(ctx, prefix + f"res{r}.b", inner, activation=True)
-        updated = tape.add(updated, inner)
+        updated = _dense(ctx, prefix + f"res{r}.b", inner, activation=True, residual=updated)
     _check_finite(updated, f"interaction block {block}")
     return updated
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from smpnet.autodiff import Tape
 from smpnet.ingest import Graph3D, RunConfig
 
 
@@ -56,3 +57,13 @@ def per_block_matmul(tape, rows, n_rows, bs):
     ``dense`` per weight."""
     a = tape.constant(rows(0, n_rows))
     return [tape.dense(a, b) for b in bs]
+
+
+_dense = Tape.dense   # kept, so the oracle still works with Tape.dense patched to it
+
+
+def unfused_dense(tape, x, w, b=None, silu=False, residual=None):
+    """Oracle for ``Tape.dense(..., residual=)``: the dense layer, then a
+    separate ``add`` of the residual."""
+    out = _dense(tape, x, w, b, silu=silu)
+    return out if residual is None else tape.add(residual, out)

@@ -62,13 +62,16 @@ def test_affine_silu_chain():
     check_program(lambda t, l: t.dense(l[0], l[1], l[2], silu=True), values)
 
 
-@pytest.mark.parametrize("bias", [True, False], ids=["bias", "no_bias"])
+@pytest.mark.parametrize("bias, residual", [(True, False), (False, False), (True, True),
+                                            (False, True)],
+                         ids=["bias", "no_bias", "bias-residual", "no_bias-residual"])
 @pytest.mark.parametrize("silu", [True, False], ids=["silu", "linear"])
 @pytest.mark.parametrize("shape", [(1, 3, 4), (7, 5, 2), (300, 64, 256)])
-def test_dense_matches_affine_and_silu_formulas(shape, silu, bias):
+def test_dense_matches_affine_and_silu_formulas(shape, silu, bias, residual):
     # The value and every gradient are bitwise those of the numpy expressions
-    # of a separate affine and SiLU. Row 0 is scaled so that some
-    # pre-activations lie below -700, where exp(-y) overflows to inf.
+    # of a separate affine, SiLU and residual add; the residual's gradient is
+    # the cotangent itself. Row 0 is scaled so that some pre-activations lie
+    # below -700, where exp(-y) overflows to inf.
     rows, inner, width = shape
     rng = np.random.default_rng(11)
     x = rng.normal(size=(rows, inner))
@@ -76,6 +79,7 @@ def test_dense_matches_affine_and_silu_formulas(shape, silu, bias):
     w = rng.normal(size=(inner, width))
     b = rng.normal(size=width)
     g = rng.normal(size=(rows, width))
+    r = rng.normal(size=(rows, width))
 
     y = x @ w + b if bias else x @ w
     assert np.any(y < -700)
@@ -86,16 +90,21 @@ def test_dense_matches_affine_and_silu_formulas(shape, silu, bias):
             s = 1.0 / (1.0 + np.exp(-y))
         expected = y * s
         d_y = g * (s * (1.0 + y * (1.0 - s)))
+    if residual:
+        expected = expected + r
 
     tape = Tape()
     leaves = [new_leaf(tape, v) for v in ((x, w, b) if bias else (x, w))]
-    out = tape.dense(*leaves, silu=silu)
+    r_leaf = new_leaf(tape, r) if residual else None
+    out = tape.dense(*leaves, silu=silu, residual=r_leaf)
     tape.backward(out, g)
     assert np.array_equal(out.value, expected)
     assert np.array_equal(leaves[0].grad, d_y @ w.T)
     assert np.array_equal(leaves[1].grad, x.T @ d_y)
     if bias:
         assert np.array_equal(leaves[2].grad, d_y.sum(0))
+    if residual:
+        assert np.array_equal(r_leaf.grad, g)
 
 
 def test_mul_add_concat():
@@ -266,6 +275,13 @@ def test_reused_node_accumulates_from_both_consumers():
     check_program(program, values)
 
 
+def test_dense_residual_shape_mismatch_rejected():
+    tape = Tape()
+    x = new_leaf(tape, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="residual shape"):
+        tape.dense(x, tape.constant(np.ones((2, 4))), residual=new_leaf(tape, np.ones(4)))
+
+
 def test_backward_shape_mismatch_rejected():
     tape = Tape()
     leaf = new_leaf(tape, np.ones((2, 2)))
@@ -298,6 +314,9 @@ def test_leaf_adds_into_given_buffer():
     assert np.array_equal(buffer, np.full((2, 2), 2.5))
     tape.backward(leaf, np.ones((2, 2)))
     assert leaf.grad is buffer and np.array_equal(buffer, np.full((2, 2), 3.5))
+    # A dense layer whose input is also its residual: leaf @ I + leaf.
+    tape.backward(tape.dense(leaf, tape.constant(np.eye(2)), residual=leaf), np.ones((2, 2)))
+    assert leaf.grad is buffer and np.array_equal(buffer, np.full((2, 2), 5.5))
 
 
 def retained_backward(tape, output, upstream):
@@ -360,9 +379,13 @@ def test_vjps_hand_each_parent_its_own_array(tiny_cfg):
     tape = Tape()
     x = new_leaf(tape, rng.normal(size=(4, 3)))
     y = new_leaf(tape, rng.normal(size=(4, 2)))
-    joined = tape.concat([tape.add(x, x), y, tape.constant(np.ones((4, 1))), x])
+    w = new_leaf(tape, rng.normal(size=(3, 3)))
+    # A dense layer whose input is also its residual is the analogue of add(x, x).
+    joined = tape.concat([tape.add(x, x), y, tape.constant(np.ones((4, 1))), x,
+                          tape.dense(x, w, silu=True, residual=x),
+                          tape.dense(x, w, residual=x)])
     tape.mul(joined, joined)
-    assert len(tape.nodes) == 3
+    assert len(tape.nodes) == 5
     check_vjp_ownership(tape, rng)
 
     merged = merge_features([featurize_graph(random_graph(rng, n_atoms=n), tiny_cfg)

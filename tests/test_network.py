@@ -21,7 +21,8 @@ from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
 from smpnet.autodiff import Tape
 from smpnet.train import ablation_config, split_dataset, synthetic_torsion_task
 
-from conftest import per_block_matmul, random_graph, unfused_pair_aggregate
+from conftest import (per_block_matmul, random_graph, unfused_dense,
+                      unfused_pair_aggregate)
 
 
 def copied(grads):
@@ -153,9 +154,9 @@ def test_one_tape_node_per_dense_layer(tiny_cfg, monkeypatch):
     recorded = {True: [], False: []}
     dense = network._dense
 
-    def counting_dense(ctx, name, x, activation=False):
+    def counting_dense(ctx, name, x, activation=False, residual=None):
         before = len(ctx.tape.nodes)
-        out = dense(ctx, name, x, activation)
+        out = dense(ctx, name, x, activation, residual)
         recorded[activation].append(len(ctx.tape.nodes) - before)
         return out
 
@@ -245,6 +246,39 @@ def test_interaction_block_matches_pair_level_reference(tiny_cfg, mode):
     updated = interaction_block(ctx, messages, 1)
     expected = reference_interaction(feats, params.values, messages.value, 1, cfg)
     np.testing.assert_allclose(updated.value, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("layers, residuals", [(0, 0), (0, 2), (2, 0), (1, 1)],
+                         ids=["msg0-res0", "msg0-res2", "msg2-res0", "msg1-res1"])
+def test_message_and_residual_depths_match_reference_and_unfused_adds(
+        tiny_cfg, layers, residuals, monkeypatch):
+    # Each residual add rides on the dense layer before it; with no message
+    # layer that is the up-projection. The block must equal the pair-level
+    # reference, and the network's predictions and gradients must be bitwise
+    # those of separate dense and add nodes.
+    cfg = tiny_cfg.replace(num_message_layers=layers, num_residual_blocks=residuals)
+    params = init_params(cfg, seed=7)
+    rng = np.random.default_rng(11)
+    for value in params.values.values():
+        value[...] = rng.normal(scale=0.5, size=value.shape)
+    feats = featurize_graph(random_graph(rng, n_atoms=6), cfg)
+    ctx = begin_forward(feats, params, cfg)
+    messages = embedding_block(ctx)
+    updated = interaction_block(ctx, messages, 1)
+    expected = reference_interaction(feats, params.values, messages.value, 1, cfg)
+    np.testing.assert_allclose(updated.value, expected, rtol=1e-12, atol=1e-12)
+
+    feats = batch_features(cfg, 31)
+    upstream = rng.normal(size=feats.n_graphs)
+    runs = []
+    for dense in (Tape.dense, unfused_dense):
+        monkeypatch.setattr(Tape, "dense", dense)
+        cache = forward_features(feats, params, cfg)
+        runs.append((cache.predictions, copied(backward(cache, upstream, accumulate=False))))
+    (fused, grads), (expected, expected_grads) = runs
+    assert np.array_equal(fused, expected)
+    for name, grad in grads.items():
+        assert np.array_equal(grad, expected_grads[name]), name
 
 
 def batch_features(cfg, seed):
@@ -350,13 +384,13 @@ def test_tape_lists_only_the_nodes_its_sweep_visits(tiny_cfg, mode):
     assert not any(id(node) in leaves for node in ctx.tape.nodes)
 
 
-@pytest.mark.parametrize("cfg, nodes", [(RunConfig(), 74), (ablation_config(), 36)],
+@pytest.mark.parametrize("cfg, nodes", [(RunConfig(), 65), (ablation_config(), 33)],
                          ids=["default", "ablation"])
 def test_tape_nodes_per_forward(cfg, nodes):
-    # One node per dense layer, gather, mul, add, concat, stacked product
-    # and its per-block views, pair aggregate and segment sum; the counts do
-    # not depend on the graph. A change that moves them records the old and
-    # new counts.
+    # One node per dense layer (residual adds included), gather, mul, concat,
+    # stacked product and its per-block views, pair aggregate and segment
+    # sum; the counts do not depend on the graph. A change that moves them
+    # records the old and new counts.
     chain = synthetic_torsion_task(64, seed=0)[0]
     ctx = forward_features(featurize_graph(chain, cfg), init_params(cfg, seed=0), cfg)
     assert len(ctx.tape.nodes) == nodes

@@ -314,6 +314,32 @@ def test_predict_peak_on_the_largest_cluster():
     assert peak / 2**20 <= PREDICT_PEAK_MB
 
 
+# Workspace.slots after one taped forward, (slots, bytes): the first 8 seed-0
+# molecules-train molecules at the default config (1192 edges, 13,524 pairs)
+# and the first 64 seed-0 chains-train chains at the ablation config (692
+# edges, 1232 pairs). While each SiLU layer kept its pre-activation, sigmoid
+# and output and each residual add its own output they were (108,
+# 205_046_560) and (50, 13_571_840). Sizes follow from shapes alone, so the
+# pin holds on any build; a change that moves it records the old and new
+# values, and none moves it up to let a regression pass.
+WORKSPACE = {"molecules-train": (8, 78, 136_590_112), "chains-train": (64, 38, 9_897_728)}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKSPACE))
+def test_training_forward_workspace_is_pinned(workload):
+    n_graphs, slots, size = WORKSPACE[workload]
+    workloads = perfbench_workloads()
+    cfg = workloads.run_config(workload, 0)
+    graphs = [Graph3D(np.array([SYMBOL_TO_Z[s] for s in symbols]), positions,
+                      graph_target=target, id=str(i))
+              for i, (symbols, positions, target)
+              in enumerate(workloads.frames_for(workload, 0)[:n_graphs])]
+    features = merge_features([featurize_graph(g, cfg) for g in graphs])
+    workspace = Workspace()
+    forward_features(features, init_params(cfg, seed=0), cfg, workspace=workspace)
+    assert (len(workspace.slots), sum(slot.nbytes for slot in workspace.slots)) == (slots, size)
+
+
 # --- training loop -----------------------------------------------------------------
 
 def quick_cfg(tiny_cfg, **extra):
