@@ -21,19 +21,19 @@ no vjp and are not kept either, so the sweep never spends work on them. A
 forward whose parameters enter as constants therefore records nothing: each
 intermediate is freed as soon as its consumer has run.
 
-Three operations are fused. ``dense`` is a whole dense layer (product, bias,
-optional SiLU, optional residual add) in one node, which keeps only the SiLU
-slope for its vjp. ``blocked_matmul`` multiplies a constant that its caller
-builds one block of rows at a time by several weights at once, and
+Three operations are fused. ``dense`` is a whole dense layer (product, bias
+row or addend, optional SiLU, optional residual add) in one node, which keeps
+only the SiLU slope for its vjp. ``blocked_matmul`` multiplies a constant that
+its caller builds one block of rows at a time by several weights at once, and
 ``pair_aggregate`` reduces per-pair gated messages to per-edge sums in fixed
 blocks of pairs. So no array with one row per two-hop pair and one column per
 basis entry or message channel outlives a block, in the forward or in its
 vector-Jacobian product.
 
 A tape built on a ``Workspace`` writes its forward values (dense outputs and
-SiLU slopes, add, mul, concat, gather, blocked_matmul and pair_aggregate
-outputs) into the workspace's buffers with ``out=``, so successive training
-steps reuse one set of buffers instead of allocating them afresh. A forward's
+SiLU slopes, add, mul, gather, blocked_matmul and pair_aggregate outputs)
+into the workspace's buffers with ``out=``, so successive training steps
+reuse one set of buffers instead of allocating them afresh. A forward's
 values are therefore valid only until the next forward on the same workspace.
 Cotangents are not pooled: they are allocated by the vjps and freed by the
 sweep. No vjp refers to its tape, so dropping the last reference to a tape
@@ -193,27 +193,33 @@ class Tape:
 
     def dense(self, x: Node, w: Node, b: Node = None, silu: bool = False,
               residual: Node = None) -> Node:
-        """``x @ w``, plus the bias row ``b`` if given, then SiLU if ``silu``,
-        then plus ``residual`` (of the output's shape) if given.
+        """``x @ w``, plus ``b`` if given, then SiLU if ``silu``, then plus
+        ``residual`` (of the output's shape) if given.
 
-        The value is built in one buffer, the bias, SiLU and residual applied
-        in place; the sigmoid lives only during the call. A recorded node
-        keeps only what its vjp reads: with SiLU, the slope, computed in one
-        more buffer with the ops of the derivative; a node no gradient flows
+        ``b`` is a bias row (one dimension), whose cotangent is the
+        pre-activation's summed over rows, or an addend of the output's shape,
+        whose cotangent is the pre-activation's itself.
+
+        The value is built in one buffer, ``b``, SiLU and residual applied in
+        place; the sigmoid lives only during the call. A recorded node keeps
+        only what its vjp reads: with SiLU, the slope, computed in one more
+        buffer with the ops of the derivative; a node no gradient flows
         through computes no slope. The vjp hands ``residual`` the cotangent
-        (a copy, if SiLU), then turns it in place into the pre-activation's.
-        Products keep the operand order of separate affine, SiLU and add ops,
-        and an IEEE sum does not depend on its operand order, so values and
-        gradients are bitwise theirs. A one-column ``w`` is a row-wise sum
-        instead, as BLAS rounds a one-column product differently as the row
-        count changes.
+        (a copy, if SiLU or an addend follows), then turns it in place into
+        the pre-activation's. Products keep the operand order of separate
+        affine, SiLU and add ops, and an IEEE sum does not depend on its
+        operand order, so values and gradients are bitwise theirs. A
+        one-column ``w`` is a row-wise sum instead, as BLAS rounds a
+        one-column product differently as the row count changes.
         """
         parents = tuple(node for node in (x, w, b, residual) if node is not None)
+        addend = b is not None and b.value.ndim > 1
         recorded = any(parent.needs_grad for parent in parents)
         shape = (x.value.shape[0], w.value.shape[1])
-        if residual is not None and residual.value.shape != shape:
-            raise ValueError(f"residual shape {residual.value.shape} does not match "
-                             f"dense output shape {shape}")
+        for name, node in (("addend", b if addend else None), ("residual", residual)):
+            if node is not None and node.value.shape != shape:
+                raise ValueError(f"{name} shape {node.value.shape} does not match "
+                                 f"dense output shape {shape}")
         if shape[1] == 1:
             value = np.sum(x.value * w.value[:, 0], axis=1, keepdims=True,
                            out=self._empty(shape))
@@ -239,11 +245,11 @@ class Tape:
             value += residual.value
 
         def vjp(g, xv=x.value, wv=w.value):
-            d_residual = (g.copy() if silu else g,) if residual is not None else ()
+            d_residual = (g.copy() if silu or addend else g,) if residual is not None else ()
             if silu:
                 g *= slope
             grads = (g @ wv.T if x.needs_grad else None, xv.T @ g if w.needs_grad else None)
-            return grads + ((g.sum(axis=0),) if b is not None else ()) + d_residual
+            return grads + ((g if addend else g.sum(axis=0),) if b is not None else ()) + d_residual
 
         return self._record(value, parents, vjp)
 
@@ -293,8 +299,9 @@ class Tape:
         return self._record(x.value[:, start:stop], (x,), vjp)
 
     def add(self, a: Node, b: Node) -> Node:
-        """``a + b``. The network does not call it: each of its residual adds
-        is the ``residual`` of the dense layer before it."""
+        """``a + b``. The network's one add joins the embedding block's sender
+        and receiver rows; each of its residual adds is the ``residual`` of the
+        dense layer before it."""
         if a.value.shape != b.value.shape:
             raise ValueError(f"add needs equal shapes, got {a.value.shape} and {b.value.shape}")
         # Each parent owns its cotangent, so the second one gets a copy.
@@ -308,14 +315,6 @@ class Tape:
         value = np.multiply(a.value, b.value, out=self._empty(a.value.shape))
         return self._record(value, (a, b), lambda g: (
             g * b.value if a.needs_grad else None, g * a.value if b.needs_grad else None))
-
-    def concat(self, parts: list[Node]) -> Node:
-        ends = np.cumsum([p.value.shape[1] for p in parts])
-        value = np.concatenate([p.value for p in parts], axis=1,
-                               out=self._empty((parts[0].value.shape[0], int(ends[-1]))))
-        return self._record(value, parts, lambda g: [
-            g[:, end - p.value.shape[1]:end].copy() if p.needs_grad else None
-            for p, end in zip(parts, ends)])
 
     def gather(self, x: Node, index: np.ndarray) -> Node:
         """Select rows; repeated indices accumulate gradient additively.

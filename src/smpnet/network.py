@@ -403,14 +403,30 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
 
 
 def embedding_block(ctx: ForwardContext) -> Node:
-    """Initial messages from sender/receiver embeddings and the edge distance."""
-    tape, feats = ctx.tape, ctx.features
-    atoms = tape.gather(ctx.leaves["atom_embed"], feats.atomic_numbers)
-    senders = tape.gather(atoms, feats.edge_sender)
-    receivers = tape.gather(atoms, feats.edge_receiver)
+    """Initial messages from sender/receiver embeddings and the edge distance.
+
+    Each message is ``silu([h_s | h_r | e] @ W + b)``, with ``W`` =
+    ``input.merge.w``, ``h_s`` and ``h_r`` the embeddings of the sender's and
+    receiver's elements and ``e`` the encoded edge distance. ``W`` enters as
+    its sender, receiver and distance row blocks, each a leaf whose value and
+    gradient buffer are row views of ``W``'s. The element terms are computed
+    once per element: the whole ``atom_embed`` table times the sender block
+    plus ``b``, and times the receiver block, so a row's value does not depend
+    on the batch. Each edge gathers its two rows, and their sum is the
+    addend of the distance layer's pre-activation.
+    """
+    tape, feats, merge = ctx.tape, ctx.features, ctx.leaves["input.merge.w"]
+    grads = np.split(merge.grad, 3) if merge.needs_grad else [None] * 3
+    sender_w, receiver_w, distance_w = [
+        tape.constant(rows) if grad is None else tape.leaf(rows, grad)
+        for rows, grad in zip(np.split(merge.value, 3), grads)]
+    atoms = ctx.leaves["atom_embed"]
+    senders = tape.dense(atoms, sender_w, ctx.leaves["input.merge.b"])
+    receivers = tape.dense(atoms, receiver_w)
+    elements = tape.add(tape.gather(senders, feats.atomic_numbers[feats.edge_sender]),
+                        tape.gather(receivers, feats.atomic_numbers[feats.edge_receiver]))
     encoded = _bottleneck(ctx, "input.rbf", tape.constant(feats.edge_rbf))
-    merged = tape.concat([senders, receivers, encoded])
-    messages = _dense(ctx, "input.merge", merged, activation=True)
+    messages = tape.dense(encoded, distance_w, elements, silu=True)
     _check_finite(messages, "embedding block")
     return messages
 

@@ -62,22 +62,25 @@ def test_affine_silu_chain():
     check_program(lambda t, l: t.dense(l[0], l[1], l[2], silu=True), values)
 
 
-@pytest.mark.parametrize("bias, residual", [(True, False), (False, False), (True, True),
-                                            (False, True)],
-                         ids=["bias", "no_bias", "bias-residual", "no_bias-residual"])
+@pytest.mark.parametrize("bias, residual", [("row", False), (None, False), ("row", True),
+                                            (None, True), ("addend", False),
+                                            ("addend", True)],
+                         ids=["bias", "no_bias", "bias-residual", "no_bias-residual",
+                              "addend", "addend-residual"])
 @pytest.mark.parametrize("silu", [True, False], ids=["silu", "linear"])
 @pytest.mark.parametrize("shape", [(1, 3, 4), (7, 5, 2), (300, 64, 256)])
 def test_dense_matches_affine_and_silu_formulas(shape, silu, bias, residual):
     # The value and every gradient are bitwise those of the numpy expressions
     # of a separate affine, SiLU and residual add; the residual's gradient is
-    # the cotangent itself. Row 0 is scaled so that some pre-activations lie
-    # below -700, where exp(-y) overflows to inf.
+    # the cotangent itself, a bias row's the pre-activation's cotangent summed
+    # over rows and an addend's that cotangent itself. Row 0 is scaled so that
+    # some pre-activations lie below -700, where exp(-y) overflows to inf.
     rows, inner, width = shape
     rng = np.random.default_rng(11)
     x = rng.normal(size=(rows, inner))
     x[0] *= 1e4
     w = rng.normal(size=(inner, width))
-    b = rng.normal(size=width)
+    b = rng.normal(size=width if bias == "row" else (rows, width))
     g = rng.normal(size=(rows, width))
     r = rng.normal(size=(rows, width))
 
@@ -102,17 +105,28 @@ def test_dense_matches_affine_and_silu_formulas(shape, silu, bias, residual):
     assert np.array_equal(leaves[0].grad, d_y @ w.T)
     assert np.array_equal(leaves[1].grad, x.T @ d_y)
     if bias:
-        assert np.array_equal(leaves[2].grad, d_y.sum(0))
+        assert np.array_equal(leaves[2].grad, d_y.sum(0) if bias == "row" else d_y)
     if residual:
         assert np.array_equal(r_leaf.grad, g)
 
 
-def test_mul_add_concat():
+def join(tape, nodes):
+    """One (rows, 5) node that every column of every node feeds: the sum of
+    ``nodes[i] @ c_i`` over fixed constant matrices, each product the
+    addend of the next dense layer."""
+    out = None
+    for i, node in enumerate(nodes):
+        mix = np.cos(np.arange(5 * node.value.shape[1]) + i).reshape(-1, 5)
+        out = tape.dense(node, tape.constant(mix), out)
+    return out
+
+
+def test_mul_add():
     rng = np.random.default_rng(1)
     values = [rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
 
     def program(t, l):
-        return t.concat([t.mul(l[0], l[1]), t.add(l[0], l[2])])
+        return join(t, [t.mul(l[0], l[1]), t.add(l[0], l[2])])
 
     check_program(program, values)
 
@@ -143,10 +157,17 @@ def test_stacked_matmul_matches_per_block_matmul(widths):
     runs = []
     for op in (Tape.blocked_matmul, per_block_matmul):
         rows, calls = counted_rows(a)
-        tape, leaves, out = run_program(lambda t, l: t.concat(op(t, rows, n_rows, l)), values)
+        views = []
+
+        def program(t, l):
+            views[:] = op(t, rows, n_rows, l)
+            return join(t, views)
+
+        tape, leaves, out = run_program(program, values)
         forward_calls = list(calls)
         tape.backward(out, np.cos(np.arange(out.value.size)).reshape(out.value.shape))
-        runs.append((out.value, [leaf.grad for leaf in leaves], forward_calls, calls))
+        runs.append((np.hstack([view.value for view in views]),
+                     [leaf.grad for leaf in leaves], forward_calls, calls))
     (value, grads, forward_calls, calls), (expected, expected_grads, _, _) = runs
     assert np.array_equal(value, expected)
     for grad, expected_grad in zip(grads, expected_grads):
@@ -162,7 +183,7 @@ def test_stacked_matmul_gradients_match_finite_differences(monkeypatch):
     for n_rows in (0, 1, 5):
         rows, _ = counted_rows(rng.normal(size=(n_rows, 4)))
         values = [rng.normal(size=(4, 2)), rng.normal(size=(4, 3))]
-        check_program(lambda t, l: t.concat(t.blocked_matmul(rows, n_rows, l)), values)
+        check_program(lambda t, l: join(t, t.blocked_matmul(rows, n_rows, l)), values)
 
 
 def test_blocked_matmul_views_take_their_columns_of_one_node():
@@ -240,18 +261,19 @@ def test_add_rows_accumulates_onto_contents_in_input_order(shape):
     assert np.array_equal(out, expected)
 
 
-def test_gather_gradient_from_concat_slice_matches_add_at():
-    # concat hands each part a non-contiguous column slice of its gradient.
+def test_gather_gradient_through_dense_addend_matches_add_at():
+    # A linear dense layer hands its addend the cotangent itself, as the
+    # embedding block's gathered element rows receive theirs.
     rng = np.random.default_rng(6)
     x = rng.normal(size=(6, 3))
     idx = rng.integers(0, 6, size=50)
     tape = Tape()
     leaf = new_leaf(tape, x)
     other = new_leaf(tape, rng.normal(size=(50, 2)))
-    out = tape.concat([tape.gather(leaf, idx), other])
-    upstream = rng.normal(size=(50, 5)) * 10.0 ** rng.integers(-8, 9, size=(50, 5))
+    out = tape.dense(other, tape.constant(rng.normal(size=(2, 3))), tape.gather(leaf, idx))
+    upstream = rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-8, 9, size=(50, 3))
     tape.backward(out, upstream)
-    assert np.array_equal(leaf.grad, add_at_reference(idx, upstream[:, :3], 6))
+    assert np.array_equal(leaf.grad, add_at_reference(idx, upstream, 6))
 
 
 def test_constants_receive_no_gradient_work():
@@ -280,6 +302,9 @@ def test_dense_residual_shape_mismatch_rejected():
     x = new_leaf(tape, np.ones((3, 2)))
     with pytest.raises(ValueError, match="residual shape"):
         tape.dense(x, tape.constant(np.ones((2, 4))), residual=new_leaf(tape, np.ones(4)))
+    # A 2-D b is an addend, which must have the output's shape too.
+    with pytest.raises(ValueError, match="addend shape"):
+        tape.dense(x, tape.constant(np.ones((2, 4))), new_leaf(tape, np.ones((1, 4))))
 
 
 def test_backward_shape_mismatch_rejected():
@@ -380,12 +405,18 @@ def test_vjps_hand_each_parent_its_own_array(tiny_cfg):
     x = new_leaf(tape, rng.normal(size=(4, 3)))
     y = new_leaf(tape, rng.normal(size=(4, 2)))
     w = new_leaf(tape, rng.normal(size=(3, 3)))
+    v = new_leaf(tape, rng.normal(size=(2, 3)))
+    doubled = tape.add(x, x)
     # A dense layer whose input is also its residual is the analogue of add(x, x).
-    joined = tape.concat([tape.add(x, x), y, tape.constant(np.ones((4, 1))), x,
-                          tape.dense(x, w, silu=True, residual=x),
-                          tape.dense(x, w, residual=x)])
-    tape.mul(joined, joined)
-    assert len(tape.nodes) == 5
+    tape.dense(x, w, silu=True, residual=x)
+    tape.dense(x, w, residual=x)
+    # Addends: a constant, one that other ops also read, and one that is also
+    # the layer's residual.
+    tape.dense(x, w, tape.constant(np.ones((4, 3))))
+    tape.dense(y, v, doubled, silu=True)
+    tape.dense(y, v, doubled, residual=doubled)
+    tape.mul(doubled, doubled)
+    assert len(tape.nodes) == 7
     check_vjp_ownership(tape, rng)
 
     merged = merge_features([featurize_graph(random_graph(rng, n_atoms=n), tiny_cfg)

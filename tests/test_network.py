@@ -136,6 +136,36 @@ def test_embedding_block_row_count(tiny_cfg):
     assert messages.value.shape == (2, tiny_cfg.embed_size)
 
 
+def test_embedding_block_matches_concat_formula(tiny_cfg):
+    # silu([h_s | h_r | e] @ W + b) per edge, built whole in numpy, and its
+    # gradients: each row block of W and atom_embed get their own terms.
+    params = init_params(tiny_cfg, seed=5)
+    rng = np.random.default_rng(7)
+    feats = featurize_graph(random_graph(rng, n_atoms=6, max_z=tiny_cfg.max_z), tiny_cfg)
+    assert np.unique(feats.atomic_numbers).size > 1
+    v = params.values
+    h = v["atom_embed"][feats.atomic_numbers]
+    e = feats.edge_rbf @ v["input.rbf.down"] @ v["input.rbf.up"] + v["input.rbf.b"]
+    joined = np.hstack([h[feats.edge_sender], h[feats.edge_receiver], e])
+    pre = joined @ v["input.merge.w"] + v["input.merge.b"]
+    sig = 1.0 / (1.0 + np.exp(-pre))
+    upstream = rng.normal(size=pre.shape)
+    d_pre = upstream * sig * (1.0 + pre * (1.0 - sig))
+    d_h = d_pre @ v["input.merge.w"].T
+    d_atoms = np.zeros_like(v["atom_embed"])
+    np.add.at(d_atoms, feats.atomic_numbers[feats.edge_sender], d_h[:, :tiny_cfg.embed_size])
+    np.add.at(d_atoms, feats.atomic_numbers[feats.edge_receiver],
+              d_h[:, tiny_cfg.embed_size:2 * tiny_cfg.embed_size])
+
+    ctx = begin_forward(feats, params, tiny_cfg)
+    messages = embedding_block(ctx)
+    np.testing.assert_allclose(messages.value, pre * sig, rtol=1e-12, atol=1e-15)
+    ctx.tape.backward(messages, upstream)
+    for name, expected in (("input.merge.w", joined.T @ d_pre), ("input.merge.b", d_pre.sum(0)),
+                           ("atom_embed", d_atoms)):
+        np.testing.assert_allclose(params.grads[name], expected, rtol=1e-12, atol=1e-15)
+
+
 def test_blocks_compose_and_count_layers(tiny_cfg):
     params = init_params(tiny_cfg, seed=3)
     rng = np.random.default_rng(0)
@@ -384,13 +414,14 @@ def test_tape_lists_only_the_nodes_its_sweep_visits(tiny_cfg, mode):
     assert not any(id(node) in leaves for node in ctx.tape.nodes)
 
 
-@pytest.mark.parametrize("cfg, nodes", [(RunConfig(), 65), (ablation_config(), 33)],
+@pytest.mark.parametrize("cfg, nodes", [(RunConfig(), 66), (ablation_config(), 34)],
                          ids=["default", "ablation"])
 def test_tape_nodes_per_forward(cfg, nodes):
-    # One node per dense layer (residual adds included), gather, mul, concat,
+    # One node per dense layer (residual adds included), gather, add, mul,
     # stacked product and its per-block views, pair aggregate and segment
     # sum; the counts do not depend on the graph. A change that moves them
-    # records the old and new counts.
+    # records the old and new counts: with one per-edge concat of gathered
+    # atom rows in the embedding block they were 65 and 33.
     chain = synthetic_torsion_task(64, seed=0)[0]
     ctx = forward_features(featurize_graph(chain, cfg), init_params(cfg, seed=0), cfg)
     assert len(ctx.tape.nodes) == nodes
@@ -723,8 +754,10 @@ def test_backward_accumulates_into_buffers(tiny_cfg):
 @pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
 def test_backward_writes_into_flat_grads(tiny_cfg, mode, monkeypatch):
     # One gradient store: the returned arrays are views into flat_grads,
-    # bitwise the gradients of a sweep whose leaves own their buffers, and a
-    # stale buffer is cleared, so encoders the mode never uses read exactly 0.
+    # bitwise the gradients of a sweep whose parameter leaves own their
+    # buffers, and a stale buffer is cleared, so encoders the mode never uses
+    # read exactly 0. The row blocks of input.merge.w are leaves whose buffers
+    # are row views of their parameter leaf's, whichever buffer that has.
     cfg = tiny_cfg.replace(ablation_mode=mode)
     params = init_params(cfg, seed=101)
     feats = batch_features(cfg, 103)
@@ -735,8 +768,8 @@ def test_backward_writes_into_flat_grads(tiny_cfg, mode, monkeypatch):
     assert all(np.shares_memory(grad, params.flat_grads) for grad in grads.values())
 
     leaf = Tape.leaf
-    monkeypatch.setattr(Tape, "leaf",
-                        lambda tape, value, grad: leaf(tape, value, np.zeros_like(value)))
+    monkeypatch.setattr(Tape, "leaf", lambda tape, value, grad: leaf(
+        tape, value, np.zeros_like(value) if np.shares_memory(grad, params.flat_grads) else grad))
     unbound = forward_features(feats, params, cfg)
     unbound.tape.backward(unbound.prediction, upstream[:, None])
     for name, node in unbound.leaves.items():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import smpnet.train as T
-from smpnet.autodiff import Workspace
+from smpnet.autodiff import Tape, Workspace
 from smpnet.elements import SYMBOL_TO_Z
 from smpnet.geometry import rigid_transform
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
@@ -290,9 +290,11 @@ def test_predict_memory_does_not_grow_with_dataset(tiny_cfg):
 
 # The traced peak of predicting the largest seed-7 clusters-eval cluster (64
 # atoms, 44k pairs) at the default config: 159.0 MB while the angle and
-# torsion bases were stored whole, 63.5 MB with their factors. The bound
-# leaves 26% over the measured peak; a change that moves the peak records
-# the old and new values, and none raises the bound to let a regression pass.
+# torsion bases were stored whole, 63.5 MB with their factors, 60.3 MB once
+# SiLU layers kept only their slope and 54.6 MB once the embedding block
+# multiplied each element once. The bound was set at 26% over 63.5 MB; a
+# change that moves the peak records the old and new values, and none raises
+# the bound to let a regression pass.
 PREDICT_PEAK_MB = 80.0
 
 
@@ -319,25 +321,55 @@ def test_predict_peak_on_the_largest_cluster():
 # and the first 64 seed-0 chains-train chains at the ablation config (692
 # edges, 1232 pairs). While each SiLU layer kept its pre-activation, sigmoid
 # and output and each residual add its own output they were (108,
-# 205_046_560) and (50, 13_571_840). Sizes follow from shapes alone, so the
-# pin holds on any build; a change that moves it records the old and new
-# values, and none moves it up to let a regression pass.
-WORKSPACE = {"molecules-train": (8, 78, 136_590_112), "chains-train": (64, 38, 9_897_728)}
+# 205_046_560) and (50, 13_571_840); while the embedding block concatenated
+# gathered atom rows with the distance encoding, (78, 136_590_112) and (38,
+# 9_897_728). Sizes follow from shapes alone, so the pin holds on any build;
+# a change that moves it records the old and new values, and none moves it up
+# to let a regression pass.
+WORKSPACE = {"molecules-train": (8, 79, 131_859_232), "chains-train": (64, 39, 9_147_136)}
+
+# Multiply-adds of every Tape.dense call (rows x inner x columns) in one taped
+# forward of the same two batches. The same rules hold as for WORKSPACE. While
+# the embedding block multiplied the per-edge concat of gathered atom rows and
+# the distance encoding by the whole input.merge.w they were 1_883_907_712
+# and 32_958_784.
+DENSE_MULTIPLY_ADDS = {"molecules-train": 1_739_073_152, "chains-train": 28_002_624}
 
 
-@pytest.mark.parametrize("workload", sorted(WORKSPACE))
-def test_training_forward_workspace_is_pinned(workload):
-    n_graphs, slots, size = WORKSPACE[workload]
+def pinned_batch(workload):
+    """The workload's run config and the merged features of its pinned batch."""
+    n_graphs = WORKSPACE[workload][0]
     workloads = perfbench_workloads()
     cfg = workloads.run_config(workload, 0)
     graphs = [Graph3D(np.array([SYMBOL_TO_Z[s] for s in symbols]), positions,
                       graph_target=target, id=str(i))
               for i, (symbols, positions, target)
               in enumerate(workloads.frames_for(workload, 0)[:n_graphs])]
-    features = merge_features([featurize_graph(g, cfg) for g in graphs])
+    return cfg, merge_features([featurize_graph(g, cfg) for g in graphs])
+
+
+@pytest.mark.parametrize("workload", sorted(WORKSPACE))
+def test_training_forward_workspace_is_pinned(workload):
+    _, slots, size = WORKSPACE[workload]
+    cfg, features = pinned_batch(workload)
     workspace = Workspace()
     forward_features(features, init_params(cfg, seed=0), cfg, workspace=workspace)
     assert (len(workspace.slots), sum(slot.nbytes for slot in workspace.slots)) == (slots, size)
+
+
+@pytest.mark.parametrize("workload", sorted(DENSE_MULTIPLY_ADDS))
+def test_training_forward_dense_multiply_adds_are_pinned(workload, monkeypatch):
+    cfg, features = pinned_batch(workload)
+    counted = []
+    dense = Tape.dense
+
+    def counting_dense(tape, x, w, *args, **kwargs):
+        counted.append(x.value.shape[0] * w.value.shape[0] * w.value.shape[1])
+        return dense(tape, x, w, *args, **kwargs)
+
+    monkeypatch.setattr(Tape, "dense", counting_dense)
+    forward_features(features, init_params(cfg, seed=0), cfg, workspace=Workspace())
+    assert sum(counted) == DENSE_MULTIPLY_ADDS[workload]
 
 
 # --- training loop -----------------------------------------------------------------

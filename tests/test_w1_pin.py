@@ -39,18 +39,18 @@ NUMPY = "2.4.6"
 OPENBLAS = "0.3.31.188.0"
 CORE = "SkylakeX"
 
-BEST = "8bd4d430f8862da36347e6eb16f1e17d03c1d9767651fb4188d4489e1b26a530"
-FINAL = "d074f64c6fc32d607ff290f7f7266f3675fc6256154eef1a6093798b1e81d2a6"
-LOG = "77f6da400a761d966c6938c4315476aaedac21c1a4e985bf33d68dc6143837e0"
+BEST = "4c4269ea2b6f8e27fd5a3368775161051317e1871c663af7bc17d84be291d17c"
+FINAL = "c05b3c976ee84f0299cd8b6baf7b8409768c6d98ea93c16177cbff7f5a8732bc"
+LOG = "178bf9e27d2a53e613d612212b3e7b122e4b1bf220607273f00bafbbfbf61f80"
 
 # (checkpoint, epoch log) per mode. Best and final are the same parameters:
 # each mode's best epoch is its last.
 DEFAULT_CONFIG = {
-    FULL: ("cbd6d4bb8f47742bed1756184f765b3c7faace2fcae8c86bdb878500d9912316",
-           "e573b45b12f36e474e782b98b65625ded1a0c309476542cb56b4ecb777f8c68f"),
-    NO_TORSION: ("fa30d3d11008a74db9225d949d118538bc85b4bace28fb867ab1b95909dea488",
+    FULL: ("a47c7026a9e520b3289f77a6a55036fbb711a4221c2dd192394958e6edcf61f3",
+           "a99655c7fde048642a8975884d92e5bad02089500e426daa823105d8e4613148"),
+    NO_TORSION: ("f38acadff7d1672376e52376c688231f274fa568f4e04b0b4916c2ef98bf3e91",
                  "90750ea2e66975be79e44ca813fa3d05ad9c05d582d93d0bc6ccacb56100e8c4"),
-    NO_ANGLE_TORSION: ("a7eaf9fd33668f32035d452afa710383e6648a6644accdab1a54a0894bc64084",
+    NO_ANGLE_TORSION: ("10dabc9a1d03792c63cd08f443886a946b0a9eb7a92676b86222076d6e7dbc79",
                        "0eb2d8febe418b74e95a0fc8d553aff9de48f8fe23cc5beccba050fc3f3cc5c2"),
 }
 
