@@ -4,7 +4,7 @@ Three nested representations share one construction: spherical Bessel
 radial factors pinned to zero at the cutoff through the root boundary
 condition k = z_ln / c, combined with real spherical harmonics.
 
-  * distance embedding  : sqrt(2/c) * sin(n*pi*d/c) / d
+  * distance embedding  : norm(0,n) * j_0(n*pi*d/c) = sqrt(2/c) * sin(n*pi*d/c) / d
   * distance-angle      : norm(l,n) * j_l(z_ln*d/c) * Y_l^0(theta)
   * distance-angle-torsion: norm(l,n) * j_l(z_ln*d/c) * Y_l^m(theta, phi)
 
@@ -15,31 +15,39 @@ over the sphere. All evaluations are pure. Point arguments are scalars or
 
 Each ingredient is computed once: the roots z_ln of every order in one
 vectorized solve (cached per table size), the radial factors in one Bessel
-recurrence over every distinct distance and order, and the harmonics in one
-sweep, ``_harmonics``, that yields every Y_l^m column. The pair embeddings
-are products of these two factors, so a caller that holds them computes each
-once and passes them to ``sbf_embed`` and ``tbf_embed`` as ``radial=`` (the
-``_radial_table`` of the distances) and ``angular=`` (the sweep of the
-angles). Both embeddings take the same sweep; the distance-angle embedding
-reads its zonal Y_l^0 columns l*l + l, which only this module names. The
-network keeps the radial table per edge and the sweep per pair, and
-rebuilds the embeddings from them a block of pairs at a time. A point's
-Bessel values depend only on that point, never on the other points
-evaluated with it, so a shared or gathered table is bitwise the one each
-embedding computes on its own. Arguments must be finite and in range; NaN,
-infinity, Bessel arguments above ``MAX_ARGUMENT`` and an overflowing m*phi
-raise ``BasisError``, with or without the factors given.
+recurrence over every distinct distance and order, ``_radial_table``, and
+the harmonics in one sweep, ``_harmonics``, that yields every Y_l^m. The
+distance embedding is the l = 0 rows of the radial table (z_0n = n*pi), and
+the pair embeddings are products of the table and the sweep. So a caller
+that holds the factors computes each once and passes the table to all three
+embeddings as ``radial=`` and the sweep to ``sbf_embed`` and ``tbf_embed``
+as ``angular=``. Both pair embeddings take the same sweep; the
+distance-angle embedding reads its zonal Y_l^0 rows l*l + l, which only this
+module names. The network keeps the radial table per edge and the sweep per
+pair, and rebuilds the pair embeddings from them a block of pairs at a time.
+A point's Bessel values depend only on that point, never on the other
+points evaluated with it, so a shared or gathered table is bitwise the one
+each embedding computes on its own. Arguments must be finite and in range;
+NaN, infinity, Bessel arguments above ``MAX_ARGUMENT``, an overflowing m*phi
+and orders or counts that are not integers raise ``BasisError``, with or
+without the factors given.
 
-The pair embeddings are column-major: ``sbf_embed`` and ``tbf_embed`` fill
+The factors keep one layout from here to the network, the point axis last:
+the radial table is (n_shbf, n_srbf, points) and the sweep (n_shbf^2,
+points), so each of their rows is one contiguous run over the points. The
+pair embeddings are column-major: ``sbf_embed`` and ``tbf_embed`` fill
 (columns, points) buffers and return their transposes, with the documented
 shapes and (l, m, n) column order. Each product of a radial row and a
 harmonic row then runs along the long point axis, and the network's
-down-projection reads each column as one contiguous run.
+down-projection reads each column as one contiguous run. The distance
+embedding is a C-contiguous copy of its rows, points first.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,17 +59,22 @@ MAX_ROOTS = 64
 # d <= c is at most its root, so every argument the model evaluates is here.
 MAX_ARGUMENT = (MAX_ROOTS + MAX_ORDER) * math.pi
 
-# Distance embeddings switch to their analytic d -> 0 limit below this.
-SMALL_DISTANCE = 1e-8
-
 
 class BasisError(ValueError):
-    """Raised for out-of-range basis arguments."""
+    """Raised for malformed or out-of-range basis arguments."""
 
 
-def _check_order(order: int):
-    if not 0 <= order <= MAX_ORDER:
-        raise BasisError(f"order {order} outside supported range [0, {MAX_ORDER}]")
+def _check_int(value, name: str, top: int, bottom: int = 0) -> int:
+    """An order, m or count read through ``operator.index`` (numpy integers
+    too) and checked to lie in [bottom, top]; anything else, a float too,
+    raises ``BasisError``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise BasisError(f"{name} must be an integer, got {value!r}") from None
+    if not bottom <= value <= top:
+        raise BasisError(f"{name} {value} outside supported range [{bottom}, {top}]")
+    return value
 
 
 def _points(*args) -> tuple[bool, list[np.ndarray]]:
@@ -104,7 +117,7 @@ def spherical_bessel(order: int, x) -> np.ndarray | float:
     catastrophic cancellation of upward recurrence at x < order. The x -> 0
     limit is handled analytically. Other arguments raise ``BasisError``.
     """
-    _check_order(order)
+    order = _check_int(order, "order", MAX_ORDER)
     scalar, (x_arr,) = _points(x)
     if not np.all((x_arr >= 0) & (x_arr <= MAX_ARGUMENT)):
         raise BasisError(f"spherical Bessel argument must lie in [0, {MAX_ROOTS + MAX_ORDER}*pi]")
@@ -200,9 +213,8 @@ def bessel_roots(l_max: int, n_max: int) -> np.ndarray:
     root, then all brackets are bisected at once and polished by two Newton
     steps, which leaves |j_l(z)| of order 1e-16.
     """
-    _check_order(l_max)
-    if not 1 <= n_max <= MAX_ROOTS:
-        raise BasisError(f"n_max {n_max} outside supported range [1, {MAX_ROOTS}]")
+    l_max = _check_int(l_max, "order", MAX_ORDER)
+    n_max = _check_int(n_max, "n_max", MAX_ROOTS, 1)
     roots = np.empty((l_max + 1, n_max), dtype=np.float64)
     # j_0 = sin(x)/x: its roots are exactly n*pi.
     roots[0] = np.arange(1, n_max + 1) * np.pi
@@ -245,26 +257,26 @@ def real_sph_harm(order: int, m: int, theta, phi=0.0) -> np.ndarray | float:
     Unit-normalized (the square integrates to 1 over the sphere); positive m
     carries cos(m*phi), negative m carries sin(|m|*phi), and no
     Condon-Shortley phase is applied. m = 0 is the zonal harmonic and ignores
-    phi. The value is column (order, m) of the sweep the embeddings use.
+    phi. The value is row (order, m) of the sweep the embeddings use.
     Non-finite angles and an overflowing order * phi raise ``BasisError``.
     """
-    _check_order(order)
-    if abs(m) > order:
-        raise BasisError(f"|m| = {abs(m)} exceeds degree {order}")
+    order = _check_int(order, "order", MAX_ORDER)
+    m = _check_int(m, "m", order, -order)
     scalar, (theta_arr, phi_arr) = _points(theta, phi)
     _check_angle(theta_arr)
     _check_angle(phi_arr, order)
-    result = _harmonics(order + 1, theta_arr, phi_arr)[:, order * order + order + m]
+    result = _harmonics(order + 1, theta_arr, phi_arr)[order * order + order + m]
     return float(result[0]) if scalar else result
 
 
 def _harmonics(degrees: int, theta: np.ndarray, phi) -> np.ndarray:
-    """Every Y_l^m with l < degrees; shape (len(theta), degrees^2).
+    """Every Y_l^m with l < degrees; shape (degrees^2, len(theta)).
 
-    Column l*l + l + m holds (l, m), so each degree's columns run m = -l..l.
-    One upward recurrence in l per m evaluates P_l^m(cos theta) without the
-    Condon-Shortley phase, from P_m^m = (2m-1)!! sin^m theta, and cos/sin of
-    m*phi are computed once per m. The result is a transposed view.
+    Row l*l + l + m holds (l, m), so each degree's rows run m = -l..l, and
+    each row is one contiguous run over the points. One upward recurrence in
+    l per m evaluates P_l^m(cos theta) without the Condon-Shortley phase,
+    from P_m^m = (2m-1)!! sin^m theta, and cos/sin of m*phi are computed
+    once per m.
     """
     u = np.cos(theta)
     s = np.sin(theta)
@@ -282,7 +294,7 @@ def _harmonics(degrees: int, theta: np.ndarray, phi) -> np.ndarray:
             else:
                 out[centre + m] = scaled * cos_m
                 out[centre - m] = scaled * sin_m
-    return out.T
+    return out
 
 
 def _legendre_rows(m: int, degrees: int, u: np.ndarray, pmm: np.ndarray):
@@ -332,15 +344,17 @@ class BasisTables:
         return self.n_shbf * self.n_srbf
 
 
-@functools.lru_cache(maxsize=32)
+# Typed, so that a float count is validated, not answered by its int's entry.
+@functools.lru_cache(maxsize=32, typed=True)
 def build_tables(cutoff: float, n_srbf: int, n_shbf: int) -> BasisTables:
-    """Construct (and cache) the root/normalization tables."""
-    if not cutoff > 0:
-        raise BasisError(f"cutoff must be positive, got {cutoff}")
-    if not 1 <= n_shbf <= MAX_ORDER:
-        raise BasisError(f"n_shbf {n_shbf} outside supported range [1, {MAX_ORDER}]")
-    if not 1 <= n_srbf <= MAX_ROOTS:
-        raise BasisError(f"n_srbf {n_srbf} outside supported range [1, {MAX_ROOTS}]")
+    """Construct (and cache) the root/normalization tables.
+
+    The cutoff is a positive real number and the counts are integers in
+    range; anything else raises ``BasisError``."""
+    if not (isinstance(cutoff, numbers.Real) and cutoff > 0):
+        raise BasisError(f"cutoff must be a positive real number, got {cutoff!r}")
+    n_shbf = _check_int(n_shbf, "n_shbf", MAX_ORDER, 1)
+    n_srbf = _check_int(n_srbf, "n_srbf", MAX_ROOTS, 1)
     roots = bessel_roots(n_shbf - 1, n_srbf)
     orders = np.arange(n_shbf)
     j_next = _bessel_table(n_shbf, roots.ravel()).reshape(
@@ -360,22 +374,19 @@ def tables_for(cfg) -> BasisTables:
     return build_tables(cfg.cutoff_c, cfg.n_srbf, cfg.n_shbf)
 
 
-def rbf_embed(d, tables: BasisTables) -> np.ndarray:
+def rbf_embed(d, tables: BasisTables, *, radial=None) -> np.ndarray:
     """Distance embedding sqrt(2/c) * sin(n*pi*d/c) / d for n = 1..n_srbf.
 
-    Shape (len(d), n_srbf), or (n_srbf,) for a scalar d. Below d = 1e-8
-    the analytic d -> 0 limit sqrt(2/c) * n*pi/c is used.
+    Shape (len(d), n_srbf), C-contiguous, or (n_srbf,) for a scalar d. The
+    values are the l = 0 rows of the radial table, copied points first: with
+    z_0n = n*pi, norm(0, n) * j_0(n*pi*d/c) is the expression above, and the
+    Bessel series carries it to its d -> 0 limit sqrt(2/c) * n*pi/c. A
+    caller that holds the table passes it as ``radial``, as in ``sbf_embed``.
     """
     scalar, (d_arr,) = _points(d)
-    _check_distance(d_arr, tables.cutoff)
-    c = tables.cutoff
-    n = np.arange(1, tables.n_srbf + 1, dtype=np.float64)
-    prefactor = math.sqrt(2.0 / c)
-    small = d_arr < SMALL_DISTANCE
-    safe_d = np.where(small, 1.0, d_arr)
-    values = prefactor * np.sin(np.outer(d_arr, n) * (np.pi / c)) / safe_d[:, None]
-    values[small] = prefactor * n * np.pi / c
-    return values[0] if scalar else values
+    radial = _radial_factor(radial, d_arr, tables)
+    out = np.ascontiguousarray(radial[0].T)
+    return out[0] if scalar else out
 
 
 def sbf_embed(d, theta, tables: BasisTables, *, radial=None, angular=None) -> np.ndarray:
@@ -389,22 +400,18 @@ def sbf_embed(d, theta, tables: BasisTables, *, radial=None, angular=None) -> np
     copy.
 
     A caller that holds the factors passes them instead of having them
-    computed: ``radial`` is the ``_radial_table`` of the broadcast d, shape
-    (points, n_shbf, n_srbf), and ``angular`` the harmonic sweep of the
-    broadcast angles, shape (points, n_shbf^2), as ``tbf_embed`` takes it; only
-    its zonal columns Y_l^0 are read, so any phi may have made it. Either of
-    another shape raises ``BasisError``; d and theta are range-checked all the
-    same.
+    computed, in the layout they are made in, points last: ``radial`` is the
+    ``_radial_table`` of the broadcast d, shape (n_shbf, n_srbf, points), and
+    ``angular`` the ``_harmonics`` sweep of the broadcast angles, shape
+    (n_shbf^2, points), as ``tbf_embed`` takes it; only its zonal rows Y_l^0
+    are read, so any phi may have made it. Either of another shape raises
+    ``BasisError``; d and theta are range-checked all the same.
     """
     scalar, (d_arr, theta_arr) = _points(d, theta)
-    _check_distance(d_arr, tables.cutoff)
+    radial = _radial_factor(radial, d_arr, tables)
     _check_polar(theta_arr)
-    radial = _point_axis_last(
-        _radial_table(d_arr, tables) if radial is None else radial,
-        (d_arr.size, tables.n_shbf, tables.n_srbf), "radial")
-    angular = _point_axis_last(
-        _harmonics(tables.n_shbf, theta_arr, 0.0) if angular is None else angular,
-        (d_arr.size, tables.n_shbf ** 2), "angular")
+    angular = _factor(angular, (tables.n_shbf ** 2, d_arr.size), "angular",
+                      lambda: _harmonics(tables.n_shbf, theta_arr, 0.0))
     orders = np.arange(tables.n_shbf)
     zonal = angular[orders * orders + orders]
     out = (radial * zonal[:, None, :]).transpose(2, 0, 1)
@@ -424,19 +431,15 @@ def tbf_embed(d, theta, phi, tables: BasisTables, *, radial=None, angular=None) 
     row, so every product runs along the long point axis, and the
     down-projection ``feature @ down`` reads the columns it needs as
     contiguous runs. ``radial`` is as in ``sbf_embed``; ``angular`` holds
-    every harmonic Y_l^m of the broadcast angles in ``_harmonics``' column
-    order, shape (points, n_shbf^2).
+    every harmonic Y_l^m of the broadcast angles in ``_harmonics``' row
+    order, shape (n_shbf^2, points).
     """
     scalar, (d_arr, theta_arr, phi_arr) = _points(d, theta, phi)
-    _check_distance(d_arr, tables.cutoff)
+    radial = _radial_factor(radial, d_arr, tables)
     _check_polar(theta_arr)
     _check_angle(phi_arr, tables.n_shbf - 1)
-    radial = _point_axis_last(
-        _radial_table(d_arr, tables) if radial is None else radial,
-        (d_arr.size, tables.n_shbf, tables.n_srbf), "radial")
-    angular = _point_axis_last(
-        _harmonics(tables.n_shbf, theta_arr, phi_arr) if angular is None else angular,
-        (d_arr.size, tables.n_shbf ** 2), "angular")
+    angular = _factor(angular, (tables.n_shbf ** 2, d_arr.size), "angular",
+                      lambda: _harmonics(tables.n_shbf, theta_arr, phi_arr))
     out = np.empty((tables.n_shbf ** 2, tables.n_srbf, d_arr.size), dtype=np.float64)
     for ell in range(tables.n_shbf):
         block = slice(ell * ell, (ell + 1) ** 2)
@@ -445,22 +448,33 @@ def tbf_embed(d, theta, phi, tables: BasisTables, *, radial=None, angular=None) 
     return out[0] if scalar else out
 
 
-def _point_axis_last(table, shape: tuple, name: str) -> np.ndarray:
-    """A factor table of ``shape`` (points first) with its point axis moved
-    last; any other shape raises ``BasisError``."""
+def _radial_factor(radial, d: np.ndarray, tables: BasisTables) -> np.ndarray:
+    """The radial table of the range-checked distances ``d``: ``radial`` if
+    given, else computed."""
+    _check_distance(d, tables.cutoff)
+    return _factor(radial, (tables.n_shbf, tables.n_srbf, d.size), "radial",
+                   lambda: _radial_table(d, tables))
+
+
+def _factor(table, shape: tuple, name: str, make) -> np.ndarray:
+    """A factor table: ``make()`` when ``table`` is None, else ``table`` as
+    float64, checked to have ``shape`` (point axis last); any other shape
+    raises ``BasisError``."""
+    if table is None:
+        return make()
     table = np.asarray(table, dtype=np.float64)
     if table.shape != shape:
         raise BasisError(f"{name} table of shape {table.shape} does not match "
                          f"the expected {shape}")
-    return table.transpose(*range(1, table.ndim), 0)
+    return table
 
 
 def _radial_table(d: np.ndarray, tables: BasisTables) -> np.ndarray:
-    """norm(l, n) * j_l(z_ln * d / c) for all (l, n); shape (len(d), l, n).
+    """norm(l, n) * j_l(z_ln * d / c) for all (l, n); shape (l, n, len(d)).
 
-    The shape is a transposed view of an (l, n, len(d)) buffer, so the
-    embeddings multiply whole rows along the point axis; ``featurize_graph``
-    keeps that buffer per edge and gathers its columns to the pairs.
+    The point axis is last, so the embeddings multiply whole rows along it;
+    its l = 0 rows are the distance embedding. ``featurize_graph`` keeps the
+    table per edge and gathers its columns to the pairs.
 
     The table is evaluated once per distinct value of ``d`` and gathered by
     one ``np.take``. One Bessel recurrence up to order n_shbf - 1 runs over
@@ -475,4 +489,4 @@ def _radial_table(d: np.ndarray, tables: BasisTables) -> np.ndarray:
     values = _bessel_table(tables.n_shbf - 1, x.ravel()).reshape(
         tables.n_shbf, tables.n_shbf, tables.n_srbf, distinct.size)
     out = values[orders, orders] * tables.norms[:, :, None]
-    return np.take(out, inverse, axis=2).transpose(2, 0, 1)
+    return np.take(out, inverse, axis=2)

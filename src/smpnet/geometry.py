@@ -205,16 +205,20 @@ def rigid_transform(graph: Graph3D, rotation: np.ndarray,
                     translation: np.ndarray) -> Graph3D:
     """Apply a proper rigid motion r -> R r + t to all positions.
 
-    ``rotation`` must be orthogonal within 1e-12 with determinant +1;
-    reflections are rejected.
+    ``rotation`` must be finite and orthogonal within 1e-12 with determinant
+    +1, and ``translation`` finite; reflections are rejected.
     """
     rotation = np.asarray(rotation, dtype=np.float64)
     translation = np.asarray(translation, dtype=np.float64)
-    if rotation.shape != (3, 3) or translation.shape != (3,):
-        raise GeometryError("expected a 3x3 rotation and a 3-vector translation")
-    residual = rotation.T @ rotation - np.eye(3)
-    if np.max(np.abs(residual)) > ORTHOGONALITY_TOL:
-        raise GeometryError("rotation matrix is not orthogonal within 1e-12")
+    # Comparison chains that NaN and infinity fail, made before any arithmetic
+    # on them. No entry of an orthogonal matrix exceeds 1 in magnitude, so the
+    # product is taken only when it cannot overflow.
+    if not (rotation.shape == (3, 3) and translation.shape == (3,)
+            and np.all(np.abs(translation) < np.inf)):
+        raise GeometryError("expected a 3x3 rotation and a finite 3-vector translation")
+    if not (np.all(np.abs(rotation) <= 1 + ORTHOGONALITY_TOL)
+            and np.max(np.abs(rotation.T @ rotation - np.eye(3))) <= ORTHOGONALITY_TOL):
+        raise GeometryError("rotation matrix must be finite and orthogonal within 1e-12")
     if np.linalg.det(rotation) < 0:
         raise GeometryError("improper rotation (reflection) rejected")
     new_positions = graph.positions @ rotation.T + translation

@@ -214,14 +214,17 @@ class GraphFeatures:
     the edges or pairs.
 
     The layout is the same in every ablation mode. The angle and torsion
-    bases are kept as their two factors, not as their product.
-    ``edge_radial`` holds the radial rows norm(l, n) * j_l(z_ln * d / c) of
-    every edge, shape (n_shbf, n_srbf, edges); ``pair_harmonics`` holds all
-    n_shbf² Y_l^m of every pair in ``_harmonics``' column order, shape
-    (n_shbf², pairs), of which the angle basis reads the zonal Y_l^0. Both
-    keep the edge or pair axis last, so each of their rows is one contiguous
-    run. ``pair_basis_rows`` rebuilds the basis rows of a block of pairs
-    from them, the edge distances and the pair angles.
+    bases are kept as their two factors, not as their product, each as
+    ``basis`` returns it. ``edge_radial`` is the ``_radial_table`` of the
+    edge distances, the radial rows norm(l, n) * j_l(z_ln * d / c), shape
+    (n_shbf, n_srbf, edges); ``pair_harmonics`` is the ``_harmonics`` sweep
+    of the pair angles, all n_shbf² Y_l^m, shape (n_shbf², pairs), of which
+    the angle basis reads the zonal Y_l^0. Both keep the edge or pair axis
+    last, so each of their rows is one contiguous run. ``edge_rbf`` is the
+    distance basis, (edges, n_srbf) and C-contiguous: the l = 0 rows of
+    ``edge_radial``, copied points first. ``pair_basis_rows`` rebuilds the
+    basis rows of a block of pairs from the factors, the edge distances and
+    the pair angles.
     """
 
     n_atoms: int
@@ -251,11 +254,11 @@ class GraphFeatures:
 def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
     """Radius graph, two-hop geometry, and basis factors for one graph.
 
-    The distance embedding is stored per edge. The angle and torsion
-    embeddings are stored as their factors: one radial Bessel table over the
-    edge distances and one harmonic sweep over the pair angles. The result
-    does not depend on ``cfg.ablation_mode``; the mode only picks which of
-    them a forward reads.
+    One radial Bessel table is built over the edge distances and one
+    harmonic sweep over the pair angles. The distance embedding is read from
+    the table's l = 0 rows and stored per edge; the angle and torsion
+    embeddings are stored as the two factors. The result does not depend on
+    ``cfg.ablation_mode``; the mode only picks which of them a forward reads.
     """
     if np.any(graph.atomic_numbers > cfg.max_z):
         raise IngestError(
@@ -264,6 +267,7 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
     tables = tables_for(cfg)
     edges = build_radius_graph(graph, cfg.cutoff_c)
     hops = two_hop_geometry(graph, edges)
+    radial = _radial_table(edges.distances, tables)
     return GraphFeatures(
         n_atoms=graph.n_atoms,
         n_graphs=1,
@@ -272,13 +276,13 @@ def featurize_graph(graph: Graph3D, cfg: RunConfig) -> GraphFeatures:
         edge_sender=edges.senders,
         edge_receiver=edges.receivers,
         edge_distance=edges.distances,
-        edge_rbf=rbf_embed(edges.distances, tables),
-        edge_radial=_radial_table(edges.distances, tables).transpose(1, 2, 0),
+        edge_rbf=rbf_embed(edges.distances, tables, radial=radial),
+        edge_radial=radial,
         pair_edge=hops.pair_edge,
         pair_neighbor=hops.pair_neighbor,
         pair_theta=hops.theta,
         pair_phi=hops.phi,
-        pair_harmonics=_harmonics(tables.n_shbf, hops.theta, hops.phi).T,
+        pair_harmonics=_harmonics(tables.n_shbf, hops.theta, hops.phi),
     )
 
 
@@ -317,23 +321,22 @@ def pair_basis_rows(features: GraphFeatures, kind: str, tables: BasisTables):
     Returns ``rows(start, stop)``: rows start:stop of the (pairs, size)
     angle or torsion basis, column-major and bitwise what ``sbf_embed`` or
     ``tbf_embed`` computes from the pairs' neighbor-edge distances and
-    angles alone. Each call gathers the radial rows of its pairs' neighbor
-    edges and slices their harmonic sweep, both contiguous along the pairs,
-    and passes them to the embedding as ``radial=`` and ``angular=`` (for
-    either kind the whole sweep: ``sbf_embed`` reads its zonal columns); the
-    embedding still range-checks the distances and angles.
+    angles alone. Each call gathers the radial columns of its pairs' neighbor
+    edges and slices their harmonic sweep, both in the stored layout with
+    the pairs last, and passes them straight to the embedding as ``radial=``
+    and ``angular=`` (for either kind the whole sweep: ``sbf_embed`` reads
+    its zonal rows); the embedding still range-checks the distances and
+    angles.
     """
     def rows(start: int, stop: int) -> np.ndarray:
         neighbor = features.pair_neighbor[start:stop]
         d = features.edge_distance[neighbor]
-        radial = np.take(features.edge_radial, neighbor, axis=2).transpose(2, 0, 1)
-        angular = features.pair_harmonics[:, start:stop].T
+        factors = {"radial": np.take(features.edge_radial, neighbor, axis=2),
+                   "angular": features.pair_harmonics[:, start:stop]}
         theta = features.pair_theta[start:stop]
         if kind == "sbf":
-            return sbf_embed(d, theta, tables, radial=radial,
-                             angular=angular).reshape(stop - start, tables.sbf_size)
-        return tbf_embed(d, theta, features.pair_phi[start:stop], tables,
-                         radial=radial, angular=angular)
+            return sbf_embed(d, theta, tables, **factors).reshape(stop - start, tables.sbf_size)
+        return tbf_embed(d, theta, features.pair_phi[start:stop], tables, **factors)
 
     return rows
 

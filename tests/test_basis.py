@@ -321,7 +321,7 @@ def test_shared_radial_table_gives_standalone_embeddings():
     d = edge_d[neighbor]
     theta = rng.uniform(0.0, math.pi, size=d.size)
     phi = rng.uniform(0.0, 2.0 * math.pi, size=d.size)
-    radial = _radial_table(edge_d, tables)[neighbor]
+    radial = _radial_table(edge_d, tables)[..., neighbor]
     assert np.array_equal(radial, _radial_table(d, tables))
     angular = _harmonics(tables.n_shbf, theta, phi)
     for factors in ({"radial": radial}, {"angular": angular},
@@ -330,8 +330,14 @@ def test_shared_radial_table_gives_standalone_embeddings():
                               sbf_embed(d, theta, tables))
         assert np.array_equal(tbf_embed(d, theta, phi, tables, **factors),
                               tbf_embed(d, theta, phi, tables))
+    # The distance embedding is the l = 0 rows of the same table, C-contiguous.
+    rbf = rbf_embed(d, tables)
+    assert rbf.flags.c_contiguous
+    assert np.array_equal(rbf, _radial_table(d, tables)[0].T)
+    assert np.array_equal(rbf_embed(d, tables, radial=radial), rbf)
     single = _radial_table(np.array([2.5]), tables)
     one = _harmonics(tables.n_shbf, np.array([0.3]), 1.0)
+    assert np.array_equal(rbf_embed(2.5, tables, radial=single), rbf_embed(2.5, tables))
     assert np.array_equal(sbf_embed(2.5, 0.3, tables, radial=single, angular=one),
                           sbf_embed(2.5, 0.3, tables))
     assert np.array_equal(tbf_embed(2.5, 0.3, 1.0, tables, radial=single, angular=one),
@@ -343,18 +349,25 @@ def test_misshaped_radial_table_raises():
     d = np.array([0.5, 1.5, 2.5])
     theta = np.array([0.2, 1.0, 2.0])
     radial = _radial_table(d, tables)
+    # Too few orders, roots or points, the orders flattened, points first,
+    # and another order count.
     for bad in (radial[:-1], radial[:, :-1], radial[:, :, :-1],
-                radial.reshape(d.size, -1), radial.transpose(1, 2, 0),
+                radial.reshape(-1, d.size), radial.transpose(2, 0, 1),
                 _radial_table(d, build_tables(5.0, 4, 4))):
+        with pytest.raises(BasisError):
+            rbf_embed(d, tables, radial=bad)
         with pytest.raises(BasisError):
             sbf_embed(d, theta, tables, radial=bad)
         with pytest.raises(BasisError):
             tbf_embed(d, theta, 0.4, tables, radial=bad)
-    # A scalar d broadcasts to the angles' length, and so must its table.
+    # A scalar d broadcasts to the angles' length, and so must its table; the
+    # distance embedding's table has one point per distance.
     with pytest.raises(BasisError):
-        sbf_embed(0.5, theta, tables, radial=radial[:1])
+        rbf_embed(d, tables, radial=radial[..., :1])
     with pytest.raises(BasisError):
-        tbf_embed(0.5, theta, 0.4, tables, radial=radial[:1])
+        sbf_embed(0.5, theta, tables, radial=radial[..., :1])
+    with pytest.raises(BasisError):
+        tbf_embed(0.5, theta, 0.4, tables, radial=radial[..., :1])
 
 
 def test_misshaped_angular_table_raises():
@@ -363,21 +376,21 @@ def test_misshaped_angular_table_raises():
     theta = np.array([0.2, 1.0, 2.0, 3.0])
     angular = _harmonics(tables.n_shbf, theta, 0.4 + 0.0 * theta)
     orders = np.arange(tables.n_shbf)
-    # Too few points or columns, points last, the zonal columns alone, another
+    # Too few points or rows, points first, the zonal rows alone, another
     # degree count, and the sweep split by degree: both embeddings take the
     # whole sweep.
-    for bad in (angular[:-1], angular[:, :-1], angular.T, angular[:, orders * orders + orders],
+    for bad in (angular[:, :-1], angular[:-1], angular.T, angular[orders * orders + orders],
                 _harmonics(tables.n_shbf + 1, theta, 0.4 + 0.0 * theta),
-                angular.reshape(d.size, tables.n_shbf, tables.n_shbf)):
+                angular.reshape(tables.n_shbf, tables.n_shbf, d.size)):
         with pytest.raises(BasisError, match="angular"):
             sbf_embed(d, theta, tables, angular=bad)
         with pytest.raises(BasisError, match="angular"):
             tbf_embed(d, theta, 0.4, tables, angular=bad)
     # A scalar theta broadcasts to the distances' length, and so must its table.
     with pytest.raises(BasisError, match="angular"):
-        sbf_embed(d, 0.2, tables, angular=angular[:1])
+        sbf_embed(d, 0.2, tables, angular=angular[:, :1])
     with pytest.raises(BasisError, match="angular"):
-        tbf_embed(d, 0.2, 0.4, tables, angular=angular[:1])
+        tbf_embed(d, 0.2, 0.4, tables, angular=angular[:, :1])
     # The angles are range-checked even when their harmonics are given.
     with pytest.raises(BasisError, match="polar"):
         sbf_embed(d, theta + 4.0, tables, angular=angular)
@@ -472,6 +485,25 @@ INF = float("inf")
 def test_non_finite_and_out_of_range_arguments_raise(call):
     with pytest.raises(BasisError):
         call(build_tables(5.0, 3, 3))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spherical_bessel(2.5, 1.0),
+    lambda: real_sph_harm(2.0, 1, 0.3),
+    lambda: real_sph_harm(2, 1.5, 0.3),
+    lambda: bessel_roots(1.5, 3),
+    lambda: bessel_roots(1, 3.0),
+    lambda: build_tables(5.0, 6.0, 7),
+    lambda: build_tables("5", 6, 7),
+    lambda: build_tables(5.0, 6, "7"),
+], ids=["bessel-float-order", "harmonic-float-degree", "harmonic-float-m",
+        "roots-float-order", "roots-float-count", "tables-float-count",
+        "tables-string-cutoff", "tables-string-count"])
+def test_malformed_basis_arguments_raise(call):
+    # The int tables are cached first: 6.0 must not be answered by 6's entry.
+    build_tables(5.0, 6, 7)
+    with pytest.raises(BasisError):
+        call()
 
 
 def as_bits(values):

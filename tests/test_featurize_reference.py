@@ -174,13 +174,13 @@ def test_radial_table_matches_per_order_bessel(cfg):
     d = np.concatenate([rng.uniform(1e-9, tables.cutoff, 400),
                         [1e-9, 1e-3, 0.5, tables.cutoff]])
     radial = _radial_table(d, tables)
-    assert radial.shape == (d.size, tables.n_shbf, tables.n_srbf)
+    assert radial.shape == (tables.n_shbf, tables.n_srbf, d.size)
     for ell in range(tables.n_shbf):
         x = np.outer(d, tables.roots[ell] / tables.cutoff)
         expected = tables.norms[ell] * spherical_bessel(ell, x.ravel()).reshape(x.shape)
         # Relative to each (l, n) column's scale: entries near a root are ~0.
         scale = np.max(np.abs(expected), axis=0)
-        assert np.all(np.abs(radial[:, ell, :] - expected) <= 2e-15 * scale)
+        assert np.all(np.abs(radial[ell].T - expected) <= 2e-15 * scale)
 
 
 def reference_roots(l_max, n_max):
@@ -246,7 +246,7 @@ def reference_sbf(d, theta, tables):
     out = np.empty((d.size, tables.n_shbf, tables.n_srbf), dtype=np.float64)
     for ell in range(tables.n_shbf):
         zonal = reference_real_sph_harm(ell, 0, theta, 0.0)
-        out[:, ell, :] = radial[:, ell, :] * zonal[:, None]
+        out[:, ell, :] = radial[ell].T * zonal[:, None]
     return out
 
 
@@ -257,7 +257,7 @@ def reference_tbf(d, theta, phi, tables):
     for ell in range(tables.n_shbf):
         for m in range(-ell, ell + 1):
             angular = reference_real_sph_harm(ell, m, theta, phi)
-            out[:, col:col + tables.n_srbf] = radial[:, ell, :] * angular[:, None]
+            out[:, col:col + tables.n_srbf] = radial[ell].T * angular[:, None]
             col += tables.n_srbf
     return out
 
@@ -274,11 +274,11 @@ def test_harmonics_sweep_matches_per_degree_reference():
     theta = np.concatenate([[0.0, np.pi, 0.5 * np.pi], rng.uniform(0.0, np.pi, 200)])
     phi = np.concatenate([[0.3, 2.0, 0.0], rng.uniform(0.0, 2.0 * np.pi, 200)])
     sweep = _harmonics(MAX_ORDER + 1, theta, phi)
-    assert sweep.shape == (theta.size, (MAX_ORDER + 1) ** 2)
+    assert sweep.shape == ((MAX_ORDER + 1) ** 2, theta.size)
     for ell in range(MAX_ORDER + 1):
         for m in range(-ell, ell + 1):
             expected = reference_real_sph_harm(ell, m, theta, phi)
-            assert np.array_equal(sweep[:, ell * ell + ell + m], expected), (ell, m)
+            assert np.array_equal(sweep[ell * ell + ell + m], expected), (ell, m)
 
 
 @pytest.mark.parametrize("tables", [build_tables(5.0, 6, 7), build_tables(2.0, 4, 3),
@@ -375,4 +375,7 @@ def test_featurize_builds_one_radial_table_per_graph(monkeypatch, mode, tables_b
     features = featurize_graph(graph, cfg)
     assert features.n_pairs
     assert len(calls) == tables_built
+    # The distance embedding is that table's l = 0 rows, points first.
+    assert features.edge_rbf.flags.c_contiguous
+    assert np.array_equal(features.edge_rbf, features.edge_radial[0].T)
 

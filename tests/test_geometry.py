@@ -249,6 +249,28 @@ def test_reflection_rejected():
         rigid_transform(g, np.eye(3) + 1e-6, np.zeros(3))
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("rotation, translation", [
+    (np.diag([1.0, 1.0, NAN]), np.zeros(3)),
+    (np.diag([1.0, INF, 1.0]), np.zeros(3)),
+    (np.full((3, 3), -INF), np.zeros(3)),
+    (np.full((3, 3), 1e200), np.zeros(3)),
+    (np.eye(3), np.array([0.0, NAN, 0.0])),
+    (np.eye(3), np.array([INF, 0.0, 0.0])),
+    (np.eye(3), np.array([0.0, 0.0, -INF])),
+], ids=["nan-rotation", "inf-rotation", "minus-inf-rotation", "overflowing-rotation",
+        "nan-translation", "inf-translation", "minus-inf-translation"])
+def test_non_finite_motion_rejected(rotation, translation):
+    # RuntimeWarnings are errors in this suite, so a check made after the
+    # products would fail here with another error.
+    g = random_graph(np.random.default_rng(5))
+    with pytest.raises(GeometryError, match="finite"):
+        rigid_transform(g, rotation, translation)
+
+
 def geometry_table(graph, cutoff):
     edges = build_radius_graph(graph, cutoff)
     hops = two_hop_geometry(graph, edges)

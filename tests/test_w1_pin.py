@@ -39,32 +39,32 @@ NUMPY = "2.4.6"
 OPENBLAS = "0.3.31.188.0"
 CORE = "SkylakeX"
 
-BEST = "4c4269ea2b6f8e27fd5a3368775161051317e1871c663af7bc17d84be291d17c"
-FINAL = "c05b3c976ee84f0299cd8b6baf7b8409768c6d98ea93c16177cbff7f5a8732bc"
-LOG = "178bf9e27d2a53e613d612212b3e7b122e4b1bf220607273f00bafbbfbf61f80"
+BEST = "bd5ee3102c9a039420cceab6ebab6935dece84d3f7399678fe6fec77203a6b7d"
+FINAL = "4ce818a55b38195a66d3c329dd928efb0585a0dc126bf11f877649e605802e50"
+LOG = "05f8c4e8668c532147b5feb20f05eaa18d318d48f1ac2dee7d5257201821f86f"
 
 # (checkpoint, epoch log) per mode. Best and final are the same parameters:
 # each mode's best epoch is its last.
 DEFAULT_CONFIG = {
-    FULL: ("a47c7026a9e520b3289f77a6a55036fbb711a4221c2dd192394958e6edcf61f3",
+    FULL: ("2999f897dc393907ed7a64b160fe465a95b368a6b186ea19a39eb813a2704f83",
            "a99655c7fde048642a8975884d92e5bad02089500e426daa823105d8e4613148"),
-    NO_TORSION: ("f38acadff7d1672376e52376c688231f274fa568f4e04b0b4916c2ef98bf3e91",
+    NO_TORSION: ("f4673e69497c85389f9c9ada3dbbfa79f8403278638f13d3dafef3276f56ffe6",
                  "90750ea2e66975be79e44ca813fa3d05ad9c05d582d93d0bc6ccacb56100e8c4"),
-    NO_ANGLE_TORSION: ("10dabc9a1d03792c63cd08f443886a946b0a9eb7a92676b86222076d6e7dbc79",
+    NO_ANGLE_TORSION: ("33a31b67a1dcb25ad22a7b866878c21433a70976d154987e824bed12acd45688",
                        "0eb2d8febe418b74e95a0fc8d553aff9de48f8fe23cc5beccba050fc3f3cc5c2"),
 }
 
 # sha256 over every featurized graph of a workload's seed-0 inputs, then over
 # their merge (the clusters are not merged); the same in every ablation mode.
 FEATURES = {
-    "chains-train": "d4a853ccea69689c56feda7d7d7cab3d2fc87c9af550a5006f7772cfaebf719f",
-    "molecules-train": "671cff55b980543bef23879d010c2a1e526ae49988b0dec2fb43f51bbff23c74",
-    "clusters-eval": "863e25e3858a6566f4ad8b35ed15fa34c886b6159b6bf10dd9e2291e2f926f0f",
+    "chains-train": "703fbd542de4c882f92d2e3f2597e9ed965cd743457e6dddf1dce89ba953c465",
+    "molecules-train": "9795f902459b7f850fd03fe2811879847649e11e9ca2382e56c2d7be2b0cebb4",
+    "clusters-eval": "078e15fd04e79aeaef31bd3c5180e54b164e12b0101e70374c3fa82448e01950",
 }
 MODES = (FULL, NO_TORSION, NO_ANGLE_TORSION)
 BESSEL_TABLE = "29313a4e49f9b66939bb9a527f877c7397fa9b501e602caae2bf875e58b23b1f"
 
-BASIS_DUMP = "c24a0a72bdc9eb757ca50d0fc13933f4e06439a7b29f361f5d1cab6363fda4c1"
+BASIS_DUMP = "deed715bf1db9af20544244ffa28f181394a943e0bdc629d48a5786e0d28fe0b"
 EXPORT_FILTERS = "8f11cd091045f82827ff8e071ad0fb64873d22aa53d2d41f9f158cfa461b1d6c"
 
 
