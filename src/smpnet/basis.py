@@ -27,10 +27,11 @@ module names. The network keeps the radial table per edge and the sweep per
 pair, and rebuilds the pair embeddings from them a block of pairs at a time.
 A point's Bessel values depend only on that point, never on the other
 points evaluated with it, so a shared or gathered table is bitwise the one
-each embedding computes on its own. Arguments must be finite and in range;
-NaN, infinity, Bessel arguments above ``MAX_ARGUMENT``, an overflowing m*phi
-and orders or counts that are not integers raise ``BasisError``, with or
-without the factors given.
+each embedding computes on its own. Arguments must be real, finite and in
+range; complex, boolean or non-numeric points, NaN, infinity, Bessel
+arguments above ``MAX_ARGUMENT``, an overflowing m*phi and orders or counts
+that are not integers raise ``BasisError``, with or without the factors
+given.
 
 The factors keep one layout from here to the network, the point axis last:
 the radial table is (n_shbf, n_srbf, points) and the sweep (n_shbf^2,
@@ -80,9 +81,15 @@ def _check_int(value, name: str, top: int, bottom: int = 0) -> int:
 def _points(*args) -> tuple[bool, list[np.ndarray]]:
     """Whether all point arguments are scalars (only then is a result one
     point's), and each as a float64 1-D array of one broadcast length;
-    equal-length arrays come back as is. A 2-D argument or lengths that do
-    not broadcast raise ``BasisError``."""
-    arrays = [np.asarray(a, dtype=np.float64) for a in args]
+    equal-length arrays come back as is. An argument that is not integers or
+    floats (booleans, complex numbers, strings, objects), a 2-D argument or
+    lengths that do not broadcast raise ``BasisError``; the kind is read from
+    the dtype before any conversion, once per argument."""
+    arrays = [np.asarray(a) for a in args]
+    if any(a.dtype.kind not in "iuf" for a in arrays):
+        raise BasisError(f"point arguments must be real numbers, got dtypes "
+                         f"{', '.join(str(a.dtype) for a in arrays)}")
+    arrays = [a.astype(np.float64, copy=False) for a in arrays]
     shapes = {a.shape for a in arrays}
     if max(map(len, shapes)) > 1 or len({s[0] for s in shapes if s} - {1}) > 1:
         raise BasisError(f"point arguments must be scalars or 1-D arrays of lengths that "

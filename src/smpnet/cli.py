@@ -260,34 +260,29 @@ def cmd_basis_dump(args) -> int:
         tables = build_tables(args.cutoff, args.n_srbf, args.n_shbf)
     except BasisError as exc:
         raise UsageError(str(exc)) from exc
-    c = tables.cutoff
-    d_values = c * (np.arange(1, args.samples + 1) / args.samples)
+    d_values = tables.cutoff * (np.arange(1, args.samples + 1) / args.samples)
     theta_values = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi]
     phi_values = [0.0, math.pi / 2, math.pi, 3 * math.pi / 2]
+    # One call per embedding over its whole grid; a point's values do not
+    # depend on the other points of the call.
+    pair_grid = np.meshgrid(d_values, theta_values, indexing="ij")
+    grid = np.meshgrid(d_values, theta_values, phi_values, indexing="ij")
+    radial = rbf_embed(d_values, tables)
+    angular = sbf_embed(*(axis.ravel() for axis in pair_grid), tables).reshape(
+        pair_grid[0].shape + (-1,))
+    full = tbf_embed(*(axis.ravel() for axis in grid), tables).reshape(grid[0].shape + (-1,))
+    orders, radii = range(tables.n_shbf), range(1, tables.n_srbf + 1)
+    sbf_labels = [(ell, n) for ell in orders for n in radii]
+    tbf_labels = [(ell, m, n) for ell in orders for m in range(-ell, ell + 1) for n in radii]
     lines = ["kind,l,m,n,d,theta,phi,value"]
-    for d in d_values:
-        radial = rbf_embed(d, tables)
-        for n in range(tables.n_srbf):
-            lines.append(f"rbf,,,{n + 1},{_fmt(d)},,,{_fmt(radial[n])}")
-        for theta in theta_values:
-            angular = sbf_embed(d, theta, tables)
-            for ell in range(tables.n_shbf):
-                for n in range(tables.n_srbf):
-                    lines.append(
-                        f"sbf,{ell},,{n + 1},{_fmt(d)},{_fmt(theta)},,"
-                        f"{_fmt(angular[ell, n])}"
-                    )
-            for phi in phi_values:
-                full = tbf_embed(d, theta, phi, tables)
-                col = 0
-                for ell in range(tables.n_shbf):
-                    for m in range(-ell, ell + 1):
-                        for n in range(tables.n_srbf):
-                            lines.append(
-                                f"tbf,{ell},{m},{n + 1},{_fmt(d)},{_fmt(theta)},"
-                                f"{_fmt(phi)},{_fmt(full[col])}"
-                            )
-                            col += 1
+    for i, d in enumerate(d_values):
+        lines += [f"rbf,,,{n},{_fmt(d)},,,{_fmt(v)}" for n, v in zip(radii, radial[i])]
+        for t, theta in enumerate(theta_values):
+            lines += [f"sbf,{ell},,{n},{_fmt(d)},{_fmt(theta)},,{_fmt(v)}"
+                      for (ell, n), v in zip(sbf_labels, angular[i, t])]
+            for p, phi in enumerate(phi_values):
+                lines += [f"tbf,{ell},{m},{n},{_fmt(d)},{_fmt(theta)},{_fmt(phi)},{_fmt(v)}"
+                          for (ell, m, n), v in zip(tbf_labels, full[i, t, p])]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

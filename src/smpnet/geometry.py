@@ -159,9 +159,6 @@ def compute_torsions(
     """
     pos = graph.positions
     counts = np.bincount(pair_k, minlength=edges.n_edges).astype(np.int64)
-    if pair_k.size == 0:
-        return _frozen(np.zeros(0, dtype=np.float64)), _frozen(counts), ()
-
     origin = pos[edges.senders]
     axis = pos[edges.receivers] - origin
     axis = axis / np.linalg.norm(axis, axis=-1, keepdims=True)

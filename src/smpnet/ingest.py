@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -51,7 +52,11 @@ class Graph3D:
     """A 3D graph: atomic numbers, Cartesian positions, an optional target.
 
     Positions are an (n, 3) float64 array in angstrom. Arrays are made
-    read-only so instances can be shared freely across threads.
+    read-only so instances can be shared freely across threads. Atomic
+    numbers and coordinates must be real numbers (integers or floats, not
+    booleans, complex numbers, strings or ragged nestings), atomic numbers
+    integer-valued, and the target a finite real number other than a bool;
+    anything else raises ``IngestError``.
     """
 
     atomic_numbers: np.ndarray
@@ -60,12 +65,16 @@ class Graph3D:
     id: str = ""
 
     def __post_init__(self):
-        z = np.ascontiguousarray(self.atomic_numbers, dtype=np.int64)
-        pos = np.ascontiguousarray(self.positions, dtype=np.float64)
+        z = _real_array(self.atomic_numbers, "atomic numbers", self.id)
+        pos = np.ascontiguousarray(_real_array(self.positions, "positions", self.id),
+                                   dtype=np.float64)
         if z.ndim != 1 or z.size < 1:
             raise IngestError(f"graph {self.id!r}: need at least one atom")
-        if np.any(z < 1) or np.any(z > MAX_Z):
-            raise IngestError(f"graph {self.id!r}: atomic numbers must lie in [1, {MAX_Z}]")
+        # One comparison chain that NaN fails; then no cast can round or wrap.
+        if not np.all((z >= 1) & (z <= MAX_Z) & (z == np.trunc(z))):
+            raise IngestError(f"graph {self.id!r}: atomic numbers must be integers "
+                              f"in [1, {MAX_Z}]")
+        z = np.ascontiguousarray(z, dtype=np.int64)
         if pos.shape != (z.size, 3):
             raise IngestError(
                 f"graph {self.id!r}: positions shape {pos.shape} does not match "
@@ -74,10 +83,12 @@ class Graph3D:
         if not np.all(np.isfinite(pos)):
             raise IngestError(f"graph {self.id!r}: non-finite coordinate")
         if self.graph_target is not None:
-            target = float(self.graph_target)
-            if not math.isfinite(target):
-                raise IngestError(f"graph {self.id!r}: non-finite target")
-            object.__setattr__(self, "graph_target", target)
+            target = self.graph_target
+            # abs(x) <= _FLOAT_MAX fails for inf, NaN and ints beyond float64.
+            if (not isinstance(target, numbers.Real) or isinstance(target, bool)
+                    or not abs(target) <= _FLOAT_MAX):
+                raise IngestError(f"graph {self.id!r}: target must be a finite real number")
+            object.__setattr__(self, "graph_target", float(target))
         _check_min_separation(pos, self.id)
         z.setflags(write=False)
         pos.setflags(write=False)
@@ -87,6 +98,19 @@ class Graph3D:
     @property
     def n_atoms(self) -> int:
         return self.atomic_numbers.size
+
+
+def _real_array(value, name: str, graph_id: str) -> np.ndarray:
+    """``value`` as an array of integers or floats; any other kind raises
+    ``IngestError`` before a cast could coerce it."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise IngestError(f"graph {graph_id!r}: {name}: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise IngestError(f"graph {graph_id!r}: {name} must be real numbers, "
+                          f"got dtype {array.dtype}")
+    return array
 
 
 def pair_distances(positions: np.ndarray) -> np.ndarray:

@@ -389,7 +389,10 @@ def begin_forward(features: GraphFeatures, params: ModelParams,
     per interaction block; blocks called one by one on this context pick up
     theirs. At the shipped bottleneck width each node's value is bitwise the
     product of the whole materialized basis.
+
+    ``cfg`` must describe the network ``params`` holds (``_check_architecture``).
     """
+    _check_architecture(params, cfg)
     tape = Tape(workspace if grad else None)
     if grad:
         leaves = {name: tape.leaf(value, params.grads[name])
@@ -453,10 +456,10 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
     order, so the value is bitwise that of gathering, gating and summing the
     pair-wide arrays.
 
-    Each residual add is the ``residual`` of the dense layer that computes
-    its other operand: the last message layer takes the mapped-back sum (the
-    up-projection takes the old message when there is no message layer),
-    and each residual block's second layer takes its input.
+    The transform branch runs the message layers on the old message (none
+    leaves it as is). Each residual add is the ``residual`` of the dense
+    layer that computes its other operand: the up-projection takes the
+    branch, and each residual block's second layer takes its input.
     """
     tape, feats, cfg = ctx.tape, ctx.features, ctx.cfg
     if messages.value.shape[0] != feats.n_edges:
@@ -477,15 +480,10 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
         _dense(ctx, prefix + f"proj_{kind}", messages),
     ) for kind, inputs in ctx.gate_inputs.items()],
         feats.pair_edge, feats.pair_neighbor, feats.n_edges)
-    layers = cfg.num_message_layers
-    if layers:
-        aggregated = _dense(ctx, prefix + "up", aggregated)
-        updated = messages
-        for j in range(layers):
-            updated = _dense(ctx, prefix + f"msg{j}", updated, activation=True,
-                             residual=aggregated if j == layers - 1 else None)
-    else:
-        updated = _dense(ctx, prefix + "up", aggregated, residual=messages)
+    updated = messages
+    for j in range(cfg.num_message_layers):
+        updated = _dense(ctx, prefix + f"msg{j}", updated, activation=True)
+    updated = _dense(ctx, prefix + "up", aggregated, residual=updated)
     for r in range(cfg.num_residual_blocks):
         inner = _dense(ctx, prefix + f"res{r}.a", updated, activation=True)
         updated = _dense(ctx, prefix + f"res{r}.b", inner, activation=True, residual=updated)
@@ -563,6 +561,14 @@ def backward(ctx: ForwardContext, upstream,
     return ctx.params.grads
 
 
+def _check_architecture(params: ModelParams, cfg: RunConfig):
+    """Raise ``NetworkError`` unless ``cfg`` gives the parameter shapes and the
+    cutoff of ``params.cfg``; the ablation mode and training fields may differ."""
+    if cfg.cutoff_c != params.cfg.cutoff_c or param_shapes(cfg) != param_shapes(params.cfg):
+        raise NetworkError("config does not match the parameters: their shapes or "
+                           "cutoff_c differ from those of the config they were built with")
+
+
 def _check_finite(node: Node, stage: str):
     if not np.all(np.isfinite(node.value)):
         raise NetworkError(f"non-finite values in {stage}")
@@ -578,8 +584,10 @@ def export_filters(params: ModelParams, cfg: RunConfig,
     For each grid point the full 3D embedding is pushed through that block's
     torsion bottleneck (down-projection, up-projection, bias). Returns the
     CSV header and one row ``d, theta, phi, c...`` per point, ordered
-    lexicographically by (d, theta, phi).
+    lexicographically by (d, theta, phi). ``cfg`` must describe the network
+    ``params`` holds, as in ``begin_forward``.
     """
+    _check_architecture(params, cfg)
     grid = np.meshgrid(d_values, theta_values, phi_values, indexing="ij")
     if grid[0].size == 0:
         raise NetworkError("filter grid must contain at least one sample per axis")

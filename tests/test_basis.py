@@ -496,9 +496,18 @@ def test_non_finite_and_out_of_range_arguments_raise(call):
     lambda: build_tables(5.0, 6.0, 7),
     lambda: build_tables("5", 6, 7),
     lambda: build_tables(5.0, 6, "7"),
+    lambda: rbf_embed(np.array([1 + 2j]), build_tables(5.0, 6, 7)),
+    lambda: rbf_embed(1 + 1j, build_tables(5.0, 6, 7)),
+    lambda: spherical_bessel(1, "x"),
+    lambda: spherical_bessel(1, True),
+    lambda: sbf_embed(1.0, np.array([0.5 + 0j]), build_tables(5.0, 6, 7)),
+    lambda: tbf_embed(1.0, 0.5, "x", build_tables(5.0, 6, 7)),
+    lambda: real_sph_harm(1, 0, np.array([0.3]), np.array([0.1 + 0j])),
 ], ids=["bessel-float-order", "harmonic-float-degree", "harmonic-float-m",
         "roots-float-order", "roots-float-count", "tables-float-count",
-        "tables-string-cutoff", "tables-string-count"])
+        "tables-string-cutoff", "tables-string-count", "rbf-complex-array",
+        "rbf-complex-scalar", "bessel-string-argument", "bessel-bool-argument",
+        "sbf-complex-polar", "tbf-string-azimuth", "harmonic-complex-azimuth"])
 def test_malformed_basis_arguments_raise(call):
     # The int tables are cached first: 6.0 must not be answered by 6's entry.
     build_tables(5.0, 6, 7)

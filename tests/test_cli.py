@@ -7,6 +7,7 @@ import pytest
 
 import smpnet.cli as cli
 import smpnet.train as T
+from smpnet.basis import build_tables, rbf_embed, sbf_embed, tbf_embed
 from smpnet.cli import main
 from smpnet.ingest import format_xyz
 from smpnet.network import init_params, save_model
@@ -213,14 +214,37 @@ def test_eval_manifest_input(tmp_path):
     assert "n_samples: 4" in report.read_text()
 
 
-def test_basis_dump(tmp_path):
+def test_basis_dump(tmp_path, monkeypatch):
+    # One call per embedding embeds the whole grid.
+    calls = dict.fromkeys(["rbf_embed", "sbf_embed", "tbf_embed"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _embed=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _embed(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
     out = tmp_path / "basis.csv"
     assert main(["basis-dump", "--cutoff", "5.0", "--n-srbf", "2", "--n-shbf", "2",
                  "--samples", "2", "--out", str(out)]) == 0
+    assert calls == dict(rbf_embed=1, sbf_embed=1, tbf_embed=1)
     lines = out.read_text().splitlines()
     assert lines[0] == "kind,l,m,n,d,theta,phi,value"
     kinds = {line.split(",")[0] for line in lines[1:]}
     assert kinds == {"rbf", "sbf", "tbf"}
+    # 2 distances x (2 rbf + 5 angles x (4 sbf + 4 azimuths x 8 tbf)) distinct rows,
+    # each bitwise the scalar call at its point, read at its (l, m, n) column.
+    assert len({tuple(line.split(",")[:7]) for line in lines[1:]}) == len(lines) - 1 == 364
+    tables = build_tables(5.0, 2, 2)
+    for line in lines[1:]:
+        kind, ell, m, n, *point, value = line.split(",")
+        point = [float(x) for x in point if x]
+        if kind == "rbf":
+            expected = rbf_embed(*point, tables)[int(n) - 1]
+        elif kind == "sbf":
+            expected = sbf_embed(*point, tables)[int(ell), int(n) - 1]
+        else:
+            column = (int(ell) ** 2 + int(ell) + int(m)) * tables.n_srbf + int(n) - 1
+            expected = tbf_embed(*point, tables)[column]
+        assert value == format(float(expected), ".17g"), line
     # boundary samples at d = c are exact zeros
     for line in lines[1:]:
         parts = line.split(",")

@@ -73,6 +73,25 @@ def test_graphs_are_immutable():
         g.atomic_numbers[0] = 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("atomic_numbers", [6.5]), ("atomic_numbers", [6.9]), ("atomic_numbers", [True]),
+    ("atomic_numbers", [6 + 1j]), ("atomic_numbers", ["C"]), ("atomic_numbers", [None]),
+    ("positions", [[0.0, 0.0, 1j]]), ("positions", [[0.0, 0.0, 0.0], [1.0, 0.0]]),
+    ("graph_target", "x"), ("graph_target", np.array([1.0, 2.0])),
+    ("graph_target", 10 ** 400), ("graph_target", True),
+], ids=["z-half", "z-near-int", "z-bool", "z-complex", "z-symbol", "z-none",
+        "pos-complex", "pos-ragged", "target-string", "target-array", "target-huge-int",
+        "target-bool"])
+def test_malformed_graph_fields_raise_ingest_error(field, value):
+    # Integer-valued float atomic numbers and int targets stay accepted.
+    fields = dict(atomic_numbers=[6.0], positions=[[0.0, 0.0, 0.0]], graph_target=1)
+    graph = Graph3D(**fields)
+    assert graph.atomic_numbers.dtype == np.int64 and graph.atomic_numbers[0] == 6
+    assert type(graph.graph_target) is float and graph.graph_target == 1.0
+    with pytest.raises(IngestError):
+        Graph3D(**{**fields, field: value})
+
+
 coordinate = st.floats(min_value=-500.0, max_value=500.0,
                        allow_nan=False, allow_infinity=False)
 

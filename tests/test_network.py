@@ -19,7 +19,7 @@ from smpnet.network import (FORMAT_MAGIC, ModelIOError, NetworkError, backward,
                             merge_features, output_block, pair_basis_rows, save_model)
 
 from smpnet.autodiff import Tape
-from smpnet.train import ablation_config, split_dataset, synthetic_torsion_task
+from smpnet.train import ablation_config, predict, split_dataset, synthetic_torsion_task
 
 from conftest import (per_block_matmul, random_graph, unfused_dense,
                       unfused_pair_aggregate)
@@ -282,8 +282,9 @@ def test_interaction_block_matches_pair_level_reference(tiny_cfg, mode):
                          ids=["msg0-res0", "msg0-res2", "msg2-res0", "msg1-res1"])
 def test_message_and_residual_depths_match_reference_and_unfused_adds(
         tiny_cfg, layers, residuals, monkeypatch):
-    # Each residual add rides on the dense layer before it; with no message
-    # layer that is the up-projection. The block must equal the pair-level
+    # Each residual add rides on the dense layer that computes its other
+    # operand: the up-projection takes the message layers' output (the old
+    # message when there are none). The block must equal the pair-level
     # reference, and the network's predictions and gradients must be bitwise
     # those of separate dense and add nodes.
     cfg = tiny_cfg.replace(num_message_layers=layers, num_residual_blocks=residuals)
@@ -425,6 +426,23 @@ def test_tape_nodes_per_forward(cfg, nodes):
     chain = synthetic_torsion_task(64, seed=0)[0]
     ctx = forward_features(featurize_graph(chain, cfg), init_params(cfg, seed=0), cfg)
     assert len(ctx.tape.nodes) == nodes
+
+
+@pytest.mark.parametrize("change", [dict(n_shbf=4), dict(num_interaction_blocks=2),
+                                    dict(cutoff_c=3.0), dict(embed_size=32)],
+                         ids=["n_shbf", "blocks", "cutoff", "embed_size"])
+def test_forward_rejects_a_config_of_another_architecture(change):
+    # The mode and the training fields may differ from params.cfg; the
+    # parameter shapes and the cutoff may not, in a forward or a filter export.
+    cfg = ablation_config()
+    params = init_params(cfg, seed=0)
+    chains = synthetic_torsion_task(64, seed=0)[:3]
+    assert predict(params, chains, cfg.replace(ablation_mode=NO_TORSION, init_lr=0.5)).shape == (3,)
+    other = cfg.replace(**change)
+    with pytest.raises(NetworkError, match="does not match the parameters"):
+        predict(params, chains, other)
+    with pytest.raises(NetworkError, match="does not match the parameters"):
+        export_filters(params, other, [1.0], [0.5], [0.0])
 
 
 def test_predictions_view_the_prediction_column(tiny_cfg):

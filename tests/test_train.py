@@ -583,8 +583,8 @@ def test_fd_forces_halving_step_agrees_quadratically(tiny_cfg):
 
 
 def test_fd_forces_flags_cutoff_crossings(tiny_cfg):
-    params = init_params(tiny_cfg, seed=12)
     cfg = tiny_cfg.replace(cutoff_c=1.0)
+    params = init_params(cfg, seed=12)
     g = random_graph(np.random.default_rng(8), n_atoms=2, max_z=tiny_cfg.max_z)
     positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])  # exactly at cutoff
     g = g.__class__(g.atomic_numbers, positions, id="edge")
