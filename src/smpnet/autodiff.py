@@ -31,13 +31,20 @@ basis entry or message channel outlives a block, in the forward or in its
 vector-Jacobian product.
 
 A tape built on a ``Workspace`` writes its forward values (dense outputs and
-SiLU slopes, add, mul, gather, blocked_matmul and pair_aggregate outputs)
+SiLU slopes, mul, gather_add, blocked_matmul and pair_aggregate outputs)
 into the workspace's buffers with ``out=``, so successive training steps
 reuse one set of buffers instead of allocating them afresh. A forward's
 values are therefore valid only until the next forward on the same workspace.
-Cotangents are not pooled: they are allocated by the vjps and freed by the
-sweep. No vjp refers to its tape, so dropping the last reference to a tape
-frees it at once, without waiting for the cyclic garbage collector.
+A value that no vjp reads and that one op consumes right away takes no slot:
+it is written into the workspace's one transient buffer. Those values are
+the ``gather_add`` output and the ``dense`` and ``mul`` outputs their caller
+marks ``transient=True``. One buffer serves them all because of one
+invariant, which the callers keep: a transient is dead before the next one
+is written, that is, its consumer runs before the next transient op.
+Without a workspace a transient is a fresh array. Cotangents are not pooled:
+they are allocated by the vjps and freed by the sweep. No vjp refers to its
+tape, so dropping the last reference to a tape frees it at once, without
+waiting for the cyclic garbage collector.
 """
 from __future__ import annotations
 
@@ -98,11 +105,15 @@ class Workspace:
     writes over the previous forward's values rather than allocating. A
     slot that grows replaces its buffer; the old one is freed once no
     earlier forward's node still refers to it.
+
+    ``transient`` hands out views of one more buffer, ``transient_buffer``,
+    which grows like a slot; each request overwrites the previous one's value.
     """
 
     def __init__(self):
         self.slots: list[np.ndarray] = []
         self.used = 0
+        self.transient_buffer = np.empty(0)
 
     def empty(self, shape: tuple) -> np.ndarray:
         """The next slot as an uninitialised float64 array of ``shape``."""
@@ -115,22 +126,30 @@ class Workspace:
         self.used += 1
         return view
 
+    def transient(self, shape: tuple) -> np.ndarray:
+        """The transient buffer as an uninitialised float64 array of ``shape``."""
+        size = math.prod(shape)
+        if self.transient_buffer.size < size:
+            self.transient_buffer = np.empty(size)
+        return self.transient_buffer[:size].reshape(shape)
+
 
 class Tape:
     """Records nodes in execution order; replays them in reverse.
 
-    With a ``workspace`` the forward values are written into its slots, and
-    they stay valid only until the next tape on that workspace computes its
-    own; without one every value is a fresh array.
+    With a ``workspace`` the forward values are written into its slots and
+    its transient buffer, and they stay valid only until the next tape on
+    that workspace computes its own; without one every value is a fresh
+    array.
     """
 
     def __init__(self, workspace: Workspace = None):
         self.nodes: list[Node] = []
         if workspace is None:
-            self._empty = np.empty
+            self._empty = self._transient = np.empty
         else:
             workspace.used = 0
-            self._empty = workspace.empty
+            self._empty, self._transient = workspace.empty, workspace.transient
 
     def _record(self, value: np.ndarray, parents, vjp) -> Node:
         """A node of ``value``, kept on the tape only if a parent needs a gradient."""
@@ -192,9 +211,10 @@ class Tape:
     # --- operations ------------------------------------------------------
 
     def dense(self, x: Node, w: Node, b: Node = None, silu: bool = False,
-              residual: Node = None) -> Node:
+              residual: Node = None, transient: bool = False) -> Node:
         """``x @ w``, plus ``b`` if given, then SiLU if ``silu``, then plus
-        ``residual`` (of the output's shape) if given.
+        ``residual`` (of the output's shape) if given. With ``transient`` the
+        value is a transient (see the module docstring).
 
         ``b`` is a bias row (one dimension), whose cotangent is the
         pre-activation's summed over rows, or an addend of the output's shape,
@@ -220,11 +240,11 @@ class Tape:
             if node is not None and node.value.shape != shape:
                 raise ValueError(f"{name} shape {node.value.shape} does not match "
                                  f"dense output shape {shape}")
+        out = (self._transient if transient else self._empty)(shape)
         if shape[1] == 1:
-            value = np.sum(x.value * w.value[:, 0], axis=1, keepdims=True,
-                           out=self._empty(shape))
+            value = np.sum(x.value * w.value[:, 0], axis=1, keepdims=True, out=out)
         else:
-            value = np.matmul(x.value, w.value, out=self._empty(shape))
+            value = np.matmul(x.value, w.value, out=out)
         if b is not None:
             value += b.value
         slope = None
@@ -298,36 +318,39 @@ class Tape:
 
         return self._record(x.value[:, start:stop], (x,), vjp)
 
-    def add(self, a: Node, b: Node) -> Node:
-        """``a + b``. The network's one add joins the embedding block's sender
-        and receiver rows; each of its residual adds is the ``residual`` of the
-        dense layer before it."""
-        if a.value.shape != b.value.shape:
-            raise ValueError(f"add needs equal shapes, got {a.value.shape} and {b.value.shape}")
-        # Each parent owns its cotangent, so the second one gets a copy.
-        value = np.add(a.value, b.value, out=self._empty(a.value.shape))
-        return self._record(value, (a, b), lambda g: (
-            g, g.copy() if a.needs_grad and b.needs_grad else g))
-
-    def mul(self, a: Node, b: Node) -> Node:
+    def mul(self, a: Node, b: Node, transient: bool = False) -> Node:
+        """``a * b``; with ``transient`` the value is a transient."""
         if a.value.shape != b.value.shape:
             raise ValueError(f"mul needs equal shapes, got {a.value.shape} and {b.value.shape}")
-        value = np.multiply(a.value, b.value, out=self._empty(a.value.shape))
+        out = (self._transient if transient else self._empty)(a.value.shape)
+        value = np.multiply(a.value, b.value, out=out)
         return self._record(value, (a, b), lambda g: (
             g * b.value if a.needs_grad else None, g * a.value if b.needs_grad else None))
 
-    def gather(self, x: Node, index: np.ndarray) -> Node:
-        """Select rows; repeated indices accumulate gradient additively.
+    def gather_add(self, a: Node, a_index: np.ndarray, b: Node, b_index: np.ndarray) -> Node:
+        """``a[a_index] + b[b_index]``, a transient; repeated indices accumulate
+        gradient additively.
 
-        Indices must lie in [0, rows), as for ``scatter_rows``. The rows are
-        taken with ``mode="clip"``, which writes straight into the output;
-        the default mode would stage them in a temporary first.
+        The embedding block joins its sender and receiver rows with it. Indices
+        must lie in [0, rows), as for ``scatter_rows``. The rows of ``a`` are
+        taken with ``mode="clip"``, which writes straight into the output (the
+        default mode would stage them in a temporary first), and those of
+        ``b`` are added to them, so the value is bitwise the sum of the two
+        gathers. Each parent's cotangent is the cotangent summed into its
+        rows by ``scatter_rows``, which owns its result.
         """
-        index = np.asarray(index, dtype=np.int64)
-        rows = x.value.shape[0]
-        value = np.take(x.value, index, axis=0, mode="clip",
-                        out=self._empty(index.shape + x.value.shape[1:]))
-        return self._record(value, (x,), lambda g: (scatter_rows(index, g, rows),))
+        a_index = np.asarray(a_index, dtype=np.int64)
+        b_index = np.asarray(b_index, dtype=np.int64)
+        shape = a_index.shape + a.value.shape[1:]
+        if b_index.shape + b.value.shape[1:] != shape:
+            raise ValueError(f"gather_add needs equal shapes, got {shape} and "
+                             f"{b_index.shape + b.value.shape[1:]}")
+        value = np.take(a.value, a_index, axis=0, mode="clip", out=self._transient(shape))
+        value += b.value[b_index]
+        a_rows, b_rows = a.value.shape[0], b.value.shape[0]
+        return self._record(value, (a, b), lambda g: (
+            scatter_rows(a_index, g, a_rows) if a.needs_grad else None,
+            scatter_rows(b_index, g, b_rows) if b.needs_grad else None))
 
     def segment_sum(self, x: Node, segment_ids: np.ndarray, num_segments: int) -> Node:
         """Sum rows of x into num_segments buckets (empty buckets stay zero)."""

@@ -12,7 +12,7 @@ import errno
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -137,11 +137,16 @@ def _fmt(value: float) -> str:
 
 
 def _write_text(path: Optional[str], text: str):
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path: Optional[str], chunks: Iterable[str]):
+    """Write each string of ``chunks`` in turn, to ``path`` or to stdout."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _check_output_paths(*paths: Optional[str]):
@@ -274,16 +279,22 @@ def cmd_basis_dump(args) -> int:
     orders, radii = range(tables.n_shbf), range(1, tables.n_srbf + 1)
     sbf_labels = [(ell, n) for ell in orders for n in radii]
     tbf_labels = [(ell, m, n) for ell in orders for m in range(-ell, ell + 1) for n in radii]
-    lines = ["kind,l,m,n,d,theta,phi,value"]
-    for i, d in enumerate(d_values):
-        lines += [f"rbf,,,{n},{_fmt(d)},,,{_fmt(v)}" for n, v in zip(radii, radial[i])]
-        for t, theta in enumerate(theta_values):
-            lines += [f"sbf,{ell},,{n},{_fmt(d)},{_fmt(theta)},,{_fmt(v)}"
-                      for (ell, n), v in zip(sbf_labels, angular[i, t])]
-            for p, phi in enumerate(phi_values):
-                lines += [f"tbf,{ell},{m},{n},{_fmt(d)},{_fmt(theta)},{_fmt(phi)},{_fmt(v)}"
-                          for (ell, m, n), v in zip(tbf_labels, full[i, t, p])]
-    _write_text(args.out, "\n".join(lines) + "\n")
+
+    def chunks():
+        """The header, then the rows of one distance at a time."""
+        yield "kind,l,m,n,d,theta,phi,value\n"
+        for i, d in enumerate(d_values):
+            lines = [f"rbf,,,{n},{_fmt(d)},,,{_fmt(v)}" for n, v in zip(radii, radial[i])]
+            for t, theta in enumerate(theta_values):
+                lines += [f"sbf,{ell},,{n},{_fmt(d)},{_fmt(theta)},,{_fmt(v)}"
+                          for (ell, n), v in zip(sbf_labels, angular[i, t])]
+                for p, phi in enumerate(phi_values):
+                    lines += [f"tbf,{ell},{m},{n},{_fmt(d)},{_fmt(theta)},{_fmt(phi)},{_fmt(v)}"
+                              for (ell, m, n), v in zip(tbf_labels, full[i, t, p])]
+            yield "\n".join(lines) + "\n"
+
+    # Every embedding is computed above, so a BasisError leaves no file behind.
+    _write_chunks(args.out, chunks())
     return EXIT_OK
 
 

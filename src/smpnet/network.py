@@ -361,9 +361,9 @@ class ForwardContext:
 
 
 def _dense(ctx: ForwardContext, name: str, x: Node, activation: bool = False,
-           residual: Optional[Node] = None) -> Node:
+           residual: Optional[Node] = None, transient: bool = False) -> Node:
     return ctx.tape.dense(x, ctx.leaves[name + ".w"], ctx.leaves[name + ".b"],
-                          silu=activation, residual=residual)
+                          silu=activation, residual=residual, transient=transient)
 
 
 def _bottleneck(ctx: ForwardContext, name: str, x: Node) -> Node:
@@ -418,8 +418,9 @@ def embedding_block(ctx: ForwardContext) -> Node:
     gradient buffer are row views of ``W``'s. The element terms are computed
     once per element: the whole ``atom_embed`` table times the sender block
     plus ``b``, and times the receiver block, so a row's value does not depend
-    on the batch. Each edge gathers its two rows, and their sum is the
-    addend of the distance layer's pre-activation.
+    on the batch. Each edge gathers its two rows and sums them in one
+    ``Tape.gather_add``, whose transient value is the addend of the distance
+    layer's pre-activation.
     """
     tape, feats, merge = ctx.tape, ctx.features, ctx.leaves["input.merge.w"]
     grads = np.split(merge.grad, 3) if merge.needs_grad else [None] * 3
@@ -429,8 +430,8 @@ def embedding_block(ctx: ForwardContext) -> Node:
     atoms = ctx.leaves["atom_embed"]
     senders = tape.dense(atoms, sender_w, ctx.leaves["input.merge.b"])
     receivers = tape.dense(atoms, receiver_w)
-    elements = tape.add(tape.gather(senders, feats.atomic_numbers[feats.edge_sender]),
-                        tape.gather(receivers, feats.atomic_numbers[feats.edge_receiver]))
+    elements = tape.gather_add(senders, feats.atomic_numbers[feats.edge_sender],
+                               receivers, feats.atomic_numbers[feats.edge_receiver])
     encoded = _bottleneck(ctx, "input.rbf", tape.constant(feats.edge_rbf))
     messages = tape.dense(encoded, distance_w, elements, silu=True)
     _check_finite(messages, "embedding block")
@@ -460,6 +461,10 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
     leaves it as is). Each residual add is the ``residual`` of the dense
     layer that computes its other operand: the up-projection takes the
     branch, and each residual block's second layer takes its input.
+
+    The distance term and the last message layer's output are transients
+    (see ``autodiff``): no vjp reads them, and ``pair_aggregate`` and the
+    up-projection consume each before the next is written.
     """
     tape, feats, cfg = ctx.tape, ctx.features, ctx.cfg
     if messages.value.shape[0] != feats.n_edges:
@@ -472,6 +477,7 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
     distance_term = tape.mul(
         _bottleneck(ctx, prefix + "rbf", tape.constant(feats.edge_rbf)),
         _dense(ctx, prefix + "proj_rbf", messages),
+        transient=True,
     )
     aggregated = tape.pair_aggregate(distance_term, [(
         inputs[block],
@@ -482,7 +488,8 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
         feats.pair_edge, feats.pair_neighbor, feats.n_edges)
     updated = messages
     for j in range(cfg.num_message_layers):
-        updated = _dense(ctx, prefix + f"msg{j}", updated, activation=True)
+        updated = _dense(ctx, prefix + f"msg{j}", updated, activation=True,
+                         transient=j == cfg.num_message_layers - 1)
     updated = _dense(ctx, prefix + "up", aggregated, residual=updated)
     for r in range(cfg.num_residual_blocks):
         inner = _dense(ctx, prefix + f"res{r}.a", updated, activation=True)
@@ -494,11 +501,12 @@ def interaction_block(ctx: ForwardContext, messages: Node, block: int) -> Node:
 def output_block(ctx: ForwardContext, messages: Node) -> Node:
     """Pool distance-gated messages per node, then sum node readouts per graph.
 
-    Returns the (n_graphs, 1) column of graph predictions.
+    Returns the (n_graphs, 1) column of graph predictions. The gated messages
+    are a transient, which only the pooling reads.
     """
     tape, feats = ctx.tape, ctx.features
     gate = _bottleneck(ctx, "output.rbf", tape.constant(feats.edge_rbf))
-    gated = tape.mul(gate, messages)
+    gated = tape.mul(gate, messages, transient=True)
     pooled = tape.segment_sum(gated, feats.edge_receiver, feats.n_atoms)
     nodes = _dense(ctx, "output.node", pooled, activation=True)
     hidden = _dense(ctx, "output.read1", nodes, activation=True)

@@ -34,6 +34,11 @@ from .network import (GraphFeatures, ModelParams, NetworkError, backward,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Entries per chunk of ``adam_step``. On a 2-vCPU VM (min of 60 calls, two
+# runs) a step took 13.3-14.3 ms at the default config's 1.64M parameters
+# against 15.7-17.8 ms for whole-vector ops in two parameter-sized scratch
+# buffers, and 0.38-0.42 ms against 0.36-0.40 ms at the ablation config's 57k.
+ADAM_CHUNK = 1 << 15
 
 # Philox key tags keeping the split, shuffle, and data streams independent.
 _SPLIT_TAG = 101
@@ -74,8 +79,9 @@ class MetricError(ValueError):
 class OptimState:
     """Adam moment buffers, flat and in the parameter layout of ``flat_values``.
 
-    ``scratch`` holds two more buffers of that size, in which ``adam_step``
-    computes its update without allocating.
+    ``scratch`` holds two buffers of ``ADAM_CHUNK`` entries (fewer for a
+    smaller vector), in which ``adam_step`` computes its update one chunk at a
+    time without allocating.
     """
 
     flat_first: np.ndarray
@@ -84,7 +90,8 @@ class OptimState:
     scratch: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = (np.empty_like(self.flat_first), np.empty_like(self.flat_first))
+        size = min(ADAM_CHUNK, self.flat_first.size)
+        self.scratch = (np.empty(size), np.empty(size))
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimState":
@@ -146,32 +153,37 @@ def adam_step(params: ModelParams, opt: OptimState, lr: float):
 
     No weight decay and no dropout anywhere. Updates are in-place and
     deterministic (fixed parameter order); every product and quotient is
-    taken in the order of the textbook expression, in ``opt.scratch``.
+    taken in the order of the textbook expression. The flat vectors are
+    walked in chunks of the ``opt.scratch`` length, each chunk running the
+    same ops in the same order in those buffers; the ops are elementwise, so
+    every entry is bitwise what whole-vector ops give. ``params.flat_grads``
+    is read, never written.
     """
     if opt.flat_first.shape != params.flat_values.shape:
         raise TrainError("optimizer moment shape does not match parameters")
     opt.step += 1
     correction1 = 1.0 - ADAM_BETA1 ** opt.step
     correction2 = 1.0 - ADAM_BETA2 ** opt.step
-    grad = params.flat_grads
-    m = opt.flat_first
-    v = opt.flat_second
-    update, denom = opt.scratch
-    m *= ADAM_BETA1
-    np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
-    m += update
-    v *= ADAM_BETA2
-    np.multiply(grad, 1.0 - ADAM_BETA2, out=update)
-    update *= grad
-    v += update
-    # lr * (m / correction1) / (sqrt(v / correction2) + eps)
-    np.divide(m, correction1, out=update)
-    update *= lr
-    np.divide(v, correction2, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += ADAM_EPS
-    update /= denom
-    params.flat_values -= update
+    chunk = opt.scratch[0].size
+    for start in range(0, params.flat_values.size, chunk):
+        grad, m, v, values = (flat[start:start + chunk] for flat in (
+            params.flat_grads, opt.flat_first, opt.flat_second, params.flat_values))
+        update, denom = (buffer[:grad.size] for buffer in opt.scratch)
+        m *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=update)
+        m += update
+        v *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=update)
+        update *= grad
+        v += update
+        # lr * (m / correction1) / (sqrt(v / correction2) + eps)
+        np.divide(m, correction1, out=update)
+        update *= lr
+        np.divide(v, correction2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update /= denom
+        values -= update
 
 
 def _stream_predictions(features: Iterable[GraphFeatures], params: ModelParams,
@@ -277,7 +289,8 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
     """Mini-batch training with MAE loss on the graph target.
 
     Shuffling is keyed to (seed, epoch); the best checkpoint by validation
-    MAE (train MAE when the validation split is empty) is retained. A
+    MAE (train MAE when the validation split is empty) is retained, copied in
+    place into one clone of the parameters made before the first epoch. A
     non-finite loss aborts with the offending step index. Validation runs in
     the chunks of ``predict``. ``threads`` has no effect. A ``split`` that
     is not two parts of distinct integers in [0, len(dataset)) with no index
@@ -356,7 +369,7 @@ def train(dataset: Sequence[Graph3D], cfg: RunConfig, seed: Optional[int] = None
         if score < best_score:
             best_score = score
             best_epoch = epoch
-            best_params = params.clone()
+            np.copyto(best_params.flat_values, params.flat_values)
     return TrainResult(params=best_params, final_params=params, log=log,
                        best_epoch=best_epoch, best_score=best_score)
 

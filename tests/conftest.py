@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smpnet.autodiff import Tape
+from smpnet.autodiff import Tape, scatter_rows
 from smpnet.ingest import Graph3D, RunConfig
 
 
@@ -43,12 +43,26 @@ def tiny_cfg() -> RunConfig:
     )
 
 
+def gather(tape, x, index):
+    """Oracle op: the rows ``x[index]``, whose cotangent is summed into the
+    gathered rows."""
+    rows = x.value.shape[0]
+    return tape._record(x.value[index], (x,), lambda g: (scatter_rows(index, g, rows),))
+
+
+def add(tape, a, b):
+    """Oracle op: ``a + b``. Each parent owns its cotangent, so the second one
+    gets a copy."""
+    return tape._record(a.value + b.value, (a, b), lambda g: (
+        g, g.copy() if a.needs_grad and b.needs_grad else g))
+
+
 def unfused_pair_aggregate(tape, base, gates, pair_edge, pair_neighbor, n_edges):
     """Oracle for ``Tape.pair_aggregate``: the gather/dense/mul/add/segment_sum
     composition that materializes every pair-wide intermediate."""
-    term = tape.gather(base, pair_neighbor)
+    term = gather(tape, base, pair_neighbor)
     for a, up, b, proj in gates:
-        term = tape.add(term, tape.mul(tape.dense(a, up, b), tape.gather(proj, pair_neighbor)))
+        term = add(tape, term, tape.mul(tape.dense(a, up, b), gather(tape, proj, pair_neighbor)))
     return tape.segment_sum(term, pair_edge, n_edges)
 
 
@@ -62,8 +76,8 @@ def per_block_matmul(tape, rows, n_rows, bs):
 _dense = Tape.dense   # kept, so the oracle still works with Tape.dense patched to it
 
 
-def unfused_dense(tape, x, w, b=None, silu=False, residual=None):
+def unfused_dense(tape, x, w, b=None, silu=False, residual=None, transient=False):
     """Oracle for ``Tape.dense(..., residual=)``: the dense layer, then a
     separate ``add`` of the residual."""
-    out = _dense(tape, x, w, b, silu=silu)
-    return out if residual is None else tape.add(residual, out)
+    out = _dense(tape, x, w, b, silu=silu, transient=transient)
+    return out if residual is None else add(tape, residual, out)

@@ -10,7 +10,7 @@ from smpnet.autodiff import Tape, Workspace, add_rows, scatter_rows
 from smpnet.network import (backward, begin_forward, embedding_block, featurize_graph,
                             forward_features, init_params, merge_features)
 
-from conftest import per_block_matmul, random_graph, unfused_pair_aggregate
+from conftest import add, gather, per_block_matmul, random_graph, unfused_pair_aggregate
 
 
 def numeric_grad(build, values, h=1e-6):
@@ -124,9 +124,10 @@ def join(tape, nodes):
 def test_mul_add():
     rng = np.random.default_rng(1)
     values = [rng.normal(size=(3, 2)), rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
+    rows = np.arange(3)
 
     def program(t, l):
-        return join(t, [t.mul(l[0], l[1]), t.add(l[0], l[2])])
+        return join(t, [t.mul(l[0], l[1]), t.gather_add(l[0], rows, l[2], rows)])
 
     check_program(program, values)
 
@@ -204,17 +205,57 @@ def test_blocked_matmul_views_take_their_columns_of_one_node():
 
 def test_gather_accumulates_repeats():
     rng = np.random.default_rng(2)
-    values = [rng.normal(size=(3, 2))]
+    values = [rng.normal(size=(3, 2)), rng.normal(size=(4, 2))]
     idx = np.array([0, 1, 1, 2, 1])
+    other = np.array([3, 3, 0, 3, 1])
 
     def program(t, l):
-        return t.gather(l[0], idx)
+        return t.gather_add(l[0], idx, l[1], other)
 
     tape, leaves, out = run_program(program, values)
     tape.backward(out, np.ones_like(out.value))
-    expected = np.zeros((3, 2))
-    np.add.at(expected, idx, np.ones((5, 2)))
-    assert np.array_equal(leaves[0].grad, expected)
+    for leaf, index in zip(leaves, (idx, other)):
+        expected = np.zeros(leaf.value.shape)
+        np.add.at(expected, index, np.ones((5, 2)))
+        assert np.array_equal(leaf.grad, expected)
+
+
+@pytest.mark.parametrize("rows", [(6, 6), (6, 2), (1, 9)])
+def test_gather_add_matches_gather_gather_add(rows):
+    # The fused op's value and both gradients are bitwise those of two
+    # gathers and an add, with repeated and unused rows on either side;
+    # values spanning many magnitudes make any other summation order visible.
+    rng = np.random.default_rng(8)
+    values = [rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 9, size=(n, 3))
+              for n in rows]
+    index = [rng.integers(0, n, size=40) for n in rows]
+    upstream = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-8, 9, size=(40, 3))
+    runs = []
+    for program in (lambda t, l: t.gather_add(l[0], index[0], l[1], index[1]),
+                    lambda t, l: add(t, gather(t, l[0], index[0]), gather(t, l[1], index[1]))):
+        tape, leaves, out = run_program(program, values)
+        tape.backward(out, upstream.copy())
+        runs.append((out.value, [leaf.grad for leaf in leaves]))
+    (value, grads), (expected, expected_grads) = runs
+    assert np.array_equal(value, expected)
+    for grad, expected_grad in zip(grads, expected_grads):
+        assert np.array_equal(grad, expected_grad)
+
+
+def test_gather_add_gradients_match_finite_differences():
+    rng = np.random.default_rng(9)
+    values = [rng.normal(size=(4, 3)), rng.normal(size=(2, 3))]
+    a_index, b_index = np.array([0, 3, 3, 1, 0]), np.array([1, 1, 0, 1, 1])
+    check_program(lambda t, l: t.gather_add(l[0], a_index, l[1], b_index), values)
+
+
+def test_gather_add_shape_mismatch_rejected():
+    tape = Tape()
+    a, b = new_leaf(tape, np.ones((4, 3))), new_leaf(tape, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="equal shapes"):
+        tape.gather_add(a, np.arange(4), a, np.arange(3))
+    with pytest.raises(ValueError, match="equal shapes"):
+        tape.gather_add(a, np.arange(2), b, np.arange(2))
 
 
 def test_segment_sum_and_empty_segments():
@@ -270,10 +311,14 @@ def test_gather_gradient_through_dense_addend_matches_add_at():
     tape = Tape()
     leaf = new_leaf(tape, x)
     other = new_leaf(tape, rng.normal(size=(50, 2)))
-    out = tape.dense(other, tape.constant(rng.normal(size=(2, 3))), tape.gather(leaf, idx))
+    rows = new_leaf(tape, rng.normal(size=(4, 3)))
+    row_idx = rng.integers(0, 4, size=50)
+    out = tape.dense(other, tape.constant(rng.normal(size=(2, 3))),
+                     tape.gather_add(leaf, idx, rows, row_idx))
     upstream = rng.normal(size=(50, 3)) * 10.0 ** rng.integers(-8, 9, size=(50, 3))
     tape.backward(out, upstream)
     assert np.array_equal(leaf.grad, add_at_reference(idx, upstream, 6))
+    assert np.array_equal(rows.grad, add_at_reference(row_idx, upstream, 4))
 
 
 def test_constants_receive_no_gradient_work():
@@ -292,7 +337,8 @@ def test_reused_node_accumulates_from_both_consumers():
 
     def program(t, l):
         shared = t.dense(l[0], t.constant(np.eye(3)), silu=True)
-        return t.add(t.mul(shared, shared), shared)
+        rows = np.arange(3)
+        return t.gather_add(t.mul(shared, shared), rows, shared, rows)
 
     check_program(program, values)
 
@@ -335,7 +381,7 @@ def test_leaf_adds_into_given_buffer():
     tape = Tape()
     leaf = tape.leaf(np.ones((2, 2)), buffer)
     assert leaf.grad is buffer
-    tape.backward(tape.add(leaf, leaf), np.ones((2, 2)))
+    tape.backward(tape.gather_add(leaf, np.arange(2), leaf, np.arange(2)), np.ones((2, 2)))
     assert np.array_equal(buffer, np.full((2, 2), 2.5))
     tape.backward(leaf, np.ones((2, 2)))
     assert leaf.grad is buffer and np.array_equal(buffer, np.full((2, 2), 3.5))
@@ -406,7 +452,7 @@ def test_vjps_hand_each_parent_its_own_array(tiny_cfg):
     y = new_leaf(tape, rng.normal(size=(4, 2)))
     w = new_leaf(tape, rng.normal(size=(3, 3)))
     v = new_leaf(tape, rng.normal(size=(2, 3)))
-    doubled = tape.add(x, x)
+    doubled = tape.gather_add(x, np.arange(4), x, np.arange(4))
     # A dense layer whose input is also its residual is the analogue of add(x, x).
     tape.dense(x, w, silu=True, residual=x)
     tape.dense(x, w, residual=x)
@@ -581,6 +627,18 @@ def test_workspace_slot_grows_to_the_largest_request():
     Tape(workspace)
     again = workspace.empty((3, 2))
     assert again.shape == (3, 2) and np.shares_memory(again, large)
+
+
+def test_workspace_transient_grows_to_the_largest_request():
+    # Every request views the leading entries of one buffer, which grows like
+    # a slot and takes no slot.
+    workspace = Workspace()
+    small = workspace.transient((2, 3))
+    large = workspace.transient((4, 5))
+    assert workspace.transient_buffer.size == 20 and not np.shares_memory(small, large)
+    again = workspace.transient((3, 2))
+    assert again.shape == (3, 2) and np.shares_memory(again, large)
+    assert workspace.slots == []
 
 
 def test_dropped_tape_is_freed_without_the_cycle_collector(tiny_cfg):

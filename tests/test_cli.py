@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -250,6 +251,24 @@ def test_basis_dump(tmp_path, monkeypatch):
         parts = line.split(",")
         if parts[4] == "5" and parts[0] == "rbf":
             assert abs(float(parts[7])) < 1e-12
+
+
+def test_basis_dump_streams_its_rows(tmp_path):
+    # Rows are written one distance at a time, so the traced peak grows with
+    # the embedded grid (about 0.05 MB per sample at the default basis), not
+    # with the text: holding every row, it grew 1.5 MB per sample.
+    out = str(tmp_path / "basis.csv")
+    main(["basis-dump", "--samples", "2", "--out", out])   # builds the cached tables
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            assert main(["basis-dump", "--samples", str(samples), "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40) - peak(10) <= 30 * 0.2
 
 
 def test_basis_dump_invalid_order(tmp_path, capsys):

@@ -184,9 +184,9 @@ def test_one_tape_node_per_dense_layer(tiny_cfg, monkeypatch):
     recorded = {True: [], False: []}
     dense = network._dense
 
-    def counting_dense(ctx, name, x, activation=False, residual=None):
+    def counting_dense(ctx, name, x, activation=False, **kwargs):
         before = len(ctx.tape.nodes)
-        out = dense(ctx, name, x, activation, residual)
+        out = dense(ctx, name, x, activation, **kwargs)
         recorded[activation].append(len(ctx.tape.nodes) - before)
         return out
 
@@ -415,14 +415,15 @@ def test_tape_lists_only_the_nodes_its_sweep_visits(tiny_cfg, mode):
     assert not any(id(node) in leaves for node in ctx.tape.nodes)
 
 
-@pytest.mark.parametrize("cfg, nodes", [(RunConfig(), 66), (ablation_config(), 34)],
+@pytest.mark.parametrize("cfg, nodes", [(RunConfig(), 64), (ablation_config(), 32)],
                          ids=["default", "ablation"])
 def test_tape_nodes_per_forward(cfg, nodes):
-    # One node per dense layer (residual adds included), gather, add, mul,
+    # One node per dense layer (residual adds included), gather_add, mul,
     # stacked product and its per-block views, pair aggregate and segment
     # sum; the counts do not depend on the graph. A change that moves them
     # records the old and new counts: with one per-edge concat of gathered
-    # atom rows in the embedding block they were 65 and 33.
+    # atom rows in the embedding block they were 65 and 33, and with two
+    # gathers and an add in place of the one gather_add, 66 and 34.
     chain = synthetic_torsion_task(64, seed=0)[0]
     ctx = forward_features(featurize_graph(chain, cfg), init_params(cfg, seed=0), cfg)
     assert len(ctx.tape.nodes) == nodes

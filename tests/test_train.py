@@ -9,8 +9,8 @@ from smpnet.autodiff import Tape, Workspace
 from smpnet.elements import SYMBOL_TO_Z
 from smpnet.geometry import rigid_transform
 from smpnet.ingest import FULL, NO_ANGLE_TORSION, NO_TORSION, Graph3D, RunConfig
-from smpnet.network import (NetworkError, featurize_graph, forward_features, init_params,
-                            merge_features)
+from smpnet.network import (ModelParams, NetworkError, featurize_graph, forward_features,
+                            init_params, merge_features)
 
 from conftest import random_graph
 from test_w1_pin import perfbench_workloads, recorded_build
@@ -91,8 +91,10 @@ def test_adam_recurrence_two_steps(tiny_cfg):
     assert params.flat_values[0] == pytest.approx(reference, rel=1e-12)
 
 
-def test_adam_matches_textbook_expression_bitwise(tiny_cfg):
-    params = init_params(tiny_cfg, seed=5)
+def check_adam_against_textbook(cfg):
+    """Four Adam steps match the textbook expression on whole vectors bitwise,
+    and leave the gradient buffer as the caller wrote it."""
+    params = init_params(cfg, seed=5)
     opt = T.OptimState.for_params(params)
     rng = np.random.default_rng(7)
     values = params.flat_values.copy()
@@ -102,6 +104,7 @@ def test_adam_matches_textbook_expression_bitwise(tiny_cfg):
         grad = rng.normal(size=values.size) * 10.0 ** rng.integers(-8, 3, size=values.size)
         params.flat_grads[...] = grad
         T.adam_step(params, opt, lr=1e-3 * step)
+        assert np.array_equal(params.flat_grads, grad)
         m = 0.9 * m + (1.0 - 0.9) * grad
         v = 0.999 * v + (1.0 - 0.999) * grad * grad
         values -= 1e-3 * step * (m / (1.0 - 0.9 ** step)) / (
@@ -109,6 +112,20 @@ def test_adam_matches_textbook_expression_bitwise(tiny_cfg):
     assert np.array_equal(params.flat_values, values)
     assert np.array_equal(opt.flat_first, m)
     assert np.array_equal(opt.flat_second, v)
+    return opt
+
+
+def test_adam_matches_textbook_expression_bitwise(tiny_cfg):
+    check_adam_against_textbook(tiny_cfg)
+
+
+def test_adam_chunk_seams_match_textbook_expression_bitwise(tiny_cfg, monkeypatch):
+    # Chunks of 7 entries put a seam every 7 entries and leave a ragged tail.
+    monkeypatch.setattr(T, "ADAM_CHUNK", 7)
+    size = init_params(tiny_cfg, seed=5).flat_values.size
+    assert size > 7 and size % 7
+    opt = check_adam_against_textbook(tiny_cfg)
+    assert [buffer.size for buffer in opt.scratch] == [7, 7]
 
 
 def test_adam_deterministic(tiny_cfg):
@@ -326,7 +343,14 @@ def test_predict_peak_on_the_largest_cluster():
 # 9_897_728). Sizes follow from shapes alone, so the pin holds on any build;
 # a change that moves it records the old and new values, and none moves it up
 # to let a regression pass.
-WORKSPACE = {"molecules-train": (8, 79, 131_859_232), "chains-train": (64, 39, 9_147_136)}
+#
+# The last entry is the size of Workspace.transient_buffer, which holds in
+# turn the forward values no vjp reads: the gathered element rows' sum, each
+# block's distance term and last message layer output, and the output
+# block's gated messages. While those took slots, the pins were (79,
+# 131_859_232) and (39, 9_147_136).
+WORKSPACE = {"molecules-train": (8, 69, 112_939_808, 2_441_216),
+             "chains-train": (64, 33, 7_198_464, 354_304)}
 
 # Multiply-adds of every Tape.dense call (rows x inner x columns) in one taped
 # forward of the same two batches. The same rules hold as for WORKSPACE. While
@@ -336,25 +360,29 @@ WORKSPACE = {"molecules-train": (8, 79, 131_859_232), "chains-train": (64, 39, 9
 DENSE_MULTIPLY_ADDS = {"molecules-train": 1_739_073_152, "chains-train": 28_002_624}
 
 
-def pinned_batch(workload):
-    """The workload's run config and the merged features of its pinned batch."""
-    n_graphs = WORKSPACE[workload][0]
+def seed0_graphs(workload, n_graphs):
+    """The workload's seed-0 run config and its first ``n_graphs`` graphs."""
     workloads = perfbench_workloads()
-    cfg = workloads.run_config(workload, 0)
     graphs = [Graph3D(np.array([SYMBOL_TO_Z[s] for s in symbols]), positions,
                       graph_target=target, id=str(i))
               for i, (symbols, positions, target)
               in enumerate(workloads.frames_for(workload, 0)[:n_graphs])]
+    return workloads.run_config(workload, 0), graphs
+
+
+def pinned_batch(workload):
+    """The workload's run config and the merged features of its pinned batch."""
+    cfg, graphs = seed0_graphs(workload, WORKSPACE[workload][0])
     return cfg, merge_features([featurize_graph(g, cfg) for g in graphs])
 
 
 @pytest.mark.parametrize("workload", sorted(WORKSPACE))
 def test_training_forward_workspace_is_pinned(workload):
-    _, slots, size = WORKSPACE[workload]
     cfg, features = pinned_batch(workload)
     workspace = Workspace()
     forward_features(features, init_params(cfg, seed=0), cfg, workspace=workspace)
-    assert (len(workspace.slots), sum(slot.nbytes for slot in workspace.slots)) == (slots, size)
+    assert (len(workspace.slots), sum(slot.nbytes for slot in workspace.slots),
+            workspace.transient_buffer.nbytes) == WORKSPACE[workload][1:]
 
 
 @pytest.mark.parametrize("workload", sorted(DENSE_MULTIPLY_ADDS))
@@ -370,6 +398,29 @@ def test_training_forward_dense_multiply_adds_are_pinned(workload, monkeypatch):
     monkeypatch.setattr(Tape, "dense", counting_dense)
     forward_features(features, init_params(cfg, seed=0), cfg, workspace=Workspace())
     assert sum(counted) == DENSE_MULTIPLY_ADDS[workload]
+
+
+# The tracemalloc peak of train() on the first 16 seed-0 molecules-train
+# molecules at the default config (one epoch, batches of 8, 14 molecules to
+# train on and 2 to validate): 270.4 MB while Adam kept two parameter-sized
+# scratch vectors, each improving epoch cloned the parameters afresh, and the
+# forward values no vjp reads took workspace slots; 223.6 MB without the three.
+# Undoing one of the three gave 248.1, 229.4 and 235.2 MB, so the bound lies
+# below all of them. The same rules hold as for PREDICT_PEAK_MB.
+TRAIN_PEAK_MB = 227.0
+
+
+def test_training_peak_is_pinned():
+    cfg, graphs = seed0_graphs("molecules-train", 16)
+    cfg = cfg.replace(max_epochs=1, batch_size=8)
+    T.train(graphs[:2], cfg, split=([0], [1]))   # builds the cached basis tables
+    tracemalloc.start()
+    try:
+        T.train(graphs, cfg, split=(list(range(14)), [14, 15]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= TRAIN_PEAK_MB
 
 
 # --- training loop -----------------------------------------------------------------
@@ -434,6 +485,29 @@ def test_best_checkpoint_is_retained(tiny_cfg):
     best = min(entry.valid_mae for entry in result.log)
     assert result.best_score == pytest.approx(best)
     assert result.log[result.best_epoch].valid_mae == pytest.approx(best)
+
+
+def test_best_checkpoint_is_one_clone_copied_in_place(tiny_cfg, monkeypatch):
+    # The parameters are cloned once, before the first epoch; each improving
+    # epoch copies them into that clone, which holds the best epoch's values.
+    cfg = quick_cfg(tiny_cfg, max_epochs=5)
+    data = T.synthetic_torsion_task(80, seed=19)
+    clones = []
+    clone = ModelParams.clone
+
+    def counted_clone(self):
+        clones.append(clone(self))
+        return clones[-1]
+
+    monkeypatch.setattr(ModelParams, "clone", counted_clone)
+    result = T.train(data, cfg, seed=2)
+    scores = [entry.valid_mae for entry in result.log]
+    improving = [i for i, score in enumerate(scores) if score < min(scores[:i], default=math.inf)]
+    assert len(improving) >= 2 and result.best_epoch == improving[-1]
+    assert clones == [result.params]
+    monkeypatch.undo()
+    at_best = T.train(data, cfg.replace(max_epochs=result.best_epoch + 1), seed=2)
+    assert np.array_equal(result.params.flat_values, at_best.final_params.flat_values)
 
 
 def test_explicit_split_overfits_small_set(tiny_cfg):
@@ -524,18 +598,23 @@ def test_training_steps_never_hold_two_tapes(tiny_cfg):
 @pytest.mark.parametrize("mode", [FULL, NO_TORSION, NO_ANGLE_TORSION])
 def test_workspace_training_matches_fresh_buffers(tiny_cfg, monkeypatch, mode):
     # Batches of 4, 4, ..., 2 graphs make the workspace slots shrink and grow.
+    # The second run routes every workspace write, to a slot or to the
+    # transient buffer, to a fresh array.
     cfg = quick_cfg(tiny_cfg, ablation_mode=mode)
     data = T.synthetic_torsion_task(64, seed=23)
     pooled = T.train(data, cfg, seed=4)
-    requests = []
+    requests = {"empty": [], "transient": []}
 
-    def fresh(self, shape):
-        requests.append(shape)
-        return np.empty(shape)
+    def fresh(kind):
+        def request(self, shape):
+            requests[kind].append(shape)
+            return np.empty(shape)
+        return request
 
-    monkeypatch.setattr(Workspace, "empty", fresh)
+    for kind in requests:
+        monkeypatch.setattr(Workspace, kind, fresh(kind))
     unpooled = T.train(data, cfg, seed=4)
-    assert requests
+    assert requests["empty"] and requests["transient"]
     assert np.array_equal(pooled.params.flat_values, unpooled.params.flat_values)
     assert np.array_equal(pooled.final_params.flat_values, unpooled.final_params.flat_values)
     assert T.format_epoch_log(pooled.log) == T.format_epoch_log(unpooled.log)
